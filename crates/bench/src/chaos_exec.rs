@@ -1,18 +1,19 @@
 //! Bridges chaos runs (scenario × fault plan) to the runner engine.
 //!
 //! Mirrors [`crate::exec`]: a [`ChaosCell`] describes one scenario
-//! configuration under one [`FaultPlan`] at many seeds; [`run_chaos_cells`]
-//! executes all seeds on the runner's thread pool behind the result cache.
+//! configuration under one [`FaultPlan`](liteworp_chaos::FaultPlan) at
+//! many seeds; [`run_chaos_cells`] executes all seeds through the same
+//! sweep routine as [`crate::exec::run_cells`], behind the result cache.
 //! The fault plan's descriptor is folded into the cell descriptor, so
 //! cached outcomes are keyed by the *complete* (scenario, plan) identity
 //! and any plan change re-runs.
 
-use crate::exec::ExecOptions;
+use crate::exec::{Cell, ExecOptions};
 use crate::scenario::Scenario;
 use liteworp_chaos::{check, Immunity, Injector, OracleConfig, Violation};
-use liteworp_runner::supervisor::{JobContext, JobFailure, JobFaultHook};
-use liteworp_runner::{CacheValue, JobSpec, Json, Manifest};
-use std::collections::BTreeMap;
+use liteworp_runner::supervisor::{JobContext, JobFailure};
+use liteworp_runner::{CacheValue, Json, Manifest};
+use std::ops::Range;
 
 /// One chaos cell: a scenario under a fault plan, at many seeds.
 #[derive(Debug, Clone)]
@@ -114,53 +115,36 @@ pub struct ChaosRun {
     pub manifest: Manifest,
 }
 
-/// Runs every seed of every chaos cell on the thread pool.
+impl Cell for ChaosCell {
+    type Outcome = ChaosOutcome;
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn descriptor(&self) -> String {
+        ChaosCell::descriptor(self)
+    }
+
+    fn seeds(&self) -> Range<u64> {
+        self.seed_base..self.seed_base + self.seeds
+    }
+
+    fn execute(&self, derived_seed: u64, ctx: &JobContext) -> Result<ChaosOutcome, JobFailure> {
+        execute_chaos_supervised(self, derived_seed, ctx)
+    }
+}
+
+/// Runs every seed of every chaos cell as one sweep, grouped per cell.
 pub fn run_chaos_cells(cells: &[ChaosCell], opts: &ExecOptions) -> ChaosRun {
-    let cfg = opts.run_config();
-    let mut specs = Vec::new();
-    let mut lookup: BTreeMap<(u64, u64), &ChaosCell> = BTreeMap::new();
-    for cell in cells {
-        let descriptor = cell.descriptor();
-        for s in 0..cell.seeds {
-            let spec = JobSpec {
-                label: format!("{} seed={}", cell.label, cell.seed_base + s),
-                scenario: descriptor.clone(),
-                seed: cell.seed_base + s,
-            };
-            lookup.insert((spec.scenario_hash(), spec.seed), cell);
-            specs.push(spec);
-        }
-    }
-    let sup = opts.supervision();
-    let fault_plan = opts.engine_fault_plan();
-    let hook = fault_plan.as_ref().map(|p| p as &dyn JobFaultHook);
-    let report = liteworp_runner::run_supervised(&cfg, &sup, &specs, hook, |job, derived, ctx| {
-        let cell = lookup[&(job.scenario_hash(), job.seed)];
-        execute_chaos_supervised(cell, derived, ctx)
-    });
-    let mut results = report.results.into_iter();
-    let mut outcomes = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let mut per_cell = Vec::with_capacity(cell.seeds as usize);
-        for _ in 0..cell.seeds {
-            // lint: allow(P002) pool invariant: exactly one JobRun per job index
-            match results.next().expect("one result per job") {
-                Ok(outcome) => per_cell.push(outcome),
-                Err(e) => eprintln!("warning: {e}; excluded from sweep"),
-            }
-        }
-        outcomes.push(per_cell);
-    }
-    ChaosRun {
-        outcomes,
-        manifest: report.manifest,
-    }
+    let (outcomes, manifest) = opts.sweep(cells);
+    ChaosRun { outcomes, manifest }
 }
 
 /// Builds, faults, runs, and oracle-checks one seed of a chaos cell.
 ///
 /// Public so the shrinking loop can re-execute single candidates
-/// synchronously without going through the pool.
+/// synchronously without going through a sweep.
 pub fn execute_chaos(cell: &ChaosCell, derived_seed: u64) -> ChaosOutcome {
     match execute_chaos_supervised(cell, derived_seed, &JobContext::unsupervised()) {
         Ok(outcome) => outcome,

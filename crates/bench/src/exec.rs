@@ -2,21 +2,27 @@
 //!
 //! Every multi-seed experiment describes its work as [`SimCell`]s (one
 //! scenario configuration × a seed count) and hands them to [`run_cells`],
-//! which executes all seeds of all cells on the runner's thread pool with
-//! the result cache in front. A cell's per-seed RNG seed is derived from
-//! the cell's canonical [`descriptor`] and the seed index, so aggregates
+//! which executes all seeds of all cells as one sweep on a
+//! [`SweepEngine`] with the result cache in front. A cell's per-seed RNG
+//! seed is derived from the cell's canonical
+//! [`descriptor`](SimCell::descriptor) and the seed index, so aggregates
 //! are identical at any `--jobs` value and cache hits are exact.
+//!
+//! Batch bins, the daemon ([`run_cells_on`]) and the chaos fuzzer
+//! ([`crate::chaos_exec`]) all go through one routine that flattens cells
+//! into jobs, runs them, and groups the results back per cell.
 
 use crate::scenario::Scenario;
 use liteworp_chaos::EngineFaultPlan;
 use liteworp_obs as obs;
 use liteworp_runner::supervisor::{JobContext, JobFailure, JobFaultHook, Supervision};
 use liteworp_runner::{
-    pool, CacheValue, JobSpec, Json, Manifest, ProgressObserver, ResultCache, RunConfig, RunReport,
-    Summary, SweepEngine, SweepExec,
+    resolve_threads, CacheValue, JobSpec, Json, Manifest, ProgressObserver, ResultCache, Summary,
+    SweepEngine, SweepExec,
 };
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Version string folded into every cache key. Bump the suffix whenever
@@ -223,18 +229,24 @@ impl ExecOptions {
         }
     }
 
-    pub(crate) fn run_config(&self) -> RunConfig {
-        RunConfig {
-            threads: pool::resolve_threads(self.jobs),
-            cache: self.cache.then(|| {
-                ResultCache::new(
-                    self.cache_dir
-                        .clone()
-                        .unwrap_or_else(ResultCache::default_dir),
-                )
-            }),
-            code_version: SIM_CODE_VERSION.to_string(),
-        }
+    /// Runs `cells` as one sweep on a one-shot engine built from these
+    /// options. The engine gets `min(--jobs, job count)` workers, so no
+    /// thread idles for the whole sweep.
+    pub(crate) fn sweep<C: Cell>(&self, cells: &[C]) -> (Vec<Vec<C::Outcome>>, Manifest) {
+        let jobs: usize = cells.iter().map(|c| c.seeds().count()).sum();
+        let threads = resolve_threads(self.jobs).min(jobs.max(1));
+        let cache = self.cache.then(|| {
+            ResultCache::new(
+                self.cache_dir
+                    .clone()
+                    .unwrap_or_else(ResultCache::default_dir),
+            )
+        });
+        let engine = SweepEngine::new(Some(threads), cache, SIM_CODE_VERSION);
+        let hook = self
+            .engine_fault_plan()
+            .map(|plan| Arc::new(plan) as Arc<dyn JobFaultHook + Send + Sync>);
+        sweep_cells(&engine, cells, &self.supervision(), hook, None)
     }
 
     pub(crate) fn supervision(&self) -> Supervision {
@@ -254,6 +266,92 @@ impl ExecOptions {
     }
 }
 
+/// A multi-seed cell [`sweep_cells`] can run: each seed becomes one job
+/// under the cell's canonical descriptor.
+pub(crate) trait Cell: Clone + Send + Sync + 'static {
+    /// What one seed produces.
+    type Outcome: CacheValue + Send + 'static;
+    /// Label for manifests and error reports.
+    fn label(&self) -> &str;
+    /// The canonical description the cell is cached and seeded under.
+    fn descriptor(&self) -> String;
+    /// The seed indices to run.
+    fn seeds(&self) -> Range<u64>;
+    /// Simulates one seed under its derived RNG seed.
+    fn execute(&self, derived_seed: u64, ctx: &JobContext) -> Result<Self::Outcome, JobFailure>;
+}
+
+/// Runs every seed of every cell as one sweep on `engine` and groups the
+/// results back per cell, in seed order.
+///
+/// A seed that still fails after its retry budget (e.g. no connected
+/// deployment found, or a deadline overrun) is quarantined: reported on
+/// stderr with its reproducer seed and dropped from its cell's outcomes,
+/// while the manifest's `failures` block records it.
+pub(crate) fn sweep_cells<C: Cell>(
+    engine: &SweepEngine,
+    cells: &[C],
+    sup: &Supervision,
+    hook: Option<Arc<dyn JobFaultHook + Send + Sync>>,
+    observer: Option<Arc<ProgressObserver>>,
+) -> (Vec<Vec<C::Outcome>>, Manifest) {
+    let mut specs = Vec::new();
+    let mut lookup: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    for (c, cell) in cells.iter().enumerate() {
+        let descriptor = cell.descriptor();
+        for seed in cell.seeds() {
+            let spec = JobSpec {
+                label: format!("{} seed={seed}", cell.label()),
+                scenario: descriptor.clone(),
+                seed,
+            };
+            lookup.insert((spec.scenario_hash(), spec.seed), c);
+            specs.push(spec);
+        }
+    }
+    let owned = cells.to_vec();
+    let exec: Arc<SweepExec<C::Outcome>> = Arc::new(move |job, derived, ctx| {
+        owned[lookup[&(job.scenario_hash(), job.seed)]].execute(derived, ctx)
+    });
+    let report = engine.run_sweep(sup, specs, hook, exec, observer);
+
+    let mut results = report.results.into_iter();
+    let outcomes = cells
+        .iter()
+        .map(|cell| {
+            let mut kept = Vec::new();
+            for result in results.by_ref().take(cell.seeds().count()) {
+                match result {
+                    Ok(outcome) => kept.push(outcome),
+                    Err(e) => eprintln!("warning: {e}; excluded from aggregates"),
+                }
+            }
+            kept
+        })
+        .collect();
+    (outcomes, report.manifest)
+}
+
+impl Cell for SimCell {
+    type Outcome = SeedOutcome;
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn descriptor(&self) -> String {
+        SimCell::descriptor(self)
+    }
+
+    fn seeds(&self) -> Range<u64> {
+        self.seed_base..self.seed_base + self.seeds
+    }
+
+    fn execute(&self, derived_seed: u64, ctx: &JobContext) -> Result<SeedOutcome, JobFailure> {
+        execute(self, derived_seed, ctx)
+    }
+}
+
 /// Results of a cell batch: the successful outcomes of cell `i` in seed
 /// order at `outcomes[i]`, plus the run manifest.
 #[derive(Debug)]
@@ -264,41 +362,17 @@ pub struct CellRun {
     pub manifest: Manifest,
 }
 
-/// Runs every seed of every cell on the thread pool and groups the
-/// results back per cell.
+/// Runs every seed of every cell on a one-shot [`SweepEngine`] built from
+/// `opts` and groups the results back per cell.
 ///
 /// Execution is supervised per [`ExecOptions`]: jobs get retries,
-/// sim-time deadlines, and optional journaling. A seed that still fails
-/// after its retry budget (e.g. no connected deployment found, or a
-/// deadline overrun) is quarantined — reported on stderr with its
-/// reproducer seed and dropped from its cell's outcomes; the rest of the
-/// batch is unaffected and the manifest's `failures` block records it.
+/// sim-time deadlines, optional journaling, and the `--engine-faults`
+/// hook. A seed that still fails after its retry budget is reported on
+/// stderr with its reproducer seed and dropped from its cell's outcomes;
+/// the manifest's `failures` block records it.
 pub fn run_cells(cells: &[SimCell], opts: &ExecOptions) -> CellRun {
-    let cfg = opts.run_config();
-    let mut specs = Vec::new();
-    let mut lookup: BTreeMap<(u64, u64), &SimCell> = BTreeMap::new();
-    for cell in cells {
-        let descriptor = cell.descriptor();
-        for s in 0..cell.seeds {
-            let spec = JobSpec {
-                label: format!("{} seed={}", cell.label, cell.seed_base + s),
-                scenario: descriptor.clone(),
-                seed: cell.seed_base + s,
-            };
-            lookup.insert((spec.scenario_hash(), spec.seed), cell);
-            specs.push(spec);
-        }
-    }
-
-    let sup = opts.supervision();
-    let fault_plan = opts.engine_fault_plan();
-    let hook = fault_plan.as_ref().map(|p| p as &dyn JobFaultHook);
-    let report = liteworp_runner::run_supervised(&cfg, &sup, &specs, hook, |job, derived, ctx| {
-        let cell = lookup[&(job.scenario_hash(), job.seed)];
-        execute(cell, derived, ctx)
-    });
-
-    group_outcomes(cells, report)
+    let (outcomes, manifest) = opts.sweep(cells);
+    CellRun { outcomes, manifest }
 }
 
 /// Runs every seed of every cell on a warm [`SweepEngine`] — the service
@@ -312,53 +386,8 @@ pub fn run_cells_on(
     sup: &Supervision,
     observer: Option<Arc<ProgressObserver>>,
 ) -> CellRun {
-    let owned: Arc<Vec<SimCell>> = Arc::new(cells.to_vec());
-    let mut specs = Vec::new();
-    let mut lookup: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    for (c, cell) in owned.iter().enumerate() {
-        let descriptor = cell.descriptor();
-        for s in 0..cell.seeds {
-            let spec = JobSpec {
-                label: format!("{} seed={}", cell.label, cell.seed_base + s),
-                scenario: descriptor.clone(),
-                seed: cell.seed_base + s,
-            };
-            lookup.insert((spec.scenario_hash(), spec.seed), c);
-            specs.push(spec);
-        }
-    }
-    let lookup = Arc::new(lookup);
-    let exec: Arc<SweepExec<SeedOutcome>> = {
-        let owned = Arc::clone(&owned);
-        Arc::new(move |job: &JobSpec, derived: u64, ctx: &JobContext| {
-            let cell = &owned[lookup[&(job.scenario_hash(), job.seed)]];
-            execute(cell, derived, ctx)
-        })
-    };
-    let report = engine.run_sweep(sup, specs, None, exec, observer);
-    group_outcomes(cells, report)
-}
-
-/// Groups a report's job-ordered results back into per-cell outcome
-/// vectors, warning about (and dropping) quarantined seeds.
-fn group_outcomes(cells: &[SimCell], report: RunReport<SeedOutcome>) -> CellRun {
-    let mut results = report.results.into_iter();
-    let mut outcomes = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let mut per_cell = Vec::with_capacity(cell.seeds as usize);
-        for _ in 0..cell.seeds {
-            // lint: allow(P002) pool invariant: exactly one JobRun per job index
-            match results.next().expect("one result per job") {
-                Ok(outcome) => per_cell.push(outcome),
-                Err(e) => eprintln!("warning: {e}; excluded from aggregates"),
-            }
-        }
-        outcomes.push(per_cell);
-    }
-    CellRun {
-        outcomes,
-        manifest: report.manifest,
-    }
+    let (outcomes, manifest) = sweep_cells(engine, cells, sup, None, observer);
+    CellRun { outcomes, manifest }
 }
 
 /// Summarizes one metric over a cell's outcomes.
@@ -473,6 +502,14 @@ mod tests {
     }
 
     #[test]
+    fn zero_cells_run_on_one_idle_thread() {
+        let run = run_cells(&[], &ExecOptions::default());
+        assert!(run.outcomes.is_empty());
+        assert_eq!(run.manifest.jobs, 0);
+        assert_eq!(run.manifest.threads, 1, "no point spawning idle workers");
+    }
+
+    #[test]
     fn small_batch_runs_and_groups_by_cell() {
         let base = Scenario {
             nodes: 20,
@@ -483,11 +520,17 @@ mod tests {
             SimCell::snapshot("clean a", base.clone(), 2, 0, 60.0),
             SimCell::snapshot("clean b", base, 1, 100, 60.0),
         ];
-        let run = run_cells(&cells, &ExecOptions::default());
+        let opts = ExecOptions {
+            jobs: Some(16),
+            ..ExecOptions::default()
+        };
+        let run = run_cells(&cells, &opts);
         assert_eq!(run.outcomes.len(), 2);
         assert_eq!(run.outcomes[0].len(), 2);
         assert_eq!(run.outcomes[1].len(), 1);
         assert_eq!(run.manifest.jobs, 3);
+        assert_eq!(run.manifest.threads, 3, "threads clamp to the job count");
+        assert_eq!(run.manifest.utilization.len(), 3);
         for o in run.outcomes.iter().flatten() {
             assert_eq!(o.drops, 0.0, "no attackers, no wormhole drops");
             assert!(o.data_sent > 0.0, "traffic should flow");

@@ -4,8 +4,9 @@
 //! form) or on the next line (standalone form). The reason is mandatory
 //! (L001), the rule id must exist (L002), an allow that suppresses
 //! nothing is itself an error (L003) so stale exceptions get removed,
-//! and a `D001` allow is only legitimate inside the registered
-//! wall-clock boundary (L004) — see [`WALL_CLOCK_BOUNDARY`].
+//! a `D001` allow is only legitimate inside the registered wall-clock
+//! boundary (L004) — see [`WALL_CLOCK_BOUNDARY`] — and a `C001` allow is
+//! never legitimate in library or binary code (L005).
 
 use crate::diag::{Diagnostic, FileClass, SourceFile};
 use crate::lexer::Lexed;
@@ -21,21 +22,9 @@ use crate::rules::is_known_rule;
 pub const WALL_CLOCK_BOUNDARY: &[&str] = &[
     "crates/bench/src/timing.rs",
     "crates/obs/src/clock.rs",
-    "crates/runner/src/pool.rs",
     "crates/runner/src/service.rs",
-    "crates/runner/src/supervisor.rs",
     "crates/served/src/net.rs",
 ];
-
-/// The registered lock-nesting boundary: the only library/binary
-/// sources where a `C001` allow is legitimate. The work-stealing pool's
-/// injector→local refill deliberately holds both queue locks for one
-/// batch move in a fixed order; that is the whole list. A `C001` allow
-/// anywhere else is L005: restructure to one lock at a time (collect
-/// under the first guard, drop it, then apply), or — for a genuinely
-/// new two-tier structure with a documented lock order — extend this
-/// registry in the same change.
-pub const LOCK_NEST_BOUNDARY: &[&str] = &["crates/runner/src/pool.rs"];
 
 /// One parsed allow comment.
 #[derive(Debug, Clone)]
@@ -112,8 +101,8 @@ fn is_line_start(src: &str, offset: usize) -> bool {
         .all(|b| b == b' ' || b == b'\t')
 }
 
-/// L001/L002/L004: malformed or mis-sited allows are diagnostics in
-/// their own right.
+/// L001/L002/L004/L005: malformed or mis-sited allows are diagnostics
+/// in their own right.
 pub fn syntax_diagnostics(file: &SourceFile, allows: &[Allow]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for a in allows {
@@ -160,21 +149,16 @@ pub fn syntax_diagnostics(file: &SourceFile, allows: &[Allow]) -> Vec<Diagnostic
                 ),
             });
         }
-        if a.rule == "C001"
-            && matches!(file.class, FileClass::Lib | FileClass::Bin)
-            && !LOCK_NEST_BOUNDARY.contains(&file.path.as_str())
-        {
+        if a.rule == "C001" && matches!(file.class, FileClass::Lib | FileClass::Bin) {
             out.push(Diagnostic {
                 rule: "L005",
                 path: file.path.clone(),
                 line: a.line,
                 col: a.col,
-                message: format!(
-                    "`lint: allow(C001)` outside the registered lock-nesting boundary \
-                     ({}); restructure to one lock at a time, or register this file in \
-                     LOCK_NEST_BOUNDARY alongside the documented lock order it justifies",
-                    LOCK_NEST_BOUNDARY.join(", ")
-                ),
+                message: "`lint: allow(C001)` is not accepted in library or binary code: \
+                          the workspace holds one lock at a time; restructure to drop the \
+                          first guard (collect, then apply)"
+                    .to_string(),
             });
         }
     }

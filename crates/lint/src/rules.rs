@@ -118,8 +118,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "L005",
-        summary: "lint: allow(C001) outside the registered lock-nesting boundary",
-        invariant: "deliberate nested locking stays confined to the registered two-tier queues",
+        summary: "lint: allow(C001) in library or binary code",
+        invariant: "nested locking has no escape hatch: one lock at a time, everywhere",
     },
 ];
 

@@ -303,8 +303,7 @@ impl Walker<'_> {
             format!(
                 "{how} while one is already live (held since line {since}); the workspace \
                  discipline is one lock at a time — restructure to drop the first guard \
-                 (collect, then apply), or justify with `// lint: allow(C001) <reason>` \
-                 (L005 pins C001 allows to the LOCK_NEST_BOUNDARY registry)"
+                 (collect, then apply); L005 rejects `allow(C001)` in library code"
             ),
         );
     }

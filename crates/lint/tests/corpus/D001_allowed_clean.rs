@@ -1,4 +1,4 @@
-//! Corpus: the supervisor's profiling pattern — a wall-clock read with a
+//! Corpus: the sweep engine's profiling pattern — a wall-clock read with a
 //! written reason is clean. The measurement feeds the run manifest, never
 //! the simulation, so determinism is unaffected.
 

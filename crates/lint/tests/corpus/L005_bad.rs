@@ -1,6 +1,6 @@
-//! Corpus: a reasoned C001 allow in a file that is *not* part of the
-//! registered lock-nesting boundary — the reason is written, the allow
-//! suppresses a real nested acquisition, and it is still rejected (L005).
+//! Corpus: a reasoned C001 allow in library code — the reason is
+//! written, the allow suppresses a real nested acquisition, and it is
+//! still rejected (L005).
 
 use std::sync::{Mutex, PoisonError};
 

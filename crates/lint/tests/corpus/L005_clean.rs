@@ -1,6 +1,6 @@
-//! Corpus: the same shape is clean when the file *is* a registered
-//! lock-nesting seam — the test presents this fixture to the checker
-//! under the registered path `crates/runner/src/pool.rs`.
+//! Corpus: the shape `L005_bad.rs` is rejected for, restructured the way
+//! L005 asks — collect under the first guard, drop it, then take the
+//! second lock. No allow is needed and the file is clean.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -11,7 +11,8 @@ pub struct Pair {
 
 pub fn drain(p: &Pair) {
     let ga = p.a.lock().unwrap_or_else(PoisonError::into_inner);
-    // lint: allow(C001) two-level deque handoff: registered seam
+    let a = *ga;
+    drop(ga);
     let mut gb = p.b.lock().unwrap_or_else(PoisonError::into_inner);
-    *gb += *ga;
+    *gb += a;
 }

@@ -48,7 +48,7 @@ impl TxRecord {
 /// full record set: by sequence number (lookup), by end time (amortized
 /// pruning), by transmitter (the distance-independent half-duplex check),
 /// and — when constructed via [`Medium::with_geometry`] — by origin cell in
-/// a spatial [`Buckets`] grid (carrier sense and interference fan-in). Every
+/// a spatial `Buckets` grid (carrier sense and interference fan-in). Every
 /// spatial query still applies the exact disc predicate the pre-index code
 /// used, so answers are set-identical to a linear scan; `busy_until` (a max)
 /// and `collides` (an any) are order-independent aggregations on top.

@@ -10,7 +10,7 @@
 //!
 //! Three planes, one crate:
 //!
-//! * **Spans** ([`span`]) — hierarchical wall-clock scopes with
+//! * **Spans** ([`mod@span`]) — hierarchical wall-clock scopes with
 //!   deterministic identifiers, gated by a single process-global switch:
 //!   with the plane disabled a span costs one relaxed atomic load and a
 //!   branch (proved by the `obs/span_disabled` microbench).

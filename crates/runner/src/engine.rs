@@ -1,11 +1,9 @@
-//! The execution engine: describes simulation jobs, runs them on the
-//! [`pool`](crate::pool) with the [`cache`](crate::cache) in front, and
-//! reports a [`Manifest`] of what happened.
+//! What a sweep is made of and what it reports: [`JobSpec`]s in,
+//! a [`RunReport`] with its [`Manifest`] out.
 //!
-//! Execution itself lives in [`crate::supervisor`]: [`run_jobs`] is the
-//! unsupervised convenience entry point (no retries, no deadline, no
-//! journal), equivalent to [`crate::supervisor::run_supervised`] with the
-//! default [`crate::supervisor::Supervision`] policy.
+//! Execution lives in [`crate::service::SweepEngine`], which runs every
+//! job under the [`crate::supervisor`] envelope on a
+//! [`crate::task_pool::TaskPool`] with the [`crate::cache`] in front.
 //!
 //! # Determinism contract
 //!
@@ -17,12 +15,11 @@
 //! [`Manifest::results_digest`] field condenses that contract into one
 //! comparable number.
 
-use crate::cache::{fnv64, ResultCache};
+use crate::cache::fnv64;
 use crate::json::Json;
-use crate::pool;
 use crate::rng::derive_seed;
 use crate::stats::Percentiles;
-use crate::supervisor::{run_supervised, FailureReport, JobFailure, Supervision};
+use crate::supervisor::{FailureReport, JobFailure};
 
 /// One unit of work: a scenario cell at one seed index.
 #[derive(Debug, Clone)]
@@ -58,29 +55,6 @@ pub trait CacheValue: Sized {
     /// Deserializes a cached entry; `None` marks it stale/corrupt (it is
     /// then recomputed, not trusted).
     fn from_json(json: &Json) -> Option<Self>;
-}
-
-/// How to execute a batch.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Worker threads (`pool::resolve_threads` turns `--jobs` /
-    /// `LITEWORP_JOBS` / core count into this).
-    pub threads: usize,
-    /// Result cache, or `None` to always execute.
-    pub cache: Option<ResultCache>,
-    /// Version string folded into every cache key; bump it when simulator
-    /// behavior changes so stale results are never reused.
-    pub code_version: String,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            threads: pool::resolve_threads(None),
-            cache: None,
-            code_version: env!("CARGO_PKG_VERSION").to_string(),
-        }
-    }
 }
 
 /// A job that was quarantined: it produced no result even after its
@@ -136,7 +110,8 @@ pub struct JobRecord {
     pub failed: bool,
     /// Wall-clock of this job in milliseconds.
     pub wall_ms: f64,
-    /// Time the job waited in the pool queue, in milliseconds.
+    /// Time from sweep start until a worker picked the job up, in
+    /// milliseconds.
     pub queue_wait_ms: f64,
     /// Worker thread that ran it.
     pub worker: usize,
@@ -160,11 +135,12 @@ pub struct Manifest {
     pub failed: usize,
     /// Wall-clock of the whole batch in milliseconds.
     pub wall_ms: f64,
-    /// Busy-fraction per worker over the batch.
+    /// Busy fraction per worker over the sweep: the time each worker spent
+    /// on this sweep's jobs over the sweep's wall-clock, in `[0, 1]`.
     pub utilization: Vec<f64>,
     /// Per-job wall-clock percentiles (ms), over every job.
     pub job_duration_ms: Option<Percentiles>,
-    /// Pool queue-wait percentiles (ms), over every job.
+    /// Queue-wait percentiles (ms), over every job.
     pub queue_wait_ms: Option<Percentiles>,
     /// Wall-clock percentiles (ms) of jobs answered from the cache.
     pub cache_hit_ms: Option<Percentiles>,
@@ -306,57 +282,19 @@ impl<T> RunReport<T> {
     }
 }
 
-/// Executes a batch of jobs: cache lookup first, then the simulation via
-/// `exec(job, derived_seed)` on the thread pool, storing fresh results
-/// back into the cache.
-///
-/// This is the unsupervised entry point — no retries, deadline, or
-/// journal; a panic fails its job immediately. Sweeps that want those use
-/// [`run_supervised`] directly.
-pub fn run_jobs<T, F>(cfg: &RunConfig, jobs: &[JobSpec], exec: F) -> RunReport<T>
-where
-    T: CacheValue + Send,
-    F: Fn(&JobSpec, u64) -> T + Sync,
-{
-    run_supervised(
-        cfg,
-        &Supervision::default(),
-        jobs,
-        None,
-        |job, derived, _| Ok(exec(job, derived)),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ResultCache;
+    use crate::service::SweepEngine;
+    use crate::supervisor::Supervision;
+    use crate::testutil::{exec, jobs, sweep, val_exec, Val};
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct Val(f64);
-
-    impl CacheValue for Val {
-        fn to_json(&self) -> Json {
-            Json::object([("v", Json::from(self.0))])
-        }
-        fn from_json(json: &Json) -> Option<Self> {
-            json.get("v")?.as_f64().map(Val)
-        }
-    }
-
-    fn jobs(n: u64) -> Vec<JobSpec> {
-        (0..n)
-            .map(|seed| JobSpec {
-                label: format!("cell seed={seed}"),
-                scenario: "test-scenario".into(),
-                seed,
-            })
-            .collect()
-    }
+    use std::sync::Arc;
 
     #[test]
     fn derived_seeds_are_distinct_per_job() {
-        let js = jobs(10);
+        let js = jobs("test-scenario", 10);
         let mut seen = std::collections::BTreeSet::new();
         for j in &js {
             assert!(seen.insert(j.derived_seed()));
@@ -365,24 +303,10 @@ mod tests {
 
     #[test]
     fn results_arrive_in_job_order_at_any_thread_count() {
-        let js = jobs(16);
-        let exec = |j: &JobSpec, derived: u64| Val((j.seed as f64) + (derived % 7) as f64);
-        let one = run_jobs(
-            &RunConfig {
-                threads: 1,
-                ..RunConfig::default()
-            },
-            &js,
-            exec,
-        );
-        let four = run_jobs(
-            &RunConfig {
-                threads: 4,
-                ..RunConfig::default()
-            },
-            &js,
-            exec,
-        );
+        let js = jobs("test-scenario", 16);
+        let sup = Supervision::default();
+        let one = sweep(1, None, &sup, &js, None, &val_exec());
+        let four = sweep(4, None, &sup, &js, None, &val_exec());
         let a: Vec<f64> = one.successes().map(|v| v.0).collect();
         let b: Vec<f64> = four.successes().map(|v| v.0).collect();
         assert_eq!(a, b);
@@ -397,20 +321,18 @@ mod tests {
     fn cache_round_trip_skips_execution() {
         let dir = std::env::temp_dir().join(format!("liteworp-engine-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = RunConfig {
-            threads: 2,
-            cache: Some(ResultCache::new(&dir)),
-            code_version: "test-v1".into(),
-        };
-        let executions = AtomicUsize::new(0);
-        let exec = |j: &JobSpec, _: u64| {
-            executions.fetch_add(1, Ordering::SeqCst);
-            Val(j.seed as f64 * 2.0)
-        };
-        let first = run_jobs(&cfg, &jobs(8), exec);
+        let cache = || Some(ResultCache::new(&dir));
+        let executions = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&executions);
+        let body = exec(move |j, _, _| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            Ok(Val(j.seed as f64 * 2.0))
+        });
+        let sup = Supervision::default();
+        let first = sweep(2, cache(), &sup, &jobs("test-scenario", 8), None, &body);
         assert_eq!(first.manifest.cache_hits, 0);
         assert_eq!(executions.load(Ordering::SeqCst), 8);
-        let second = run_jobs(&cfg, &jobs(8), exec);
+        let second = sweep(2, cache(), &sup, &jobs("test-scenario", 8), None, &body);
         assert_eq!(second.manifest.cache_hits, 8, "all hits on re-run");
         assert_eq!(executions.load(Ordering::SeqCst), 8, "no re-execution");
         let a: Vec<f64> = first.successes().map(|v| v.0).collect();
@@ -421,31 +343,27 @@ mod tests {
             second.manifest.results_digest
         );
         // A different code version invalidates every entry.
-        let bumped = RunConfig {
-            code_version: "test-v2".into(),
-            ..cfg
-        };
-        let third = run_jobs(&bumped, &jobs(8), exec);
+        let third = SweepEngine::new(Some(2), cache(), "test-v2").run_sweep(
+            &sup,
+            jobs("test-scenario", 8),
+            None,
+            body,
+            None,
+        );
         assert_eq!(third.manifest.cache_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn panicking_job_is_isolated() {
-        let js = jobs(6);
-        let report = run_jobs(
-            &RunConfig {
-                threads: 3,
-                ..RunConfig::default()
-            },
-            &js,
-            |j, _| {
-                if j.seed == 2 {
-                    panic!("scenario build failed");
-                }
-                Val(1.0)
-            },
-        );
+        let js = jobs("test-scenario", 6);
+        let body = exec(|j, _, _| {
+            if j.seed == 2 {
+                panic!("scenario build failed");
+            }
+            Ok(Val(1.0))
+        });
+        let report = sweep(3, None, &Supervision::default(), &js, None, &body);
         assert_eq!(report.manifest.failed, 1);
         assert_eq!(report.successes().count(), 5);
         let err = report.results[2].as_ref().unwrap_err();
@@ -461,7 +379,15 @@ mod tests {
 
     #[test]
     fn manifest_serializes() {
-        let report = run_jobs(&RunConfig::default(), &jobs(3), |j, _| Val(j.seed as f64));
+        let body = exec(|j, _, _| Ok(Val(j.seed as f64)));
+        let report = sweep(
+            2,
+            None,
+            &Supervision::default(),
+            &jobs("test-scenario", 3),
+            None,
+            &body,
+        );
         let json = report.manifest.to_json();
         assert_eq!(json.get("jobs").and_then(Json::as_u64), Some(3));
         assert_eq!(

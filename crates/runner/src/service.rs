@@ -1,28 +1,29 @@
-//! A warm, shareable sweep engine for long-lived services.
+//! The sweep engine: the one place jobs execute.
 //!
-//! [`run_supervised`](crate::supervisor::run_supervised) builds its pool,
-//! opens its journal, and tears everything down per batch — right for
-//! one-shot experiment bins, wrong for a daemon. [`SweepEngine`] owns a
-//! persistent [`TaskPool`](crate::task_pool::TaskPool) plus one shared
-//! result cache and multiplexes any number of concurrent
-//! [`SweepEngine::run_sweep`] calls over them: every request's jobs land
-//! on the same workers, hit the same content-addressed cache, and journal
-//! to their own per-request WAL for crash resume.
+//! [`SweepEngine`] owns a [`TaskPool`] plus an optional result cache and
+//! multiplexes any number of concurrent [`SweepEngine::run_sweep`] calls
+//! over them: every sweep's jobs land on the same workers, hit the same
+//! content-addressed cache, and journal to their own WAL for crash
+//! resume. A daemon keeps one warm engine for its whole life; a one-shot
+//! experiment bin builds an engine sized to its batch and drops it after
+//! one sweep.
 //!
-//! Determinism is unchanged from the batch path: both run the same
-//! per-job supervision body ([`crate::supervisor`]), so a sweep submitted
-//! to a warm engine produces the byte-identical `results_digest` the
-//! batch bins produce — regardless of what else the engine is serving.
+//! Each job runs inside the [`crate::supervisor`] envelope, and each
+//! sweep's report is assembled in its own job order, so a sweep's
+//! `results_digest` is the same at any thread count and regardless of
+//! what else the engine is serving.
 
 use crate::cache::ResultCache;
-use crate::engine::{CacheValue, JobSpec, RunConfig, RunReport};
-use crate::journal::sweep_id;
-use crate::pool;
+use crate::engine::{CacheValue, JobSpec, RunReport};
+use crate::journal::{sweep_id, JournalEntry, SweepJournal};
 use crate::supervisor::{
     build_report, job_keys, open_journal, supervise_one, FinishedJob, JobContext, JobFailure,
-    JobFaultHook, Supervision,
+    JobFaultHook, Source, Supervision,
 };
+use crate::task_pool::{panic_message, resolve_threads, TaskPool};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -53,9 +54,9 @@ pub type ProgressObserver = dyn Fn(JobProgress) + Send + Sync;
 /// The job body a service sweep executes, shared across worker threads.
 pub type SweepExec<T> = dyn Fn(&JobSpec, u64, &JobContext) -> Result<T, JobFailure> + Send + Sync;
 
-/// A persistent execution engine: one pool, one cache, many sweeps.
+/// The execution engine: one pool, one cache, many sweeps.
 pub struct SweepEngine {
-    pool: crate::task_pool::TaskPool,
+    pool: TaskPool,
     cache: Option<ResultCache>,
     code_version: String,
 }
@@ -66,7 +67,7 @@ impl SweepEngine {
     /// and the code version folded into every cache key.
     pub fn new(threads: Option<usize>, cache: Option<ResultCache>, code_version: &str) -> Self {
         SweepEngine {
-            pool: crate::task_pool::TaskPool::new(pool::resolve_threads(threads)),
+            pool: TaskPool::new(resolve_threads(threads)),
             cache,
             code_version: code_version.to_string(),
         }
@@ -82,28 +83,25 @@ impl SweepEngine {
         &self.code_version
     }
 
-    /// The [`RunConfig`] equivalent of this engine's identity — the
-    /// config a batch bin would use to produce the same cache keys.
-    pub fn run_config(&self) -> RunConfig {
-        RunConfig {
-            threads: self.threads(),
-            cache: self.cache.clone(),
-            code_version: self.code_version.clone(),
-        }
-    }
-
-    /// Executes one sweep on the shared pool and blocks until it drains.
+    /// Executes one sweep on the pool and blocks until it drains.
+    ///
+    /// Per job, in order: resume-journal replay, verified cache lookup
+    /// (corrupt entries quarantined and recomputed), then up to
+    /// `1 + max_retries` attempts of `exec(job, derived_seed, ctx)` with
+    /// deterministic backoff between attempts. Jobs that exhaust their
+    /// retries are quarantined as [`crate::JobError`]s; the sweep always
+    /// completes and the manifest accounts for every failure.
     ///
     /// Safe to call from many threads at once: jobs from concurrent
     /// sweeps interleave on the workers, but each sweep's report is
-    /// assembled in its own job order, so `results_digest` matches the
-    /// batch path exactly. `sup.journal` names this request's own WAL
-    /// (per-request, unlike the shared cache). The observer, if any, is
+    /// assembled in its own job order. `sup.journal` names this sweep's
+    /// own WAL (unlike the shared cache). The observer, if any, is
     /// invoked once per settled job from worker threads.
     ///
-    /// The manifest's `utilization` is empty on this path: workers are
-    /// shared by every in-flight sweep, so per-sweep busy fractions are
-    /// not attributable.
+    /// The manifest times this sweep alone: a job's queue wait runs from
+    /// the start of the call until a worker picks the job up, and a
+    /// worker's utilization is the time it spent on this sweep's jobs
+    /// over the sweep's wall-clock.
     pub fn run_sweep<T>(
         &self,
         sup: &Supervision,
@@ -115,12 +113,11 @@ impl SweepEngine {
     where
         T: CacheValue + Send + 'static,
     {
-        let cfg = self.run_config();
         // lint: allow(D001) sweep wall-clock for the manifest profile
         // block; results, retries and deadlines never depend on it
         let started = Instant::now();
-        let keys = job_keys(&cfg, &jobs);
-        let sweep = sweep_id(&keys, &cfg.code_version);
+        let keys = job_keys(&self.code_version, &jobs);
+        let sweep = sweep_id(&keys, &self.code_version);
         let (journal, resumed) = open_journal(sup, sweep, jobs.len());
 
         let total = jobs.len();
@@ -132,6 +129,8 @@ impl SweepEngine {
             cache: self.cache.clone(),
             sup: sup.clone(),
             hook,
+            started,
+            busy_ns: (0..self.threads()).map(|_| AtomicU64::new(0)).collect(),
             slots: (0..total).map(|_| Mutex::new(None)).collect(),
             remaining: Mutex::new(total),
             drained: Condvar::new(),
@@ -161,6 +160,12 @@ impl SweepEngine {
         }
         drop(remaining);
 
+        let wall = started.elapsed().as_secs_f64().max(1e-9);
+        let utilization = shared
+            .busy_ns
+            .iter()
+            .map(|ns| (ns.load(Ordering::Relaxed) as f64 / 1e9 / wall).min(1.0))
+            .collect();
         let finished: Vec<FinishedJob<T>> = shared
             .slots
             .iter()
@@ -179,8 +184,8 @@ impl SweepEngine {
             &shared.keys,
             finished,
             self.threads(),
-            started.elapsed().as_secs_f64() * 1000.0,
-            Vec::new(),
+            wall * 1000.0,
+            utilization,
         )
     }
 }
@@ -190,11 +195,15 @@ impl SweepEngine {
 struct SweepShared<T> {
     jobs: Vec<JobSpec>,
     keys: Vec<u64>,
-    resumed: std::collections::BTreeMap<u64, crate::journal::JournalEntry>,
-    journal: Option<Mutex<crate::journal::SweepJournal>>,
+    resumed: BTreeMap<u64, JournalEntry>,
+    journal: Option<Mutex<SweepJournal>>,
     cache: Option<ResultCache>,
     sup: Supervision,
     hook: Option<Arc<dyn JobFaultHook + Send + Sync>>,
+    /// When the sweep was submitted; queue waits count from here.
+    started: Instant,
+    /// Nanoseconds each worker spent on this sweep's jobs.
+    busy_ns: Vec<AtomicU64>,
     slots: Vec<Mutex<Option<FinishedJob<T>>>>,
     remaining: Mutex<usize>,
     drained: Condvar,
@@ -208,8 +217,8 @@ impl<T: CacheValue> SweepShared<T> {
         exec: &SweepExec<T>,
         observer: Option<&ProgressObserver>,
     ) {
-        // lint: allow(D001) per-job host wall time for the manifest
-        // profile only (queue wait is not measurable on the shared pool)
+        // lint: allow(D001) per-job host wall time and queue wait for the
+        // manifest profile only
         let t0 = Instant::now();
         let supervised = catch_unwind(AssertUnwindSafe(|| {
             supervise_one(
@@ -223,7 +232,7 @@ impl<T: CacheValue> SweepShared<T> {
                 &|job, derived, ctx| exec(job, derived, ctx),
             )
         }))
-        .map_err(|payload| format!("job {i}: {}", pool::panic_message(payload)));
+        .map_err(|payload| format!("job {i}: {}", panic_message(payload)));
 
         if let (Some(observer), Ok(s)) = (observer, supervised.as_ref()) {
             observer(JobProgress {
@@ -232,15 +241,17 @@ impl<T: CacheValue> SweepShared<T> {
                 label: self.jobs[i].label.clone(),
                 seed: self.jobs[i].seed,
                 ok: s.outcome.is_ok(),
-                cached: matches!(s.outcome, Ok(crate::supervisor::Source::Cache(_))),
-                journaled: matches!(s.outcome, Ok(crate::supervisor::Source::Journal(_))),
+                cached: matches!(s.outcome, Ok(Source::Cache(_))),
+                journaled: matches!(s.outcome, Ok(Source::Journal(_))),
             });
         }
 
+        let elapsed = t0.elapsed();
+        self.busy_ns[worker].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         *self.slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(FinishedJob {
             result: supervised,
-            wall_ms: t0.elapsed().as_secs_f64() * 1000.0,
-            queue_wait_ms: 0.0,
+            wall_ms: elapsed.as_secs_f64() * 1000.0,
+            queue_wait_ms: t0.duration_since(self.started).as_secs_f64() * 1000.0,
             worker,
         });
         let mut remaining = self
@@ -257,56 +268,151 @@ impl<T: CacheValue> SweepShared<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_jobs;
-    use crate::json::Json;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct Val(f64);
-
-    impl CacheValue for Val {
-        fn to_json(&self) -> Json {
-            Json::object([("v", Json::from(self.0))])
-        }
-        fn from_json(json: &Json) -> Option<Self> {
-            json.get("v")?.as_f64().map(Val)
-        }
-    }
-
-    fn jobs(scenario: &str, n: u64) -> Vec<JobSpec> {
-        (0..n)
-            .map(|seed| JobSpec {
-                label: format!("cell seed={seed}"),
-                scenario: scenario.into(),
-                seed,
-            })
-            .collect()
-    }
-
-    fn val_exec() -> Arc<SweepExec<Val>> {
-        Arc::new(|j: &JobSpec, derived: u64, _: &JobContext| {
-            Ok(Val((j.seed as f64) + (derived % 7) as f64))
-        })
-    }
+    use crate::supervisor::digest_results;
+    use crate::testutil::{exec, jobs, val_exec, Val};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
-    fn engine_digest_matches_the_batch_path() {
+    fn engine_digest_matches_serial_execution() {
         let js = jobs("svc-parity", 12);
-        let batch = run_jobs(
-            &RunConfig {
-                threads: 3,
-                cache: None,
-                code_version: "svc-test-v1".into(),
-            },
-            &js,
-            |j, derived| Val((j.seed as f64) + (derived % 7) as f64),
-        );
+        let serial: Vec<Result<Val, crate::engine::JobError>> = js
+            .iter()
+            .map(|j| Ok(Val((j.seed as f64) + (j.derived_seed() % 7) as f64)))
+            .collect();
         let engine = SweepEngine::new(Some(3), None, "svc-test-v1");
         let report = engine.run_sweep(&Supervision::default(), js, None, val_exec(), None);
         assert_eq!(report.manifest.failed, 0);
         assert_eq!(
-            report.manifest.results_digest, batch.manifest.results_digest,
-            "warm engine reproduces the batch digest"
+            report.manifest.results_digest,
+            digest_results(&serial),
+            "a parallel sweep digests like the jobs run one by one in order"
+        );
+    }
+
+    #[test]
+    fn runs_every_job_exactly_once() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let body = exec(move |j, _, _| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            Ok(Val(j.seed as f64 * 2.0))
+        });
+        let engine = SweepEngine::new(Some(4), None, "svc-test-v1");
+        let report = engine.run_sweep(
+            &Supervision::default(),
+            jobs("svc-once", 100),
+            None,
+            body,
+            None,
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 100);
+        assert_eq!(report.results.len(), 100);
+        let m = &report.manifest;
+        for (i, (r, rec)) in report.results.iter().zip(&m.per_job).enumerate() {
+            assert_eq!(r.as_ref().unwrap().0, i as f64 * 2.0, "job order preserved");
+            assert!(rec.worker < m.threads);
+            assert!(
+                rec.queue_wait_ms <= m.wall_ms,
+                "queue wait is bounded by the sweep wall-clock"
+            );
+        }
+    }
+
+    #[test]
+    fn panicking_job_is_reported_under_its_own_identity() {
+        let body = exec(|j, _, _| {
+            if j.seed == 4 {
+                panic!("boom at {}", j.seed);
+            }
+            Ok(Val(j.seed as f64))
+        });
+        let engine = SweepEngine::new(Some(3), None, "svc-test-v1");
+        let report = engine.run_sweep(
+            &Supervision::default(),
+            jobs("svc-boom", 10),
+            None,
+            body,
+            None,
+        );
+        assert_eq!(report.results.len(), 10);
+        for (i, r) in report.results.iter().enumerate() {
+            if i == 4 {
+                let msg = r.as_ref().unwrap_err().to_string();
+                assert!(msg.contains("boom"), "{msg}");
+                assert!(msg.contains("cell seed=4"), "panicking job named: {msg}");
+            } else {
+                assert_eq!(r.as_ref().unwrap().0, i as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_jobs_is_fine() {
+        let engine = SweepEngine::new(Some(4), None, "svc-test-v1");
+        let report = engine.run_sweep(&Supervision::default(), vec![], None, val_exec(), None);
+        assert!(report.results.is_empty());
+        assert_eq!(report.manifest.jobs, 0);
+        assert!(report.manifest.utilization.iter().all(|&u| u == 0.0));
+    }
+
+    #[test]
+    fn a_sweep_beside_another_reports_its_own_queue_wait_and_utilization() {
+        let engine = Arc::new(SweepEngine::new(Some(2), None, "svc-test-v1"));
+        let (started, running) = std::sync::mpsc::channel();
+        let slow = exec(move |j, _, _| {
+            let _ = started.send(());
+            std::thread::sleep(Duration::from_millis(30));
+            Ok(Val(j.seed as f64))
+        });
+        let fast = exec(|j, _, _| {
+            std::thread::sleep(Duration::from_millis(2));
+            Ok(Val(j.seed as f64))
+        });
+        let report = std::thread::scope(|scope| {
+            let first = {
+                let engine = Arc::clone(&engine);
+                scope.spawn(move || {
+                    engine.run_sweep(
+                        &Supervision::default(),
+                        jobs("svc-busy", 4),
+                        None,
+                        slow,
+                        None,
+                    )
+                })
+            };
+            running.recv().expect("the first sweep starts a job");
+            let second = engine.run_sweep(
+                &Supervision::default(),
+                jobs("svc-beside", 4),
+                None,
+                fast,
+                None,
+            );
+            first.join().unwrap();
+            second
+        });
+        let m = &report.manifest;
+        assert_eq!(m.utilization.len(), engine.threads());
+        for &u in &m.utilization {
+            assert!((0.0..=1.0).contains(&u), "utilization {u}");
+        }
+        assert!(
+            m.utilization.iter().sum::<f64>() > 0.0,
+            "this sweep's own busy time is attributed"
+        );
+        for job in &m.per_job {
+            assert!(
+                (0.0..=m.wall_ms).contains(&job.queue_wait_ms),
+                "queue wait {} of {} ms",
+                job.queue_wait_ms,
+                m.wall_ms
+            );
+        }
+        assert!(
+            m.per_job.iter().any(|j| j.queue_wait_ms > 0.0),
+            "jobs queued behind the in-flight sweep report their wait"
         );
     }
 

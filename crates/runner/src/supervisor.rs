@@ -1,6 +1,7 @@
-//! Failure-domain supervision for batch execution.
+//! Failure-domain supervision for sweep execution.
 //!
-//! [`run_supervised`] wraps every pool job in a supervision envelope:
+//! [`crate::service::SweepEngine`] runs every job inside a supervision
+//! envelope:
 //!
 //! * a typed [`JobFailure`] taxonomy instead of stringly panics — panics,
 //!   sim-time deadline overruns, corrupt cache entries, I/O errors, and
@@ -26,18 +27,17 @@
 //! deterministically.
 
 use crate::cache::{fnv64, CacheLoad};
-use crate::engine::{CacheValue, JobError, JobRecord, JobSpec, Manifest, RunConfig, RunReport};
-use crate::journal::{sweep_id, JournalEntry, JournalStatus, SweepJournal};
+use crate::engine::{CacheValue, JobError, JobRecord, JobSpec, Manifest, RunReport};
+use crate::journal::{JournalEntry, JournalStatus, SweepJournal};
 use crate::json::Json;
-use crate::pool;
 use crate::rng::{derive_seed, Pcg32, Rng};
 use crate::stats::Percentiles;
+use crate::task_pool::panic_message;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 /// Salt mixed into a job's derived seed to produce its private backoff
 /// stream (distinct from the simulation stream, so retries never perturb
@@ -439,11 +439,11 @@ pub(crate) struct FinishedJob<T> {
     pub(crate) worker: usize,
 }
 
-/// Cache keys for a batch, in job order: the identity the cache, the
+/// Cache keys for a sweep, in job order: the identity the cache, the
 /// journal, and the sweep id all agree on.
-pub(crate) fn job_keys(cfg: &RunConfig, jobs: &[JobSpec]) -> Vec<u64> {
+pub(crate) fn job_keys(code_version: &str, jobs: &[JobSpec]) -> Vec<u64> {
     jobs.iter()
-        .map(|j| crate::cache::ResultCache::key(&j.scenario, j.seed, &cfg.code_version))
+        .map(|j| crate::cache::ResultCache::key(&j.scenario, j.seed, code_version))
         .collect()
 }
 
@@ -512,15 +512,12 @@ pub(crate) fn record_entry(journal: &Option<Mutex<SweepJournal>>, entry: Journal
     }
 }
 
-/// The per-job supervision body shared by the scoped batch path
-/// ([`run_supervised`]) and the persistent engine path
-/// ([`crate::service::SweepEngine`]): resume-journal replay, verified
-/// cache lookup, then up to `1 + max_retries` attempts with
-/// deterministic backoff. Identical inputs produce identical outcomes
-/// on either path.
+/// The per-job supervision body: resume-journal replay, verified cache
+/// lookup, then up to `1 + max_retries` attempts with deterministic
+/// backoff. Identical inputs produce identical outcomes on any worker.
 // Each argument is one supervision facility; bundling them into a
 // context struct would just move the same list one hop away from the
-// two call sites that destructure it anyway.
+// one call site that destructures it anyway.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn supervise_one<T: CacheValue>(
     job: &JobSpec,
@@ -603,7 +600,7 @@ pub(crate) fn supervise_one<T: CacheValue>(
             Some(injected) => Err(injected),
             None => match catch_unwind(AssertUnwindSafe(|| exec(job, derived, &ctx))) {
                 Ok(r) => r,
-                Err(payload) => Err(JobFailure::Panic(pool::panic_message(payload))),
+                Err(payload) => Err(JobFailure::Panic(panic_message(payload))),
             },
         };
         match attempt_result {
@@ -647,8 +644,7 @@ pub(crate) fn supervise_one<T: CacheValue>(
 }
 
 /// Folds per-job outcomes into the ordered result vector, the failure
-/// accounting, and the manifest — the collection half shared by both
-/// execution paths. `finished` must be in job order.
+/// accounting, and the manifest. `finished` must be in job order.
 pub(crate) fn build_report<T: CacheValue>(
     jobs: &[JobSpec],
     keys: &[u64],
@@ -771,66 +767,6 @@ pub(crate) fn build_report<T: CacheValue>(
     }
 }
 
-/// Executes a batch under a supervision policy.
-///
-/// Per job, in order: resume-journal replay, verified cache lookup
-/// (corrupt entries quarantined and recomputed), then up to
-/// `1 + max_retries` attempts of `exec(job, derived_seed, ctx)` with
-/// deterministic backoff between attempts. Panics are caught per attempt
-/// and typed as [`JobFailure::Panic`]. Jobs that exhaust their retries
-/// are quarantined as [`JobError`]s; the batch always completes and the
-/// manifest's [`FailureReport`] accounts for every failure.
-pub fn run_supervised<T, F>(
-    cfg: &RunConfig,
-    sup: &Supervision,
-    jobs: &[JobSpec],
-    hook: Option<&dyn JobFaultHook>,
-    exec: F,
-) -> RunReport<T>
-where
-    T: CacheValue + Send,
-    F: Fn(&JobSpec, u64, &JobContext) -> Result<T, JobFailure> + Sync,
-{
-    // lint: allow(D001) batch wall-clock for the manifest profile block;
-    // results, retries and deadlines never depend on it
-    let started = Instant::now();
-    let keys = job_keys(cfg, jobs);
-    let sweep = sweep_id(&keys, &cfg.code_version);
-    let (journal, resumed) = open_journal(sup, sweep, jobs.len());
-
-    let (runs, pool_stats) = pool::run(cfg.threads, jobs.len(), |i| {
-        supervise_one(
-            &jobs[i],
-            keys[i],
-            &resumed,
-            cfg.cache.as_ref(),
-            sup,
-            hook,
-            &journal,
-            &exec,
-        )
-    });
-
-    let finished = runs
-        .into_iter()
-        .map(|run| FinishedJob {
-            result: run.result,
-            wall_ms: run.elapsed.as_secs_f64() * 1000.0,
-            queue_wait_ms: run.queue_wait.as_secs_f64() * 1000.0,
-            worker: run.worker,
-        })
-        .collect();
-
-    build_report(
-        jobs,
-        &keys,
-        finished,
-        pool_stats.threads,
-        started.elapsed().as_secs_f64() * 1000.0,
-        pool_stats.utilization(),
-    )
-}
-
 /// The order-sensitive FNV digest of a batch's results: successful
 /// results contribute their canonical JSON dump, quarantined slots a
 /// fixed marker. Two sweeps agree on this digest iff they produced
@@ -854,7 +790,13 @@ pub fn digest_results<T: CacheValue>(results: &[Result<T, JobError>]) -> u64 {
 mod tests {
     use super::*;
     use crate::cache::ResultCache;
+    use crate::testutil::{exec, sweep, val_exec, Val};
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+
+    fn jobs(n: u64) -> Vec<JobSpec> {
+        crate::testutil::jobs("sup-test-scenario", n)
+    }
 
     #[test]
     fn restart_budget_is_deterministic_and_bounded() {
@@ -887,36 +829,6 @@ mod tests {
         assert_eq!(eager.next_backoff_us(), Some(0));
         assert_eq!(eager.next_backoff_us(), Some(0));
         assert_eq!(eager.next_backoff_us(), None);
-    }
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct Val(f64);
-
-    impl CacheValue for Val {
-        fn to_json(&self) -> Json {
-            Json::object([("v", Json::from(self.0))])
-        }
-        fn from_json(json: &Json) -> Option<Self> {
-            json.get("v")?.as_f64().map(Val)
-        }
-    }
-
-    fn jobs(n: u64) -> Vec<JobSpec> {
-        (0..n)
-            .map(|seed| JobSpec {
-                label: format!("cell seed={seed}"),
-                scenario: "sup-test-scenario".into(),
-                seed,
-            })
-            .collect()
-    }
-
-    fn no_cache(threads: usize) -> RunConfig {
-        RunConfig {
-            threads,
-            cache: None,
-            code_version: "sup-test-v1".into(),
-        }
     }
 
     /// Fails the first `faulty` attempts of every job whose seed is in
@@ -987,22 +899,19 @@ mod tests {
     #[test]
     fn transient_failures_are_retried_to_the_same_digest() {
         let js = jobs(8);
-        let exec = |j: &JobSpec, derived: u64, _: &JobContext| {
-            Ok(Val((j.seed as f64) + (derived % 7) as f64))
-        };
-        let clean = run_supervised(&no_cache(4), &Supervision::default(), &js, None, exec);
+        let clean = sweep(4, None, &Supervision::default(), &js, None, &val_exec());
         assert!(clean.manifest.failures.is_empty());
 
-        let hook = Transient {
+        let hook = Arc::new(Transient {
             targets: vec![1, 4, 6],
             faulty: 2,
-        };
+        });
         let sup = Supervision {
             max_retries: 2,
             backoff_base_us: 10,
             ..Supervision::default()
         };
-        let faulty = run_supervised(&no_cache(4), &sup, &js, Some(&hook), exec);
+        let faulty = sweep(4, None, &sup, &js, Some(hook), &val_exec());
         assert_eq!(faulty.manifest.failed, 0, "all jobs recovered");
         assert_eq!(
             faulty.manifest.results_digest, clean.manifest.results_digest,
@@ -1017,18 +926,17 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine_without_sinking_the_batch() {
         let js = jobs(6);
-        let hook = Transient {
+        let hook = Arc::new(Transient {
             targets: vec![2],
             faulty: 5,
-        };
+        });
         let sup = Supervision {
             max_retries: 1,
             backoff_base_us: 10,
             ..Supervision::default()
         };
-        let report = run_supervised(&no_cache(3), &sup, &js, Some(&hook), |j, _, _| {
-            Ok(Val(j.seed as f64))
-        });
+        let body = exec(|j, _, _| Ok(Val(j.seed as f64)));
+        let report = sweep(3, None, &sup, &js, Some(hook), &body);
         assert_eq!(report.manifest.failed, 1);
         assert_eq!(report.successes().count(), 5);
         assert_eq!(report.manifest.failures.io, 1);
@@ -1046,20 +954,22 @@ mod tests {
     #[test]
     fn deadline_quarantines_without_retrying() {
         let js = jobs(3);
-        let calls = AtomicUsize::new(0);
+        let calls = Arc::new(AtomicUsize::new(0));
         let sup = Supervision {
             max_retries: 3,
             backoff_base_us: 0,
             job_deadline_us: Some(1_000_000),
             ..Supervision::default()
         };
-        let report = run_supervised(&no_cache(2), &sup, &js, None, |j, _, ctx| {
-            calls.fetch_add(1, Ordering::SeqCst);
+        let counted = Arc::clone(&calls);
+        let body = exec(move |j, _, ctx| {
+            counted.fetch_add(1, Ordering::SeqCst);
             // Seed 1 simulates 2 s against a 1 s budget.
             let target = if j.seed == 1 { 2.0 } else { 0.5 };
             ctx.charge_sim_to_secs(target)?;
             Ok(Val(j.seed as f64))
         });
+        let report = sweep(2, None, &sup, &js, None, &body);
         assert_eq!(report.manifest.failed, 1);
         assert_eq!(report.manifest.failures.deadlines, 1);
         assert_eq!(
@@ -1075,23 +985,20 @@ mod tests {
     fn corrupt_cache_entry_heals_and_is_reported() {
         let dir = std::env::temp_dir().join(format!("liteworp-sup-heal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = RunConfig {
-            threads: 2,
-            cache: Some(ResultCache::new(&dir)),
-            code_version: "sup-heal-v1".into(),
-        };
+        let cache = || Some(ResultCache::new(&dir));
+        let sup = Supervision::default();
         let js = jobs(4);
-        let exec = |j: &JobSpec, _: u64, _: &JobContext| Ok(Val(j.seed as f64 * 3.0));
-        let first = run_supervised(&cfg, &Supervision::default(), &js, None, exec);
+        let body = exec(|j, _, _| Ok(Val(j.seed as f64 * 3.0)));
+        let first = sweep(2, cache(), &sup, &js, None, &body);
         assert_eq!(first.manifest.cache_misses, 4);
 
         // Flip a byte in job 2's entry without breaking its JSON shape.
-        let key = ResultCache::key(&js[2].scenario, js[2].seed, &cfg.code_version);
+        let key = ResultCache::key(&js[2].scenario, js[2].seed, "test-v1");
         let path = dir.join(format!("{key:016x}.json"));
         let tampered = std::fs::read_to_string(&path).unwrap().replace("6", "7");
         std::fs::write(&path, tampered).unwrap();
 
-        let second = run_supervised(&cfg, &Supervision::default(), &js, None, exec);
+        let second = sweep(2, cache(), &sup, &js, None, &body);
         assert_eq!(second.manifest.cache_hits, 3);
         assert_eq!(second.manifest.cache_misses, 1, "corrupt entry recomputed");
         assert_eq!(second.manifest.failed, 0);
@@ -1105,7 +1012,7 @@ mod tests {
             .join(format!("{key:016x}.json"))
             .exists());
         // Third run: fully healed, all hits.
-        let third = run_supervised(&cfg, &Supervision::default(), &js, None, exec);
+        let third = sweep(2, cache(), &sup, &js, None, &body);
         assert_eq!(third.manifest.cache_hits, 4);
         assert!(third.manifest.failures.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1117,16 +1024,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let journal = dir.join("sweep.jsonl");
         let js = jobs(6);
-        let executions = AtomicUsize::new(0);
-        let exec = |j: &JobSpec, _: u64, _: &JobContext| {
-            executions.fetch_add(1, Ordering::SeqCst);
+        let executions = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&executions);
+        let body = exec(move |j, _, _| {
+            counted.fetch_add(1, Ordering::SeqCst);
             Ok(Val(j.seed as f64 + 0.5))
-        };
+        });
         let sup = Supervision {
             journal: Some(journal.clone()),
             ..Supervision::default()
         };
-        let full = run_supervised(&no_cache(2), &sup, &js, None, exec);
+        let full = sweep(2, None, &sup, &js, None, &body);
         assert_eq!(executions.load(Ordering::SeqCst), 6);
 
         // Simulate a crash after 3 completions: keep header + 3 entries
@@ -1140,7 +1048,7 @@ mod tests {
             resume: true,
             ..Supervision::default()
         };
-        let resumed = run_supervised(&no_cache(2), &resume, &js, None, exec);
+        let resumed = sweep(2, None, &resume, &js, None, &body);
         assert_eq!(resumed.manifest.journal_hits, 3);
         assert_eq!(resumed.manifest.cache_misses, 3);
         assert_eq!(
@@ -1155,7 +1063,7 @@ mod tests {
         assert_eq!(resumed.manifest.failures.journal_hits, 3);
 
         // A third resume replays everything.
-        let third = run_supervised(&no_cache(2), &resume, &js, None, exec);
+        let third = sweep(2, None, &resume, &js, None, &body);
         assert_eq!(third.manifest.journal_hits, 6);
         assert_eq!(executions.load(Ordering::SeqCst), 9);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1166,13 +1074,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("liteworp-sup-sweepid-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let journal = dir.join("sweep.jsonl");
-        let exec = |j: &JobSpec, _: u64, _: &JobContext| Ok(Val(j.seed as f64));
+        let body = exec(|j, _, _| Ok(Val(j.seed as f64)));
         let sup = Supervision {
             journal: Some(journal.clone()),
             resume: true,
             ..Supervision::default()
         };
-        run_supervised(&no_cache(1), &sup, &jobs(3), None, exec);
+        sweep(1, None, &sup, &jobs(3), None, &body);
         // Different job set: the stale journal must not be replayed.
         let other: Vec<JobSpec> = jobs(3)
             .into_iter()
@@ -1181,7 +1089,7 @@ mod tests {
                 j
             })
             .collect();
-        let report = run_supervised(&no_cache(1), &sup, &other, None, exec);
+        let report = sweep(1, None, &sup, &other, None, &body);
         assert_eq!(report.manifest.journal_hits, 0);
         assert_eq!(report.manifest.cache_misses, 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1190,18 +1098,17 @@ mod tests {
     #[test]
     fn manifest_failures_block_serializes() {
         let js = jobs(3);
-        let hook = Transient {
+        let hook = Arc::new(Transient {
             targets: vec![0],
             faulty: 9,
-        };
+        });
         let sup = Supervision {
             max_retries: 1,
             backoff_base_us: 0,
             ..Supervision::default()
         };
-        let report = run_supervised(&no_cache(2), &sup, &js, Some(&hook), |j, _, _| {
-            Ok(Val(j.seed as f64))
-        });
+        let body = exec(|j, _, _| Ok(Val(j.seed as f64)));
+        let report = sweep(2, None, &sup, &js, Some(hook), &body);
         let json = report.manifest.to_json();
         let failures = json.get("failures").expect("failures block");
         assert_eq!(failures.get("io").and_then(Json::as_u64), Some(1));

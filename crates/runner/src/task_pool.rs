@@ -1,11 +1,11 @@
-//! A persistent std-only thread pool for long-lived services.
+//! The std-only thread pool every sweep runs on.
 //!
-//! [`pool::run`](crate::pool::run) spawns scoped workers per batch and
-//! joins them before returning — perfect for one-shot bins, wrong for a
-//! daemon that serves many sweeps over its lifetime. [`TaskPool`] keeps
-//! `n` workers alive for the pool's whole lifetime and feeds them boxed
-//! closures through a shared queue, so a warm engine can multiplex jobs
-//! from many concurrent requests onto one set of threads.
+//! [`TaskPool`] keeps `n` workers alive for the pool's whole lifetime
+//! and feeds them boxed closures through a shared FIFO queue. A daemon
+//! keeps one warm pool and multiplexes jobs from many concurrent
+//! requests onto it; a one-shot experiment bin builds a pool sized to
+//! its batch and drops it when the batch drains. Either way the jobs run
+//! through [`crate::service::SweepEngine`].
 //!
 //! Tasks are `'static` (they outlive the submitting call); each task
 //! receives the index of the worker running it. Panicking tasks are
@@ -99,6 +99,34 @@ impl Drop for TaskPool {
     }
 }
 
+/// Resolves the worker count: an explicit request, else the
+/// `LITEWORP_JOBS` environment variable, else all available cores.
+pub fn resolve_threads(requested: Option<usize>) -> usize {
+    requested
+        .or_else(|| {
+            std::env::var("LITEWORP_JOBS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+        })
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+}
+
+/// Extracts the human-readable message from a caught panic payload.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "job panicked".to_string()
+    }
+}
+
 fn worker_loop(worker: usize, shared: &Shared) {
     loop {
         let task = {
@@ -167,6 +195,12 @@ mod tests {
         while !*ran {
             ran = cv.wait(ran).unwrap();
         }
+    }
+
+    #[test]
+    fn resolve_threads_prefers_explicit_request() {
+        assert_eq!(resolve_threads(Some(3)), 3);
+        assert!(resolve_threads(None) >= 1);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! contracts the experiment harness builds on.
 
 use liteworp_runner::{
-    run_jobs, CacheValue, JobSpec, Json, Pcg32, ResultCache, Rng, RunConfig, Summary,
+    CacheValue, JobContext, JobFailure, JobSpec, Json, Pcg32, ResultCache, Rng, RunReport, Summary,
+    Supervision, SweepEngine,
 };
+use std::sync::Arc;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Sample {
@@ -42,19 +44,33 @@ fn execute(spec: &JobSpec, derived_seed: u64) -> Sample {
     }
 }
 
+/// Runs `jobs` as one sweep on a fresh engine of `threads` workers.
+fn run(
+    threads: usize,
+    cache: Option<ResultCache>,
+    jobs: Vec<JobSpec>,
+    body: impl Fn(&JobSpec, u64) -> Sample + Send + Sync + 'static,
+) -> RunReport<Sample> {
+    let exec =
+        move |spec: &JobSpec, seed: u64, _: &JobContext| Ok::<_, JobFailure>(body(spec, seed));
+    SweepEngine::new(Some(threads), cache, "it-1").run_sweep(
+        &Supervision::default(),
+        jobs,
+        None,
+        Arc::new(exec),
+        None,
+    )
+}
+
 #[test]
 fn aggregates_are_identical_across_thread_counts() {
-    let run = |threads| {
-        let cfg = RunConfig {
-            threads,
-            ..RunConfig::default()
-        };
-        let report = run_jobs(&cfg, &jobs(16), execute);
+    let values_at = |threads| {
+        let report = run(threads, None, jobs(16), execute);
         let values: Vec<f64> = report.successes().map(|s| s.value).collect();
         (values.clone(), Summary::of(&values))
     };
-    let (v1, s1) = run(1);
-    let (v4, s4) = run(4);
+    let (v1, s1) = values_at(1);
+    let (v4, s4) = values_at(4);
     assert_eq!(v1, v4, "per-job results must not depend on thread count");
     assert_eq!(s1.mean.to_bits(), s4.mean.to_bits());
     assert_eq!(s1.std_dev.to_bits(), s4.std_dev.to_bits());
@@ -65,16 +81,12 @@ fn aggregates_are_identical_across_thread_counts() {
 fn cache_round_trip_hits_every_job_on_rerun() {
     let dir = std::env::temp_dir().join(format!("liteworp-runner-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = RunConfig {
-        threads: 2,
-        cache: Some(ResultCache::new(&dir)),
-        code_version: "it-1".to_string(),
-    };
-    let first = run_jobs(&cfg, &jobs(8), execute);
+    let cache = || Some(ResultCache::new(&dir));
+    let first = run(2, cache(), jobs(8), execute);
     assert_eq!(first.manifest.cache_hits, 0);
     assert_eq!(first.manifest.cache_misses, 8);
 
-    let second = run_jobs(&cfg, &jobs(8), |spec, seed| -> Sample {
+    let second = run(2, cache(), jobs(8), |spec, seed| -> Sample {
         panic!("must not execute on a warm cache: {spec:?} {seed}")
     });
     assert_eq!(second.manifest.cache_hits, 8);
@@ -87,11 +99,7 @@ fn cache_round_trip_hits_every_job_on_rerun() {
 
 #[test]
 fn panicking_jobs_are_isolated_and_reported() {
-    let cfg = RunConfig {
-        threads: 3,
-        ..RunConfig::default()
-    };
-    let report = run_jobs(&cfg, &jobs(9), |spec, seed| {
+    let report = run(3, None, jobs(9), |spec, seed| {
         if spec.seed % 3 == 1 {
             panic!("seed {} refuses to run", spec.seed);
         }

@@ -157,7 +157,7 @@ struct FrontState {
     /// The front's own listen address.
     front_addr: SocketAddr,
     /// The in-process fallback engine's listen address.
-    local_addr: SocketAddr,
+    fallback_addr: SocketAddr,
     metrics: FrontMetrics,
     state_dir: PathBuf,
     started_us: u64,
@@ -225,7 +225,7 @@ impl Front {
             registry: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
             front_addr,
-            local_addr: local.local_addr(),
+            fallback_addr: local.local_addr(),
             metrics: FrontMetrics::new(),
             state_dir: cfg.state_dir.clone(),
             started_us: obs::clock::now_micros(),
@@ -306,7 +306,7 @@ fn pick_target(state: &FrontState, key: u64, exclude: Option<usize>) -> Target {
 
 fn target_addr(state: &FrontState, target: Target) -> Option<SocketAddr> {
     match target {
-        Target::Local => Some(state.local_addr),
+        Target::Local => Some(state.fallback_addr),
         Target::Shard(id) => state.shards[id].routable_addr(),
     }
 }
@@ -655,7 +655,7 @@ fn front_stats_pairs(state: &FrontState) -> Vec<(String, Json)> {
         ("shards".to_string(), shards_json(state)),
         (
             "local".to_string(),
-            Json::object([("addr", Json::from(state.local_addr.to_string()))]),
+            Json::object([("addr", Json::from(state.fallback_addr.to_string()))]),
         ),
         ("metrics".to_string(), obs::snapshot().to_json()),
     ]
@@ -764,7 +764,7 @@ fn handle_connection(stream: TcpStream, state: Arc<FrontState>) -> std::io::Resu
 fn publish(state: &FrontState) {
     let manifest = Json::object([
         ("front", Json::from(state.front_addr.to_string())),
-        ("local", Json::from(state.local_addr.to_string())),
+        ("local", Json::from(state.fallback_addr.to_string())),
         ("shards", shards_json(state)),
     ])
     .dump();
@@ -945,9 +945,9 @@ fn reroute_orphans(state: &Arc<FrontState>, dead: usize) {
 /// Shuts the worker ring down: graceful protocol shutdown where the
 /// worker still answers, SIGKILL otherwise, then reap every child.
 fn shutdown_workers(state: &FrontState, children: &mut [Option<Child>]) {
-    for id in 0..children.len() {
-        let addr = state.shards[id].snapshot().addr;
-        if let Some(mut child) = children[id].take() {
+    for (shard, slot) in state.shards.iter().zip(children.iter_mut()) {
+        let addr = shard.snapshot().addr;
+        if let Some(mut child) = slot.take() {
             let graceful = addr
                 .map(|a| shard::forward(a, r#"{"op":"shutdown"}"#).is_ok())
                 .unwrap_or(false);

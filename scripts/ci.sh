@@ -35,11 +35,13 @@ if [ "$lint_elapsed_ms" -gt $(( LINT_BUDGET_SECS * 1000 )) ]; then
     exit 1
 fi
 
-echo "==> cargo clippy (all targets, warnings are errors)"
-cargo clippy --all-targets --offline -- -D warnings
+echo "==> cargo clippy (whole workspace, all targets, warnings are errors)"
+# --workspace for the same reason as build and test: without it only
+# the root package is linted and documented.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo doc (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
+echo "==> cargo doc (whole workspace, warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 echo "==> bench regression gate (runs the release benches, compares baselines)"
 ./scripts/bench_gate.sh
