@@ -156,7 +156,7 @@ fn bench_cache_lookup() {
 
 fn bench_obs() {
     // The observability plane's cost contract. Disabled (the default for
-    // every experiment bin unless --profile-folded is passed), a span is
+    // every experiment bin unless --observe is passed), a span is
     // one relaxed atomic load and a branch; enabled, it pays two clock
     // reads plus the thread-local stack push/pop.
     obs::disable();

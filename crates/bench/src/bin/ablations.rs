@@ -3,7 +3,7 @@
 //!
 //! Flags: --seeds N (5), --duration S (800), --nodes N (50),
 //!        --jobs N (all cores), --no-cache, --cache-dir DIR,
-//!        --trace PATH, --metrics PATH
+//!        --observe DIR
 //!
 //! Supervision (see EXPERIMENTS.md): --max-retries N, --job-deadline
 //! SIM_SECS, --journal PATH, --resume, --engine-faults P,
@@ -12,15 +12,14 @@
 use liteworp_bench::cli::Flags;
 use liteworp_bench::exec::ExecOptions;
 use liteworp_bench::experiments::ablation::{run_with, AblationConfig};
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 use liteworp_runner::Json;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "ablations");
+    let observe = Observe::from_flags(&flags);
     let cfg = AblationConfig {
         nodes: flags.get_usize("nodes", 50),
         seeds: flags.get_u64("seeds", 5),
@@ -29,17 +28,6 @@ fn main() {
     eprintln!("running ablations: {cfg:?}");
     let (rows, manifest) = run_with(&cfg, &ExecOptions::from_flags(&flags));
     eprintln!("{}", manifest.summary_line());
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            nodes: cfg.nodes,
-            malicious: 2,
-            protected: true,
-            seed: 1,
-            ..Scenario::default()
-        },
-        cfg.duration,
-        Some(&manifest),
-    );
     println!(
         "Ablation study ({} nodes, M = 2, {} runs per variant, {} s each)\n",
         cfg.nodes, cfg.seeds, cfg.duration
@@ -75,5 +63,15 @@ fn main() {
         "\n{}",
         Json::Arr(rows.iter().map(|r| r.to_json()).collect()).dump()
     );
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            nodes: cfg.nodes,
+            malicious: 2,
+            protected: true,
+            seed: 1,
+            ..Scenario::default()
+        },
+        cfg.duration,
+        Some(&manifest),
+    );
 }

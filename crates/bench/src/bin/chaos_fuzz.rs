@@ -23,18 +23,21 @@
 //! * `--replay`: re-executes one exact (scenario seed, fault plan) pair
 //!   printed by the shrinker. Exits nonzero when the run violates, so a
 //!   reproducer command "failing" means the bug is still there.
+//!
+//! Every mode takes `--observe DIR`, which writes only `DIR/profile.folded`:
+//! a fuzz sweep has no single representative run to trace.
 
 use liteworp_bench::chaos_exec::{execute_chaos, run_chaos_cells, ChaosCell, ChaosOutcome};
 use liteworp_bench::cli::Flags;
 use liteworp_bench::exec::ExecOptions;
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::Scenario;
 use liteworp_chaos::{parse_crashes, parse_drifts, FaultPlan, FuzzProfile, Immunity};
 use liteworp_runner::{JobSpec, Pcg32};
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "chaos_fuzz");
+    let observe = Observe::from_flags(&flags);
     let code = if flags.get_bool("replay") {
         replay(&flags)
     } else if flags.get_bool("smoke") {
@@ -42,7 +45,7 @@ fn main() {
     } else {
         sweep(&flags)
     };
-    prof.finish();
+    observe.finish_profile();
     std::process::exit(code);
 }
 

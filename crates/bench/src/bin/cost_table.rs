@@ -2,18 +2,17 @@
 //! measurements.
 //!
 //! Flags: --nodes N (100), --duration S (500), --seed N (4),
-//!        --trace PATH, --metrics PATH
+//!        --observe DIR
 
 use liteworp_bench::cli::Flags;
 use liteworp_bench::experiments::cost::{cost_table, CostConfig};
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "cost_table");
+    let observe = Observe::from_flags(&flags);
     let cfg = CostConfig {
         nodes: flags.get_usize("nodes", 100),
         duration: flags.get_f64("duration", 500.0),
@@ -22,7 +21,16 @@ fn main() {
     };
     eprintln!("running cost measurement: {cfg:?}");
     let rows = cost_table(&cfg);
-    TelemetryFlags::from_flags(&flags).export_scenario(
+    println!("Section 5.2: LITEWORP cost analysis\n");
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| vec![r.quantity.clone(), r.analytical.clone(), r.measured.clone()])
+        .collect();
+    print!(
+        "{}",
+        render_table(&["quantity", "analytical", "measured"], &table)
+    );
+    observe.finish_scenario(
         &Scenario {
             nodes: cfg.nodes,
             malicious: 2,
@@ -33,14 +41,4 @@ fn main() {
         cfg.duration,
         None,
     );
-    println!("Section 5.2: LITEWORP cost analysis\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![r.quantity.clone(), r.analytical.clone(), r.measured.clone()])
-        .collect();
-    print!(
-        "{}",
-        render_table(&["quantity", "analytical", "measured"], &table)
-    );
-    prof.finish();
 }

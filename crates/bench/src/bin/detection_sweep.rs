@@ -3,7 +3,7 @@
 //! network sizes and densities.
 //!
 //! Flags: --seeds N (10), --duration S (800), --jobs N (all cores),
-//!        --no-cache, --cache-dir DIR, --trace PATH, --metrics PATH
+//!        --no-cache, --cache-dir DIR, --observe DIR
 //!
 //! Supervision (see EXPERIMENTS.md): --max-retries N, --job-deadline
 //! SIM_SECS, --journal PATH, --resume, --engine-faults P,
@@ -12,15 +12,14 @@
 use liteworp_bench::cli::Flags;
 use liteworp_bench::exec::ExecOptions;
 use liteworp_bench::experiments::sweep::{run_with, SweepConfig};
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 use liteworp_runner::Json;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "detection_sweep");
+    let observe = Observe::from_flags(&flags);
     let cfg = SweepConfig {
         seeds: flags.get_u64("seeds", 10),
         duration: flags.get_f64("duration", 800.0),
@@ -30,18 +29,6 @@ fn main() {
     eprintln!("running detection sweep: {cfg:?}");
     let (rows, manifest) = run_with(&cfg, &ExecOptions::from_flags(&flags));
     eprintln!("{}", manifest.summary_line());
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            nodes: cfg.node_counts.first().copied().unwrap_or(50),
-            avg_neighbors: cfg.densities.first().copied().unwrap_or(8.0),
-            malicious: 2,
-            protected: true,
-            seed: 1,
-            ..Scenario::default()
-        },
-        cfg.duration,
-        Some(&manifest),
-    );
     println!(
         "Detection & isolation across scenarios (M = 2, {} runs per cell, {} s each)\n",
         cfg.seeds, cfg.duration
@@ -79,5 +66,16 @@ fn main() {
         "\n{}",
         Json::Arr(rows.iter().map(|r| r.to_json()).collect()).dump()
     );
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            nodes: cfg.node_counts.first().copied().unwrap_or(50),
+            avg_neighbors: cfg.densities.first().copied().unwrap_or(8.0),
+            malicious: 2,
+            protected: true,
+            seed: 1,
+            ..Scenario::default()
+        },
+        cfg.duration,
+        Some(&manifest),
+    );
 }

@@ -4,7 +4,7 @@
 //!
 //! Flags: --seeds N (10), --duration S (800), --nodes N (100),
 //!        --jobs N (all cores), --no-cache, --cache-dir DIR,
-//!        --trace PATH, --metrics PATH
+//!        --observe DIR
 //!
 //! Supervision (see EXPERIMENTS.md): --max-retries N, --job-deadline
 //! SIM_SECS, --journal PATH, --resume, --engine-faults P,
@@ -14,15 +14,14 @@ use liteworp::config::Config;
 use liteworp_bench::cli::Flags;
 use liteworp_bench::exec::ExecOptions;
 use liteworp_bench::experiments::fig10::{run_with, Fig10Config};
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 use liteworp_runner::Json;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "fig10");
+    let observe = Observe::from_flags(&flags);
     let cfg = Fig10Config {
         nodes: flags.get_usize("nodes", 100),
         seeds: flags.get_u64("seeds", 10),
@@ -32,22 +31,6 @@ fn main() {
     eprintln!("running fig10: {cfg:?}");
     let (rows, manifest) = run_with(&cfg, &ExecOptions::from_flags(&flags));
     eprintln!("{}", manifest.summary_line());
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            nodes: cfg.nodes,
-            avg_neighbors: cfg.avg_neighbors,
-            malicious: 2,
-            protected: true,
-            liteworp: Config {
-                confidence_index: cfg.gammas.first().copied().unwrap_or(2),
-                ..Config::default()
-            },
-            seed: 1,
-            ..Scenario::default()
-        },
-        cfg.duration,
-        Some(&manifest),
-    );
     println!(
         "Figure 10: detection probability and isolation latency vs gamma (N_B = {}, M = 2, {} runs each)\n",
         cfg.avg_neighbors, cfg.seeds
@@ -81,5 +64,20 @@ fn main() {
         "\n{}",
         Json::Arr(rows.iter().map(|r| r.to_json()).collect()).dump()
     );
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            nodes: cfg.nodes,
+            avg_neighbors: cfg.avg_neighbors,
+            malicious: 2,
+            protected: true,
+            liteworp: Config {
+                confidence_index: cfg.gammas.first().copied().unwrap_or(2),
+                ..Config::default()
+            },
+            seed: 1,
+            ..Scenario::default()
+        },
+        cfg.duration,
+        Some(&manifest),
+    );
 }

@@ -1,29 +1,18 @@
 //! Figure 6(a): probability of wormhole detection vs number of neighbors
 //! (analytical model, Section 5.1).
 //!
-//! Flags: --trace PATH, --metrics PATH (runs one instrumented simulation
-//! seed alongside the analytical sweep)
+//! Flags: --observe DIR (runs one instrumented simulation seed of
+//! --duration S, default 400, after the analytical sweep)
 
 use liteworp_bench::cli::Flags;
 use liteworp_bench::experiments::fig6;
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::{fmt_prob, render_table};
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "fig6a");
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            malicious: 2,
-            protected: true,
-            seed: 1,
-            ..Scenario::default()
-        },
-        flags.get_f64("duration", 400.0),
-        None,
-    );
+    let observe = Observe::from_flags(&flags);
     let rows = fig6::sweep(fig6::paper_model(), fig6::default_grid());
     println!("Figure 6(a): P(wormhole detection) vs N_B");
     println!("(T=7, k=5, gamma=3, M=2, P_C=0.05 at N_B=3 scaling linearly)\n");
@@ -52,5 +41,14 @@ fn main() {
             None => println!("  P(detect) >= {target:.2}  ->  unattainable"),
         }
     }
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            malicious: 2,
+            protected: true,
+            seed: 1,
+            ..Scenario::default()
+        },
+        flags.get_f64("duration", 400.0),
+        None,
+    );
 }

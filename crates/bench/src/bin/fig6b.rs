@@ -1,29 +1,18 @@
 //! Figure 6(b): probability of false alarm vs number of neighbors
 //! (analytical model, Section 5.1).
 //!
-//! Flags: --trace PATH, --metrics PATH (runs one instrumented simulation
-//! seed alongside the analytical sweep)
+//! Flags: --observe DIR (runs one instrumented simulation seed of
+//! --duration S, default 400, after the analytical sweep)
 
 use liteworp_bench::cli::Flags;
 use liteworp_bench::experiments::fig6;
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::{fmt_prob, render_table};
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "fig6b");
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            malicious: 2,
-            protected: true,
-            seed: 1,
-            ..Scenario::default()
-        },
-        flags.get_f64("duration", 400.0),
-        None,
-    );
+    let observe = Observe::from_flags(&flags);
     let rows = fig6::sweep(fig6::paper_model(), fig6::default_grid());
     println!("Figure 6(b): P(false alarm) vs N_B (same parameters as 6(a))\n");
     let table: Vec<Vec<String>> = rows
@@ -46,5 +35,14 @@ fn main() {
         "\nworst case: {} (negligible, as the paper argues)",
         fmt_prob(worst)
     );
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            malicious: 2,
+            protected: true,
+            seed: 1,
+            ..Scenario::default()
+        },
+        flags.get_f64("duration", 400.0),
+        None,
+    );
 }

@@ -3,7 +3,7 @@
 //!
 //! Flags: --seeds N (default 10), --duration S (2000), --nodes N (100),
 //!        --sample S (50), --jobs N (all cores), --no-cache,
-//!        --cache-dir DIR, --trace PATH, --metrics PATH
+//!        --cache-dir DIR, --observe DIR
 //!
 //! Supervision (see EXPERIMENTS.md): --max-retries N, --job-deadline
 //! SIM_SECS, --journal PATH, --resume, --engine-faults P,
@@ -12,15 +12,14 @@
 use liteworp_bench::cli::Flags;
 use liteworp_bench::exec::ExecOptions;
 use liteworp_bench::experiments::fig8::{run_with, Fig8Config};
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 use liteworp_runner::Json;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "fig8");
+    let observe = Observe::from_flags(&flags);
     let cfg = Fig8Config {
         nodes: flags.get_usize("nodes", 100),
         seeds: flags.get_u64("seeds", 10),
@@ -31,17 +30,6 @@ fn main() {
     eprintln!("running fig8: {cfg:?}");
     let (series, manifest) = run_with(&cfg, &ExecOptions::from_flags(&flags));
     eprintln!("{}", manifest.summary_line());
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            nodes: cfg.nodes,
-            malicious: cfg.colluder_counts.first().copied().unwrap_or(2),
-            protected: true,
-            seed: 1,
-            ..Scenario::default()
-        },
-        cfg.duration,
-        Some(&manifest),
-    );
     println!(
         "Figure 8: cumulative wormhole drops vs time ({} nodes, attack at 50 s, mean of {} runs)\n",
         cfg.nodes, cfg.seeds
@@ -79,5 +67,15 @@ fn main() {
         "\n{}",
         Json::Arr(series.iter().map(|s| s.to_json()).collect()).dump()
     );
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            nodes: cfg.nodes,
+            malicious: cfg.colluder_counts.first().copied().unwrap_or(2),
+            protected: true,
+            seed: 1,
+            ..Scenario::default()
+        },
+        cfg.duration,
+        Some(&manifest),
+    );
 }

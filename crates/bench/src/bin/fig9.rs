@@ -4,7 +4,7 @@
 //!
 //! Flags: --seeds N (10), --duration S (2000), --nodes N (100),
 //!        --jobs N (all cores), --no-cache, --cache-dir DIR,
-//!        --trace PATH, --metrics PATH
+//!        --observe DIR
 //!
 //! Supervision (see EXPERIMENTS.md): --max-retries N, --job-deadline
 //! SIM_SECS, --journal PATH, --resume, --engine-faults P,
@@ -13,15 +13,14 @@
 use liteworp_bench::cli::Flags;
 use liteworp_bench::exec::ExecOptions;
 use liteworp_bench::experiments::fig9::{run_with, Fig9Config};
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 use liteworp_runner::Json;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "fig9");
+    let observe = Observe::from_flags(&flags);
     let cfg = Fig9Config {
         nodes: flags.get_usize("nodes", 100),
         seeds: flags.get_u64("seeds", 10),
@@ -31,22 +30,6 @@ fn main() {
     eprintln!("running fig9: {cfg:?}");
     let (rows, manifest) = run_with(&cfg, &ExecOptions::from_flags(&flags));
     eprintln!("{}", manifest.summary_line());
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            nodes: cfg.nodes,
-            malicious: cfg
-                .colluder_counts
-                .iter()
-                .copied()
-                .find(|&m| m > 0)
-                .unwrap_or(2),
-            protected: true,
-            seed: 1,
-            ..Scenario::default()
-        },
-        cfg.duration,
-        Some(&manifest),
-    );
     println!(
         "Figure 9: wormhole impact at t = {:.0} s ({} nodes, mean of {} runs)\n",
         cfg.duration, cfg.nodes, cfg.seeds
@@ -73,5 +56,20 @@ fn main() {
         "\n{}",
         Json::Arr(rows.iter().map(|r| r.to_json()).collect()).dump()
     );
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            nodes: cfg.nodes,
+            malicious: cfg
+                .colluder_counts
+                .iter()
+                .copied()
+                .find(|&m| m > 0)
+                .unwrap_or(2),
+            protected: true,
+            seed: 1,
+            ..Scenario::default()
+        },
+        cfg.duration,
+        Some(&manifest),
+    );
 }

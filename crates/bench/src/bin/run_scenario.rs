@@ -7,33 +7,25 @@
 //!              [--duration 1000] [--seed 1] [--gamma 2] [--ct 6]
 //!              [--monitor-data 0] [--sample 100]
 //!              [--traffic-sources N] [--require-connected 1]
-//!              [--trace PATH] [--metrics PATH]
+//!              [--observe DIR]
 //! ```
 //!
 //! `--traffic-sources` caps the number of data-originating nodes and
 //! `--require-connected 0` skips the connected-deployment retry — the
 //! scale knobs large runs need (see the `scale_sweep` binary).
-//!
-//! ```text
-//! ```
+//! `--observe DIR` writes this run's trace, metrics and profile (see
+//! `liteworp_bench::observe`).
 
 use liteworp::config::Config;
 use liteworp_bench::cli::Flags;
-use liteworp_bench::obs_out::ProfileFlags;
-use liteworp_bench::telemetry_out::TelemetryFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::{Scenario, ScenarioAttack};
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "run_scenario");
-    let attack_name = std::env::args()
-        .skip(1)
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--attack")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "wormhole".into());
-    let (attack, tunnel_latency) = match attack_name.as_str() {
+    let observe = Observe::from_flags(&flags);
+    let attack_name = flags.get_str("attack").unwrap_or("wormhole");
+    let (attack, tunnel_latency) = match attack_name {
         "wormhole" => (ScenarioAttack::Wormhole, 0.0),
         "encapsulation" => (ScenarioAttack::Wormhole, 0.1),
         "highpower" => (ScenarioAttack::HighPower(3.0), 0.0),
@@ -91,8 +83,6 @@ fn main() {
         );
     }
 
-    TelemetryFlags::from_flags(&flags).export_run(&run, None);
-
     println!();
     let (routes, bad) = run.route_counts();
     println!("routes: {routes} total, {bad} through malicious relays");
@@ -122,5 +112,5 @@ fn main() {
         m.frames_collided,
         m.collision_fraction()
     );
-    prof.finish();
+    observe.finish_run(&run, None);
 }

@@ -6,8 +6,7 @@
 //! Flags: --nodes N[,N...] (default 1000,10000,100000), --seeds N (6),
 //!        --duration S (150), --traffic-sources N (64),
 //!        --guard-links N (2000), --smoke (one 10 000-node seed),
-//!        --jobs N, --no-cache, --cache-dir DIR, --trace PATH,
-//!        --metrics PATH
+//!        --jobs N, --no-cache, --cache-dir DIR, --observe DIR
 //!
 //! Supervision (see EXPERIMENTS.md): --max-retries N, --job-deadline
 //! SIM_SECS, --journal PATH, --resume, --engine-faults P,
@@ -16,14 +15,13 @@
 use liteworp_bench::cli::Flags;
 use liteworp_bench::exec::ExecOptions;
 use liteworp_bench::experiments::scale_sweep::{check, run_with, scenario_for, ScaleSweepConfig};
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_runner::Json;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "scale_sweep");
+    let observe = Observe::from_flags(&flags);
     let mut cfg = ScaleSweepConfig {
         seeds: flags.get_u64("seeds", 6),
         duration: flags.get_f64("duration", 150.0),
@@ -50,14 +48,6 @@ fn main() {
     eprintln!("running scale_sweep: {cfg:?}");
     let (rows, manifest) = run_with(&cfg, &ExecOptions::from_flags(&flags));
     eprintln!("{}", manifest.summary_line());
-    if let Some(&n) = cfg.node_counts.first() {
-        TelemetryFlags::from_flags(&flags).export_scenario(
-            &scenario_for(&cfg, n),
-            cfg.duration,
-            Some(&manifest),
-        );
-    }
-
     println!(
         "Scale sweep: closed forms vs simulation, N_B = {}, {} traffic sources, attack at 50 s\n",
         cfg.avg_neighbors, cfg.traffic_sources
@@ -98,7 +88,12 @@ fn main() {
         "\n{}",
         Json::Arr(rows.iter().map(|r| r.to_json()).collect()).dump()
     );
-    prof.finish();
+    // Both the default and a parsed `--nodes` list hold at least one size.
+    observe.finish_scenario(
+        &scenario_for(&cfg, cfg.node_counts[0]),
+        cfg.duration,
+        Some(&manifest),
+    );
 
     let violations = check(&rows);
     for v in &violations {

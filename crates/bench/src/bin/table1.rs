@@ -2,18 +2,17 @@
 //! live protected simulation run.
 //!
 //! Flags: --nodes N (40), --duration S (400), --seed N (9),
-//!        --trace PATH, --metrics PATH
+//!        --observe DIR
 
 use liteworp_bench::cli::Flags;
 use liteworp_bench::experiments::tables::{table1, Table1Config};
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "table1");
+    let observe = Observe::from_flags(&flags);
     let cfg = Table1Config {
         nodes: flags.get_usize("nodes", 40),
         duration: flags.get_f64("duration", 400.0),
@@ -21,17 +20,6 @@ fn main() {
     };
     eprintln!("running table1 verification: {cfg:?}");
     let rows = table1(&cfg);
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            nodes: cfg.nodes,
-            malicious: 2,
-            protected: true,
-            seed: cfg.seed,
-            ..Scenario::default()
-        },
-        cfg.duration,
-        None,
-    );
     println!("Table 1: wormhole attack modes (verified live)\n");
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -70,5 +58,15 @@ fn main() {
             &table
         )
     );
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            nodes: cfg.nodes,
+            malicious: 2,
+            protected: true,
+            seed: cfg.seed,
+            ..Scenario::default()
+        },
+        cfg.duration,
+        None,
+    );
 }

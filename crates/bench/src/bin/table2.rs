@@ -1,29 +1,18 @@
 //! Table 2: simulation input parameters — the paper's values next to the
 //! configuration this reproduction actually runs.
 //!
-//! Flags: --trace PATH, --metrics PATH (runs one instrumented simulation
-//! seed at the tabulated parameters)
+//! Flags: --observe DIR (runs one instrumented simulation seed of
+//! --duration S, default 400, at the tabulated parameters)
 
 use liteworp_bench::cli::Flags;
 use liteworp_bench::experiments::tables::table2;
-use liteworp_bench::obs_out::ProfileFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::report::render_table;
-use liteworp_bench::telemetry_out::TelemetryFlags;
 use liteworp_bench::Scenario;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "table2");
-    TelemetryFlags::from_flags(&flags).export_scenario(
-        &Scenario {
-            malicious: 2,
-            protected: true,
-            seed: 1,
-            ..Scenario::default()
-        },
-        flags.get_f64("duration", 400.0),
-        None,
-    );
+    let observe = Observe::from_flags(&flags);
     println!("Table 2: input parameter values\n");
     let rows = table2();
     let table: Vec<Vec<String>> = rows
@@ -34,5 +23,14 @@ fn main() {
         "{}",
         render_table(&["parameter", "paper", "this repo"], &table)
     );
-    prof.finish();
+    observe.finish_scenario(
+        &Scenario {
+            malicious: 2,
+            protected: true,
+            seed: 1,
+            ..Scenario::default()
+        },
+        flags.get_f64("duration", 400.0),
+        None,
+    );
 }

@@ -2,17 +2,16 @@
 //! isolations, and the route milestones in between.
 //!
 //! Flags: --nodes 50 --duration 400 --seed 1 --malicious 2 --protected 1
-//!        --trace PATH --metrics PATH
+//!        --observe DIR
 
 use liteworp_bench::cli::Flags;
-use liteworp_bench::obs_out::ProfileFlags;
-use liteworp_bench::telemetry_out::TelemetryFlags;
+use liteworp_bench::observe::Observe;
 use liteworp_bench::timeline::{render, timeline};
 use liteworp_bench::Scenario;
 
 fn main() {
     let flags = Flags::from_env();
-    let prof = ProfileFlags::from_flags(&flags, "timeline");
+    let observe = Observe::from_flags(&flags);
     let mut run = Scenario {
         nodes: flags.get_usize("nodes", 50),
         malicious: flags.get_usize("malicious", 2),
@@ -23,7 +22,6 @@ fn main() {
     .build();
     let duration = flags.get_f64("duration", 400.0);
     run.run_until_secs(duration);
-    TelemetryFlags::from_flags(&flags).export_run(&run, None);
     print!("{}", render(&timeline(&run)));
     println!(
         "\nat t = {duration:.0} s: {} data sent, {} delivered, {} swallowed by the wormhole",
@@ -31,5 +29,5 @@ fn main() {
         run.data_delivered(),
         run.wormhole_dropped()
     );
-    prof.finish();
+    observe.finish_run(&run, None);
 }

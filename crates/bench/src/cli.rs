@@ -97,7 +97,7 @@ impl Flags {
         self.get_parsed(key).unwrap_or(false)
     }
 
-    /// String flag (`None` when absent), e.g. `--trace out.jsonl`.
+    /// String flag (`None` when absent), e.g. `--observe out`.
     pub fn get_str(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
@@ -123,9 +123,9 @@ mod tests {
         assert_eq!(f.get_usize("a", 0), 1);
         assert_eq!(f.get_opt_usize("a"), Some(1));
         assert_eq!(f.get_opt_usize("b"), None);
-        let f = Flags::parse(["--trace", "out.jsonl"]);
-        assert_eq!(f.get_str("trace"), Some("out.jsonl"));
-        assert_eq!(f.get_str("metrics"), None);
+        let f = Flags::parse(["--observe", "out"]);
+        assert_eq!(f.get_str("observe"), Some("out"));
+        assert_eq!(f.get_str("attack"), None);
     }
 
     #[test]

@@ -10,10 +10,9 @@ pub mod chaos_exec;
 pub mod cli;
 pub mod exec;
 pub mod experiments;
-pub mod obs_out;
+pub mod observe;
 pub mod report;
 pub mod scenario;
-pub mod telemetry_out;
 pub mod timeline;
 pub mod timing;
 

@@ -1,57 +1,59 @@
-//! Machine-readable telemetry export behind the `--trace <path>` and
-//! `--metrics <path>` flags every experiment binary accepts.
+//! `--observe DIR`, the one observability flag every experiment binary
+//! accepts. Parsing it turns on the span plane for the whole process; the
+//! binary's finish call then writes three files into `DIR`:
 //!
-//! `--trace` writes the typed protocol event log as JSONL (one event per
-//! line, sim-time order). `--metrics` writes one JSON document with exact
-//! per-event-kind counters, the simulator's frame/packet metrics,
-//! log2-bucket histograms (detection latency, route hops, per-job wall
-//! clock), and — for batch experiments — the full run manifest with the
-//! engine's profiling percentiles.
+//! - `trace.jsonl`: the typed protocol event log, one event per line in
+//!   sim-time order;
+//! - `metrics.json`: exact per-event-kind counters, the simulator's
+//!   frame/packet metrics, log2-bucket histograms (detection latency,
+//!   route hops, per-job wall clock and retries), and — for batch
+//!   experiments — the full run manifest;
+//! - `profile.folded`: the folded-stack self-profile (`frame;frame self_us`
+//!   lines), which flamegraph renderers consume directly.
 //!
 //! Batch experiments aggregate over many seeds and cache only their
-//! aggregate outcomes, so the export runs *one dedicated instrumented
-//! seed* of a representative scenario (cache-bypassing by construction)
-//! and serializes that run's trace; the manifest still describes the full
-//! batch.
+//! aggregate outcomes, so [`Observe::finish_scenario`] runs *one dedicated
+//! instrumented seed* of a representative scenario (cache-bypassing by
+//! construction) and exports that run's trace; the manifest still
+//! describes the full batch. Observation only writes files and stderr, so
+//! stdout is the same with and without the flag.
 
 use crate::cli::Flags;
 use crate::scenario::{Scenario, ScenarioRun};
 use liteworp_netsim::prelude::TraceKind;
+use liteworp_obs as obs;
 use liteworp_runner::{Json, Manifest};
 use liteworp_telemetry::Histogram;
 use std::path::{Path, PathBuf};
 
-/// Where (and whether) to export telemetry, parsed from the CLI.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryFlags {
-    /// `--trace <path>`: JSONL event trace destination.
-    pub trace: Option<PathBuf>,
-    /// `--metrics <path>`: metrics snapshot destination.
-    pub metrics: Option<PathBuf>,
+/// Where (and whether) to write the run's observations, parsed from the
+/// CLI. Constructing this with `--observe` present enables the span plane
+/// for the whole process, so construct it before any work worth
+/// profiling.
+#[derive(Debug)]
+pub struct Observe {
+    dir: Option<PathBuf>,
 }
 
-impl TelemetryFlags {
-    /// Reads `--trace` and `--metrics` from parsed flags.
+impl Observe {
+    /// Reads `--observe DIR` from parsed flags.
     pub fn from_flags(flags: &Flags) -> Self {
-        TelemetryFlags {
-            trace: flags.get_str("trace").map(PathBuf::from),
-            metrics: flags.get_str("metrics").map(PathBuf::from),
+        let dir = flags.get_str("observe").map(PathBuf::from);
+        if dir.is_some() {
+            obs::enable();
         }
+        Observe { dir }
     }
 
-    /// Whether any export was requested.
-    pub fn active(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
-    }
-
-    /// Runs one instrumented seed of `scenario` for `duration` simulated
-    /// seconds and exports its telemetry. No-op when inactive.
-    pub fn export_scenario(&self, scenario: &Scenario, duration: f64, manifest: Option<&Manifest>) {
-        if !self.active() {
+    /// Finishes a batch or analytical binary: runs one instrumented seed
+    /// of `scenario` for `duration` simulated seconds and writes all three
+    /// files. No-op without `--observe`.
+    pub fn finish_scenario(&self, scenario: &Scenario, duration: f64, manifest: Option<&Manifest>) {
+        if self.dir.is_none() {
             return;
         }
         eprintln!(
-            "telemetry: instrumented run ({} nodes, M={}, LITEWORP {}, seed {}) for {duration} s",
+            "observe: instrumented run ({} nodes, M={}, LITEWORP {}, seed {}) for {duration} s",
             scenario.nodes,
             scenario.malicious,
             if scenario.protected { "on" } else { "off" },
@@ -59,29 +61,39 @@ impl TelemetryFlags {
         );
         let mut run = scenario.build();
         run.run_until_secs(duration);
-        self.export_run(&run, manifest);
+        self.finish_run(&run, manifest);
     }
 
-    /// Exports the telemetry of an already-finished run. No-op when
-    /// inactive.
-    pub fn export_run(&self, run: &ScenarioRun, manifest: Option<&Manifest>) {
-        if let Some(path) = &self.trace {
-            write_or_warn(path, &run.sim().trace().log().to_jsonl());
-            eprintln!(
-                "telemetry: wrote {} events to {}",
-                run.sim().trace().log().len(),
-                path.display()
-            );
-        }
-        if let Some(path) = &self.metrics {
-            write_or_warn(path, &(metrics_json(run, manifest).dump() + "\n"));
-            eprintln!("telemetry: wrote metrics to {}", path.display());
-        }
+    /// Finishes a binary that ran one scenario itself: writes the run's
+    /// trace and metrics plus the profile. No-op without `--observe`.
+    pub fn finish_run(&self, run: &ScenarioRun, manifest: Option<&Manifest>) {
+        let Some(dir) = &self.dir else {
+            return;
+        };
+        let log = run.sim().trace().log();
+        write(dir, "trace.jsonl", &log.to_jsonl());
+        write(
+            dir,
+            "metrics.json",
+            &(metrics_json(run, manifest).dump() + "\n"),
+        );
+        eprintln!("observe: {} events traced", log.len());
+        self.finish_profile();
+    }
+
+    /// Finishes a binary with no single representative run: writes only
+    /// the profile. No-op without `--observe`.
+    pub fn finish_profile(&self) {
+        let Some(dir) = &self.dir else {
+            return;
+        };
+        write(dir, "profile.folded", &obs::profile::folded());
+        eprintln!("observe: wrote {}", dir.display());
     }
 }
 
-/// Builds the `--metrics` document for one finished run.
-pub fn metrics_json(run: &ScenarioRun, manifest: Option<&Manifest>) -> Json {
+/// Builds the `metrics.json` document for one finished run.
+fn metrics_json(run: &ScenarioRun, manifest: Option<&Manifest>) -> Json {
     let log = run.sim().trace().log();
     let m = run.sim().metrics();
 
@@ -179,16 +191,16 @@ pub fn metrics_json(run: &ScenarioRun, manifest: Option<&Manifest>) -> Json {
     ])
 }
 
-fn write_or_warn(path: &Path, contents: &str) {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("warning: cannot create {}: {e}", parent.display());
-            return;
-        }
+/// Writes `dir/name`, warning rather than failing: observation never
+/// aborts the experiment it observes.
+fn write(dir: &Path, name: &str, contents: &str) {
+    let path = dir.join(name);
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("warning: cannot create {}: {e}", dir.display());
+        return;
     }
-    // Atomic (temp + rename): a crash mid-export never leaves a torn
-    // trace or metrics file behind.
-    if let Err(e) = liteworp_runner::cache::atomic_write(path, contents.as_bytes()) {
+    // Atomic (temp + rename): a crash mid-export never leaves a torn file.
+    if let Err(e) = liteworp_runner::cache::atomic_write(&path, contents.as_bytes()) {
         eprintln!("warning: cannot write {}: {e}", path.display());
     }
 }
@@ -198,13 +210,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flags_parse_paths() {
-        let f = Flags::parse(["--trace", "t.jsonl", "--metrics", "m.json"]);
-        let t = TelemetryFlags::from_flags(&f);
-        assert!(t.active());
-        assert_eq!(t.trace.as_deref(), Some(Path::new("t.jsonl")));
-        assert_eq!(t.metrics.as_deref(), Some(Path::new("m.json")));
-        assert!(!TelemetryFlags::from_flags(&Flags::default()).active());
+    fn flag_forms_parse() {
+        let on = Observe::from_flags(&Flags::parse(["--observe", "out"]));
+        assert_eq!(on.dir.as_deref(), Some(Path::new("out")));
+        assert!(Observe::from_flags(&Flags::default()).dir.is_none());
     }
 
     #[test]

@@ -59,21 +59,6 @@ impl Metrics {
         self.custom.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Folds another run's counters into this one — built-in fields and
-    /// custom counters alike — so per-seed metrics aggregate into one
-    /// network- or batch-wide view.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.frames_sent += other.frames_sent;
-        self.frames_delivered += other.frames_delivered;
-        self.frames_collided += other.frames_collided;
-        self.frames_lost_noise += other.frames_lost_noise;
-        self.tunnel_messages += other.tunnel_messages;
-        self.mac_deferrals += other.mac_deferrals;
-        for (key, n) in other.iter_custom() {
-            self.add(key, n);
-        }
-    }
-
     /// Fraction of frame receptions destroyed by collisions — the empirical
     /// counterpart of the analysis parameter `P_C`.
     pub fn collision_fraction(&self) -> f64 {
@@ -184,50 +169,6 @@ mod tests {
         assert_eq!(m.get("c"), 0);
         let all: Vec<_> = m.iter_custom().collect();
         assert_eq!(all, vec![("a", 2), ("b", 5)]);
-    }
-
-    #[test]
-    fn merge_sums_builtin_and_custom_counters() {
-        let mut a = Metrics {
-            frames_sent: 10,
-            frames_delivered: 8,
-            tunnel_messages: 1,
-            ..Metrics::default()
-        };
-        a.add("alerts", 2);
-        a.incr("only_in_a");
-
-        let mut b = Metrics {
-            frames_sent: 5,
-            frames_collided: 3,
-            mac_deferrals: 7,
-            ..Metrics::default()
-        };
-        b.add("alerts", 4);
-        b.incr("only_in_b");
-
-        a.merge(&b);
-        assert_eq!(a.frames_sent, 15);
-        assert_eq!(a.frames_delivered, 8);
-        assert_eq!(a.frames_collided, 3);
-        assert_eq!(a.frames_lost_noise, 0);
-        assert_eq!(a.tunnel_messages, 1);
-        assert_eq!(a.mac_deferrals, 7);
-        assert_eq!(a.get("alerts"), 6);
-        assert_eq!(a.get("only_in_a"), 1);
-        assert_eq!(a.get("only_in_b"), 1);
-    }
-
-    #[test]
-    fn merge_with_default_is_identity() {
-        let mut m = Metrics {
-            frames_sent: 4,
-            ..Metrics::default()
-        };
-        m.add("x", 9);
-        let before = m.clone();
-        m.merge(&Metrics::default());
-        assert_eq!(m, before);
     }
 
     #[test]

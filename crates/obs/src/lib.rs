@@ -15,13 +15,15 @@
 //!   with the plane disabled a span costs one relaxed atomic load and a
 //!   branch (proved by the `obs/span_disabled` microbench).
 //! * **Metrics registry** ([`registry`]) — named counters, gauges, and
-//!   log2 histograms behind cheap atomic handles. Handles are *not*
-//!   gated: a counter is a relaxed `fetch_add` whether or not the span
-//!   plane is enabled, so the served daemon's `stats` op always has live
-//!   figures.
+//!   log2 histograms behind cheap atomic handles. A histogram handle
+//!   wraps `liteworp_telemetry::AtomicHistogram`, so a snapshot holds
+//!   plain `liteworp_telemetry::Histogram`s. Handles are *not* gated: a
+//!   counter is a relaxed `fetch_add` whether or not the span plane is
+//!   enabled, so the served daemon's `stats` op always has live figures.
 //! * **Folded-stack profiler** ([`profile`]) — span closings aggregate
 //!   into flamegraph-compatible `frame;frame;frame self_us` lines,
-//!   written by the experiment binaries' `--profile-folded` flag.
+//!   written to `DIR/profile.folded` by the experiment binaries'
+//!   `--observe DIR` flag.
 //!
 //! Every metric and span name used with a literal at an
 //! `obs::counter(…)` / `obs::span(…)` call site must be listed in

@@ -10,7 +10,7 @@
 //! JSON.
 
 use liteworp_runner::Json;
-use liteworp_telemetry::Histogram;
+use liteworp_telemetry::{AtomicHistogram, Histogram};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -59,74 +59,9 @@ impl Gauge {
     }
 }
 
-/// Log2 buckets mirroring `liteworp_telemetry::Histogram`: index 0 holds
-/// exactly 0; index `b ≥ 1` holds `[2^(b-1), 2^b - 1]`.
-const BUCKETS: usize = 65;
-
-/// Lock-free histogram storage behind a [`Hist`] handle.
-struct AtomicHist {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl AtomicHist {
-    fn new() -> AtomicHist {
-        AtomicHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, value: u64) {
-        let index = (u64::BITS - value.leading_zeros()) as usize;
-        self.buckets[index].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Materializes the atomic state as a `telemetry::Histogram` (via its
-    /// JSON contract, the type's one public constructor from parts).
-    fn materialize(&self) -> Histogram {
-        let count = self.count.load(Ordering::Relaxed);
-        let mut buckets = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 {
-                let le = if i == 0 {
-                    0
-                } else if i >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << i) - 1
-                };
-                buckets.push(Json::object([
-                    ("le", Json::from(le)),
-                    ("count", Json::from(c)),
-                ]));
-            }
-        }
-        let json = Json::object([
-            ("count", Json::from(count)),
-            ("sum", Json::from(self.sum.load(Ordering::Relaxed))),
-            ("min", Json::from(self.min.load(Ordering::Relaxed))),
-            ("max", Json::from(self.max.load(Ordering::Relaxed))),
-            ("buckets", Json::Arr(buckets)),
-        ]);
-        Histogram::from_json(&json).unwrap_or_default()
-    }
-}
-
 /// A histogram handle recording `u64` samples into log2 buckets.
 #[derive(Clone)]
-pub struct Hist(Arc<AtomicHist>);
+pub struct Hist(Arc<AtomicHistogram>);
 
 impl Hist {
     /// Adds one sample.
@@ -138,7 +73,7 @@ impl Hist {
 enum Entry {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicI64>),
-    Hist(Arc<AtomicHist>),
+    Hist(Arc<AtomicHistogram>),
 }
 
 fn registry() -> &'static Mutex<BTreeMap<String, Entry>> {
@@ -182,10 +117,10 @@ pub fn histogram(name: &str) -> Hist {
     let mut map = lock();
     match map
         .entry(name.to_string())
-        .or_insert_with(|| Entry::Hist(Arc::new(AtomicHist::new())))
+        .or_insert_with(|| Entry::Hist(Arc::default()))
     {
         Entry::Hist(h) => Hist(Arc::clone(h)),
-        _ => Hist(Arc::new(AtomicHist::new())),
+        _ => Hist(Arc::default()),
     }
 }
 
@@ -255,7 +190,7 @@ pub fn snapshot() -> Snapshot {
                 snap.gauges.insert(name.clone(), g.load(Ordering::Relaxed));
             }
             Entry::Hist(h) => {
-                snap.histograms.insert(name.clone(), h.materialize());
+                snap.histograms.insert(name.clone(), h.snapshot());
             }
         }
     }
@@ -369,11 +304,33 @@ mod tests {
     }
 
     #[test]
+    fn histogram_snapshot_keeps_samples_beyond_2_pow_53() {
+        let h = histogram("test.reg.hist.big");
+        h.record(5);
+        h.record(1 << 60);
+        let snap = snapshot();
+        let got = snap
+            .histograms
+            .get("test.reg.hist.big")
+            .expect("registered");
+        assert_eq!(got.count(), 2);
+        assert_eq!(got.min(), Some(5));
+        assert_eq!(got.max(), Some(1 << 60));
+    }
+
+    #[test]
     fn snapshot_json_round_trips() {
         counter("test.reg.rt.counter").add(7);
         gauge("test.reg.rt.gauge").set(-4);
         histogram("test.reg.rt.hist").record(123);
-        let snap = snapshot();
+        // Other tests share the process-global registry, and some record
+        // samples past 2^53, beyond what a JSON number holds exactly.
+        let mine = |name: &String| name.starts_with("test.reg.rt.");
+        let mut snap = snapshot();
+        snap.counters.retain(|k, _| mine(k));
+        snap.gauges.retain(|k, _| mine(k));
+        snap.histograms.retain(|k, _| mine(k));
+        assert_eq!(snap.histograms.len(), 1);
         let back = Snapshot::from_json(&Json::parse(&snap.to_json().dump()).expect("valid json"))
             .expect("parsable snapshot");
         assert_eq!(back, snap);

@@ -1,6 +1,11 @@
 //! Log2-bucket histograms: fixed memory, mergeable, JSON-serializable.
+//!
+//! This module owns the bucket layout. [`Histogram`] is the plain value;
+//! [`AtomicHistogram`] is its lock-free recorder for samples shared
+//! across threads, and snapshots into a [`Histogram`].
 
 use liteworp_runner::json::Json;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Buckets: index 0 holds exactly the value 0; index `b ≥ 1` holds values
 /// in `[2^(b-1), 2^b - 1]`, i.e. upper bound `2^b - 1`.
@@ -191,6 +196,68 @@ impl Histogram {
     }
 }
 
+/// A lock-free [`Histogram`] recorder: every field is a relaxed atomic,
+/// so threads record into one shared series without a lock.
+///
+/// [`AtomicHistogram::snapshot`] equals a [`Histogram`] fed the same
+/// samples one by one. Concurrent records may land on either side of a
+/// snapshot.
+#[derive(Debug)]
+pub struct AtomicHistogram {
+    buckets: [AtomicU64; BUCKETS],
+    count: AtomicU64,
+    /// Wrapping sum; `sum_saturated` records that it wrapped at least once.
+    sum: AtomicU64,
+    sum_saturated: AtomicBool,
+    min: AtomicU64,
+    max: AtomicU64,
+}
+
+impl Default for AtomicHistogram {
+    fn default() -> Self {
+        AtomicHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            sum_saturated: AtomicBool::new(false),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+impl AtomicHistogram {
+    /// Adds one sample: five relaxed atomic operations, plus a store on
+    /// any record whose sum overflows. The values publish no other
+    /// data, so `Relaxed` suffices.
+    pub fn record(&self, value: u64) {
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        let prev = self.sum.fetch_add(value, Ordering::Relaxed);
+        if prev.checked_add(value).is_none() {
+            self.sum_saturated.store(true, Ordering::Relaxed);
+        }
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// The samples recorded so far, as a plain [`Histogram`]. The sum
+    /// saturates at `u64::MAX`, as [`Histogram::record`]'s does.
+    pub fn snapshot(&self) -> Histogram {
+        Histogram {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum: if self.sum_saturated.load(Ordering::Relaxed) {
+                u64::MAX
+            } else {
+                self.sum.load(Ordering::Relaxed)
+            },
+            min: self.min.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +348,24 @@ mod tests {
         assert_eq!(a.max(), whole.max());
         assert_eq!(a.p50(), whole.p50());
         assert_eq!(a.p95(), whole.p95());
+    }
+
+    #[test]
+    fn atomic_snapshot_equals_sequential_recording() {
+        let atomic = AtomicHistogram::default();
+        let mut plain = Histogram::default();
+        assert_eq!(atomic.snapshot(), plain, "empty");
+        let around_2_53 = [(1u64 << 53) - 1, 1 << 53, (1 << 53) + 1];
+        for v in [0u64, 1, 5, 1000]
+            .into_iter()
+            .chain(around_2_53)
+            .chain([1 << 60, u64::MAX, 3])
+        {
+            atomic.record(v);
+            plain.record(v);
+            assert_eq!(atomic.snapshot(), plain, "after recording {v}");
+        }
+        assert_eq!(plain.sum(), u64::MAX, "the sum saturated");
     }
 
     #[test]

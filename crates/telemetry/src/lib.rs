@@ -12,7 +12,7 @@
 //!   stay exact even after the ring starts dropping old events.
 //! - [`Histogram`]: log2-bucket histograms with `p50`/`p95`/`max`,
 //!   mergeable across seeds and serializable through the runner's JSON
-//!   writer.
+//!   writer, plus [`AtomicHistogram`], its lock-free shared recorder.
 //!
 //! Events serialize to one JSON object per line (JSONL) so traces stream
 //! to disk and diff cleanly between runs.
@@ -24,7 +24,7 @@ pub mod hist;
 pub mod log;
 
 pub use event::{Event, EventKind, MalcReason};
-pub use hist::Histogram;
+pub use hist::{AtomicHistogram, Histogram};
 pub use log::EventLog;
 
 pub use liteworp_runner::json::Json;

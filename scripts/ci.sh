@@ -61,7 +61,12 @@ echo "==> served smoke (daemon + load generator drain determinism)"
 echo "==> shard smoke (front + workers, kill -9 mid-sweep, digest identity)"
 ./scripts/shard_smoke.sh
 
-echo "==> obs smoke (daemon stats op, folded self-profile, span overhead)"
+echo "==> obs smoke (daemon stats op, --observe files, span overhead)"
 ./scripts/obs_smoke.sh
+
+echo "==> perfbench selftest (the benchmark's own tests against the public API)"
+# perfbench builds against the workspace crates' public API; running its
+# tests here makes an API break fail CI instead of the benchmark run.
+python3 perfbench/run.py --selftest
 
 echo "CI OK"

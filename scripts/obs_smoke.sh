@@ -6,10 +6,11 @@
 #      daemon (with --metrics-interval on) and fetch the `stats` op via
 #      --stats-json. The response must carry the documented keys and
 #      nonzero drain counters.
-#   2. Self-profiler: run a small fig8 with --profile-folded. The folded
-#      profile must be non-empty, every frame name must be in the
-#      scripts/obs_allowlist.txt span registry, and each phase's
-#      inclusive time must fit inside the total job time.
+#   2. Self-profiler: run a small fig8 with --observe DIR. The trace and
+#      metrics files must be non-empty, and so must the folded profile;
+#      every frame name must be in the scripts/obs_allowlist.txt span
+#      registry, and each phase's inclusive time must fit inside the
+#      total job time.
 #   3. Overhead: re-run the microbench suite and require the
 #      span-instrumented malc workload within 5% of the uninstrumented
 #      one from the very same run (the disabled-plane cost contract).
@@ -82,17 +83,19 @@ else
 fi
 echo "    stats OK: $(head -c 200 "$TMP/stats.json")..."
 
-echo "==> obs smoke 2: folded self-profile from a small fig8 run"
+echo "==> obs smoke 2: --observe files and folded self-profile from a small fig8 run"
 "$FIG8" --nodes 40 --seeds 2 --duration 200 --sample 100 --no-cache \
-    --profile-folded "$TMP/fig8.folded" >/dev/null 2>"$TMP/fig8.err" || {
+    --observe "$TMP/obs" >/dev/null 2>"$TMP/fig8.err" || {
     echo "fig8 run failed:" >&2
     cat "$TMP/fig8.err" >&2
     exit 1
 }
-[ -s "$TMP/fig8.folded" ] || { echo "folded profile is empty" >&2; exit 1; }
+for f in trace.jsonl metrics.json profile.folded; do
+    [ -s "$TMP/obs/$f" ] || { echo "--observe wrote no $f" >&2; exit 1; }
+done
 
 # Every frame name in the profile must be a registered span name.
-awk '{sub(/ [0-9]+$/, ""); gsub(/;/, "\n"); print}' "$TMP/fig8.folded" \
+awk '{sub(/ [0-9]+$/, ""); gsub(/;/, "\n"); print}' "$TMP/obs/profile.folded" \
     | sort -u > "$TMP/frames.txt"
 if comm -23 "$TMP/frames.txt" scripts/obs_allowlist.txt | grep -q .; then
     echo "unregistered frame name(s) in the folded profile:" >&2
@@ -127,7 +130,7 @@ awk '
         }
         printf "    phase totals OK: job=%d us across %d stacks\n", total, NR
     }
-' "$TMP/fig8.folded"
+' "$TMP/obs/profile.folded"
 
 echo "==> obs smoke 3: disabled-plane overhead within 5% (same-run pair)"
 LITEWORP_BENCH_DIR="$TMP/bench" cargo bench -p liteworp-bench --bench microbench \
