@@ -5,6 +5,9 @@
 
 use liteworp_bench::timing::{bench_heavy, black_box};
 use liteworp_bench::Scenario;
+use liteworp_netsim::prelude::*;
+use liteworp_netsim::rng::{Pcg32, Rng};
+use std::any::Any;
 
 fn bench_simulation_throughput() {
     for &nodes in &[20usize, 50, 100] {
@@ -62,7 +65,57 @@ fn bench_route_flood() {
     });
 }
 
+/// A node that broadcasts a 32-byte beacon every `BEACON_MS` (first one
+/// at a random phase) and only counts what it hears: no protocol work, so
+/// a run's time is the medium and MAC alone.
+#[derive(Default)]
+struct Beacon {
+    heard: u64,
+}
+
+const BEACON_MS: u64 = 250;
+
+impl NodeLogic<u32> for Beacon {
+    fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+        let phase = ctx.rng().gen_range(0..BEACON_MS * 1000);
+        ctx.set_timer(SimDuration::from_micros(phase), 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _token: u64) {
+        ctx.send(FrameSpec::new(Dest::Broadcast, ctx.id().0, 32));
+        ctx.set_timer(SimDuration::from_micros(BEACON_MS * 1000), 0);
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_, u32>, _frame: &Frame<u32>) {
+        self.heard += 1;
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+fn bench_reception_fanout() {
+    // The medium/MAC layer alone: 100 beaconing nodes at the paper's
+    // density for 30 simulated seconds (~12k transmissions, ~90k
+    // receptions, with carrier-sense deferrals and collisions). Every
+    // reception runs the fan-out and the collision verdict; nothing else
+    // is simulated.
+    let radio = RadioConfig::default();
+    let field =
+        Field::with_average_neighbors(100, 8.0, radio.range_m, &mut Pcg32::seed_from_u64(80));
+    bench_heavy("reception_fanout/100", 10, || {
+        let mut sim = Simulator::new(field.clone(), radio.clone(), 81);
+        for _ in 0..field.len() {
+            sim.push_node(Box::new(Beacon::default()));
+        }
+        sim.run_until(SimTime::from_secs_f64(30.0));
+        black_box(sim.metrics().frames_delivered)
+    });
+}
+
 fn main() {
+    bench_reception_fanout();
     bench_simulation_throughput();
     bench_scenario_build();
     bench_route_flood();

@@ -167,14 +167,11 @@ pub fn measure_geometry(
     let mut rng = Pcg32::seed_from_u64(seed);
     let field = Field::with_average_neighbors(nodes, avg_neighbors, range, &mut rng);
 
-    let mut neighbor_lists: Vec<Vec<NodeId>> = Vec::with_capacity(nodes);
     let mut degree_prefix: Vec<usize> = Vec::with_capacity(nodes);
     let mut degree_total = 0usize;
     for i in 0..nodes {
-        let n = field.in_range_of(NodeId(i as u32));
-        degree_total += n.len();
+        degree_total += field.in_range_of(NodeId(i as u32)).len();
         degree_prefix.push(degree_total);
-        neighbor_lists.push(n);
     }
     let measured_neighbors = degree_total as f64 / nodes.max(1) as f64;
 
@@ -190,8 +187,8 @@ pub fn measure_geometry(
         let e = rng.gen_range(0..degree_total);
         let u = degree_prefix.partition_point(|&p| p <= e);
         let offset = e - (degree_prefix.get(u.wrapping_sub(1)).copied()).unwrap_or(0);
-        let v = neighbor_lists[u][offset];
-        guard_total += common_sorted(&neighbor_lists[u], &neighbor_lists[v.index()]);
+        let around_u = field.in_range_of(NodeId(u as u32));
+        guard_total += common_sorted(around_u, field.in_range_of(around_u[offset]));
         sampled += 1;
     }
     let measured_guards = guard_total as f64 / sampled.max(1) as f64;

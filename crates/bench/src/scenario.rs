@@ -481,7 +481,8 @@ impl ScenarioRun {
         self.sim
             .field()
             .in_range_of(SimId(m.0))
-            .into_iter()
+            .iter()
+            .copied()
             .map(core_id)
             .filter(|n| !self.malicious.contains(n))
             .collect()

@@ -6,8 +6,15 @@
 //! nodes"). [`Field`] reproduces that, and answers the geometric queries the
 //! rest of the system needs: who is in range of whom, connectivity, and
 //! distance.
+//!
+//! Nodes never move, so the nominal-range disc graph is built once, at
+//! construction, as a CSR adjacency list (one flat neighbor array plus a
+//! `(start, end)` row per node). Neighbor queries, the BFS routines, the
+//! oracle preload and the simulator's normal-power reception fan-out all
+//! read that one array; only off-nominal disc queries
+//! ([`Field::nodes_within`]) still walk the spatial grid.
 
-use crate::grid::Buckets;
+use crate::grid::PointGrid;
 use liteworp_runner::rng::Rng;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -87,11 +94,18 @@ pub struct Field {
     side: f64,
     range: f64,
     positions: Vec<Position>,
-    /// Spatial bucket index (cell size = `range`): disc queries visit only
-    /// the cells adjacent to the query disc instead of every node. Grid
-    /// answers are candidate supersets; the exact distance predicate below
-    /// keeps every query set-identical to the former brute-force scan.
-    grid: Buckets<u32>,
+    /// Spatial index (cell size = `range`) behind the adjacency build and
+    /// [`Field::nodes_within`]: disc queries visit only the cells adjacent
+    /// to the query disc instead of every node. Grid answers are candidate
+    /// supersets; the exact distance predicate keeps every query
+    /// set-identical to a brute-force scan.
+    grid: PointGrid,
+    /// Node `i`'s in-range set is `neighbors[rows[i].0..rows[i].1]`.
+    rows: Vec<(usize, usize)>,
+    /// Every node's in-range set under [`Field::in_range`], concatenated
+    /// in grid-cell order (so spatially close rows sit close in memory),
+    /// each run in ascending id order.
+    neighbors: Vec<NodeId>,
     /// Reusable BFS state for [`Field::hop_distance`] / connectivity,
     /// generation-stamped so re-use needs no clearing.
     scratch: RefCell<BfsScratch>,
@@ -113,6 +127,9 @@ impl BfsScratch {
         self.queue.clear();
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
+            // A traversal enqueues each node at most once, so the queue is
+            // sized once here and never regrows mid-build.
+            self.queue.reserve_exact(n);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -149,15 +166,15 @@ impl Field {
                 p.y
             );
         }
-        let mut grid = Buckets::new(side, range);
-        for (i, p) in positions.iter().enumerate() {
-            grid.insert(*p, i as u32);
-        }
+        let grid = PointGrid::new(side, range, &positions);
+        let (rows, neighbors) = adjacency(side, range, &grid);
         Field {
             side,
             range,
             positions,
             grid,
+            rows,
+            neighbors,
             scratch: RefCell::new(BfsScratch::default()),
         }
     }
@@ -227,18 +244,14 @@ impl Field {
     }
 
     /// All nodes within communication range of `id` (excluding itself),
-    /// in ascending id order.
-    pub fn in_range_of(&self, id: NodeId) -> Vec<NodeId> {
-        let origin = self.position(id);
-        let mut out = Vec::new();
-        self.grid.for_each_candidate(origin, self.range, |other| {
-            let other = NodeId(other);
-            if self.in_range(id, other) {
-                out.push(other);
-            }
-        });
-        out.sort_unstable();
-        out
+    /// in ascending id order. Precomputed: a slice of the adjacency list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of bounds.
+    pub fn in_range_of(&self, id: NodeId) -> &[NodeId] {
+        let (start, end) = self.rows[id.index()];
+        &self.neighbors[start..end]
     }
 
     /// All nodes whose position lies within `radius` meters of `center`
@@ -261,25 +274,12 @@ impl Field {
     /// path allocate nothing in steady state.
     pub fn nodes_within_into(&self, center: Position, radius: f64, out: &mut Vec<NodeId>) {
         out.clear();
-        self.grid.for_each_candidate(center, radius, |id| {
-            if self.positions[id as usize].distance_to(&center) <= radius {
+        self.grid.for_each_candidate(center, radius, |p, id| {
+            if p.distance_to(&center) <= radius {
                 out.push(NodeId(id));
             }
         });
         out.sort_unstable();
-    }
-
-    /// Visits the in-range neighbors of `u` without allocating, in
-    /// deterministic (grid-cell) order. Traversal-internal helper for the
-    /// BFS routines; public queries return sorted `Vec`s instead.
-    fn for_each_in_range_of(&self, u: NodeId, mut f: impl FnMut(NodeId)) {
-        let origin = self.position(u);
-        self.grid.for_each_candidate(origin, self.range, |v| {
-            let v = NodeId(v);
-            if self.in_range(u, v) {
-                f(v);
-            }
-        });
     }
 
     /// Number of hops on the shortest path between `a` and `b` over the
@@ -298,20 +298,15 @@ impl Field {
         s.visit(a.0);
         s.queue.push_back((a.0, 0));
         while let Some((u, depth)) = s.queue.pop_front() {
-            let mut found = None;
-            self.for_each_in_range_of(NodeId(u), |vid| {
-                if found.is_some() || s.visited(vid.0) {
-                    return;
+            for &vid in self.in_range_of(NodeId(u)) {
+                if s.visited(vid.0) {
+                    continue;
+                }
+                if vid == b {
+                    return Some(depth as usize + 1);
                 }
                 s.visit(vid.0);
-                if vid == b {
-                    found = Some(depth as usize + 1);
-                } else {
-                    s.queue.push_back((vid.0, depth + 1));
-                }
-            });
-            if found.is_some() {
-                return found;
+                s.queue.push_back((vid.0, depth + 1));
             }
         }
         None
@@ -338,14 +333,13 @@ impl Field {
             if depth >= max_hops {
                 continue;
             }
-            self.for_each_in_range_of(NodeId(u), |vid| {
-                if s.visited(vid.0) {
-                    return;
+            for &vid in self.in_range_of(NodeId(u)) {
+                if !s.visited(vid.0) {
+                    s.visit(vid.0);
+                    out.push(vid);
+                    s.queue.push_back((vid.0, depth + 1));
                 }
-                s.visit(vid.0);
-                out.push(vid);
-                s.queue.push_back((vid.0, depth + 1));
-            });
+            }
         }
         out.sort_unstable();
         out
@@ -364,13 +358,13 @@ impl Field {
         s.queue.push_back((0, 0));
         let mut count = 1usize;
         while let Some((u, _)) = s.queue.pop_front() {
-            self.for_each_in_range_of(NodeId(u), |vid| {
+            for &vid in self.in_range_of(NodeId(u)) {
                 if !s.visited(vid.0) {
                     s.visit(vid.0);
                     count += 1;
                     s.queue.push_back((vid.0, 0));
                 }
-            });
+            }
         }
         count == n
     }
@@ -392,6 +386,37 @@ impl Field {
         }
         None
     }
+}
+
+/// Builds the nominal-range disc graph in one pass over the nodes: one
+/// grid query per node, each filtered by the [`Field::in_range`]
+/// predicate and sorted in place at the tail of one flat array, so the
+/// build allocates two vectors however many nodes there are. Nodes are
+/// visited in grid-cell order, so consecutive queries scan the same few
+/// cells while they are still in cache.
+fn adjacency(side: f64, range: f64, grid: &PointGrid) -> (Vec<(usize, usize)>, Vec<NodeId>) {
+    let n = grid.points().len();
+    // Expected degree of a uniform deployment, ignoring edge effects (which
+    // only lower it), so the flat array is sized once in the common case.
+    let degree = (std::f64::consts::PI * range * range / (side * side) * n as f64).min(n as f64);
+    let mut rows = vec![(0, 0); n];
+    let mut neighbors = Vec::with_capacity((degree * n as f64) as usize);
+    for &(p, i) in grid.points() {
+        let start = neighbors.len();
+        grid.for_each_candidate(p, range, |q, j| {
+            // Branch-free filter: append every candidate, keep it only if
+            // it matches. About a third of the candidates match, in no
+            // pattern a branch predictor can learn; at 10^5 nodes the
+            // branch cost more than the distance itself.
+            let hit = j != i && p.distance_to(&q) <= range;
+            let len = neighbors.len();
+            neighbors.push(NodeId(j));
+            neighbors.truncate(len + usize::from(hit));
+        });
+        neighbors[start..].sort_unstable();
+        rows[i as usize] = (start, neighbors.len());
+    }
+    (rows, neighbors)
 }
 
 #[cfg(test)]
@@ -419,8 +444,8 @@ mod tests {
     #[test]
     fn in_range_of_lists_neighbors_sorted() {
         let f = line_field();
-        assert_eq!(f.in_range_of(NodeId(2)), vec![NodeId(1), NodeId(3)]);
-        assert_eq!(f.in_range_of(NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(f.in_range_of(NodeId(2)), [NodeId(1), NodeId(3)]);
+        assert_eq!(f.in_range_of(NodeId(0)), [NodeId(1)]);
     }
 
     #[test]

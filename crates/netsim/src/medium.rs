@@ -16,10 +16,10 @@ use crate::field::{NodeId, Position};
 use crate::grid::Buckets;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// One transmission on the air (or recently completed).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TxRecord {
     /// Unique, monotonically increasing transmission id.
     pub seq: u64,
@@ -42,25 +42,59 @@ impl TxRecord {
     }
 }
 
+/// A transmission that overlaps another one in time: what a receiver of
+/// that other frame needs to know to decide whether it was destroyed.
+#[derive(Debug, Clone, Copy)]
+struct Interferer {
+    transmitter: NodeId,
+    origin: Position,
+    /// Interference disc radius (`range * interference_factor`).
+    reach: f64,
+}
+
+/// The collision state of one transmission, gathered once by
+/// [`Medium::gather`] and then queried once per receiver.
+///
+/// The buffer is reusable: `gather` clears it, so a simulator keeps one
+/// and allocates nothing per frame in steady state.
+#[derive(Debug, Clone, Default)]
+pub struct Interference {
+    others: Vec<Interferer>,
+}
+
+impl Interference {
+    /// Whether the frame is lost at `receiver`, located at `pos`: the
+    /// receiver's own radio transmitted during it (half duplex), or another
+    /// overlapping transmission's interference disc covers `pos`.
+    pub fn collides(&self, receiver: NodeId, pos: Position) -> bool {
+        self.others
+            .iter()
+            .any(|o| o.transmitter == receiver || pos.distance_to(&o.origin) <= o.reach)
+    }
+}
+
 /// Tracks transmissions long enough to answer collision queries.
 ///
-/// Internally the live records are indexed four ways so no query walks the
-/// full record set: by sequence number (lookup), by end time (amortized
-/// pruning), by transmitter (the distance-independent half-duplex check),
-/// and — when constructed via [`Medium::with_geometry`] — by origin cell in
-/// a spatial `Buckets` grid (carrier sense and interference fan-in). Every
+/// Live records sit in a ring indexed by their monotonic `seq` (O(1)
+/// lookup), with a min-heap by end time for amortized pruning and — when
+/// constructed via [`Medium::with_geometry`] — a spatial `Buckets` grid
+/// over record origins (carrier sense and the collision gather). Every
 /// spatial query still applies the exact disc predicate the pre-index code
 /// used, so answers are set-identical to a linear scan; `busy_until` (a max)
-/// and `collides` (an any) are order-independent aggregations on top.
+/// and [`Interference::collides`] (an any) are order-independent
+/// aggregations on top.
 #[derive(Debug, Default)]
 pub struct Medium {
-    /// Live (and recently ended) transmissions keyed by `seq`. Iteration is
-    /// ascending `seq` = insertion order, matching the former `Vec` scan.
-    live: BTreeMap<u64, TxRecord>,
+    /// Live (and recently ended) transmissions: slot `i` holds seq
+    /// `first_seq + i`, or `None` once pruned. Leading `None`s are popped,
+    /// so the ring spans only the seqs between the oldest live record and
+    /// the newest one.
+    ring: VecDeque<Option<TxRecord>>,
+    /// The seq of `ring[0]`; also the next acceptable seq while the ring
+    /// is empty.
+    first_seq: u64,
     /// Min-heap of `(end, seq)` driving [`Medium::prune`].
     by_end: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Live transmission seqs per transmitter, for the half-duplex check.
-    by_node: BTreeMap<NodeId, Vec<u64>>,
     /// Spatial index over record origins; `None` means queries fall back to
     /// scanning all live records (geometry-free construction via
     /// [`Medium::new`], used by unit tests).
@@ -114,8 +148,34 @@ impl Medium {
         record.range * self.interference_factor
     }
 
-    /// Registers a transmission that is starting now.
+    /// The largest live interference radius, if anything is on the air.
+    fn max_reach(&self) -> Option<f64> {
+        self.reaches
+            .keys()
+            .next_back()
+            .map(|&bits| f64::from_bits(bits))
+    }
+
+    /// Registers a transmission that is starting now. Seqs are expected
+    /// to be dense, as the simulator's are: each skipped seq costs one
+    /// empty ring slot until the records before it are pruned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `record.seq` is not greater than every seq begun before.
     pub fn begin(&mut self, record: TxRecord) {
+        let next = self.first_seq + self.ring.len() as u64;
+        assert!(
+            record.seq >= next,
+            "transmission seq {} is not monotonic (next is {next})",
+            record.seq
+        );
+        if self.ring.is_empty() {
+            self.first_seq = record.seq;
+        } else {
+            self.ring
+                .resize((record.seq - self.first_seq) as usize, None);
+        }
         let airtime = record.end.saturating_since(record.start);
         if airtime > self.max_airtime {
             self.max_airtime = airtime;
@@ -125,49 +185,40 @@ impl Medium {
         }
         let reach_bits = self.reach(&record).to_bits();
         *self.reaches.entry(reach_bits).or_insert(0) += 1;
-        self.by_node
-            .entry(record.transmitter)
-            .or_default()
-            .push(record.seq);
         self.by_end.push(Reverse((record.end, record.seq)));
-        self.live.insert(record.seq, record);
+        self.ring.push_back(Some(record));
     }
 
     /// Looks up a transmission by sequence number.
     pub fn get(&self, seq: u64) -> Option<&TxRecord> {
-        self.live.get(&seq)
+        let slot = seq.checked_sub(self.first_seq)?;
+        self.ring.get(slot as usize)?.as_ref()
     }
 
-    /// Visits every live record whose interference disc could cover `pos`:
-    /// a superset of the true matches (callers apply the exact predicate).
-    /// Uses the spatial index when present, bounded by the largest live
-    /// interference radius; otherwise scans all records.
-    fn for_each_near(&self, pos: Position, mut f: impl FnMut(&TxRecord)) {
-        match (&self.buckets, self.reaches.keys().next_back()) {
-            (Some(b), Some(&reach_bits)) => {
-                b.for_each_candidate(pos, f64::from_bits(reach_bits), |seq| {
-                    if let Some(r) = self.live.get(&seq) {
-                        f(r);
-                    }
-                });
-            }
-            (Some(_), None) => {} // nothing on the air
-            (None, _) => {
-                for r in self.live.values() {
+    /// Visits every live record whose origin could lie within `radius` of
+    /// `pos`: a superset of the true matches (callers apply the exact
+    /// predicate). Uses the spatial index when present; otherwise scans
+    /// all records in seq order.
+    fn for_each_near(&self, pos: Position, radius: f64, mut f: impl FnMut(&TxRecord)) {
+        match &self.buckets {
+            Some(b) => b.for_each_candidate(pos, radius, |seq| {
+                if let Some(r) = self.get(seq) {
                     f(r);
                 }
-            }
+            }),
+            None => self.ring.iter().flatten().for_each(f),
         }
     }
 
     /// Carrier sense: if the channel is busy at `pos` at time `at`, returns
     /// the time the last currently-audible transmission ends.
     pub fn busy_until(&self, pos: Position, at: SimTime) -> Option<SimTime> {
+        let max_reach = self.max_reach()?;
         let mut latest: Option<SimTime> = None;
-        self.for_each_near(pos, |r| {
+        self.for_each_near(pos, max_reach, |r| {
             if r.start <= at
                 && r.end > at
-                && pos.distance_to(&r.origin) <= r.range * self.interference_factor
+                && pos.distance_to(&r.origin) <= self.reach(r)
                 && latest.is_none_or(|l| r.end > l)
             {
                 latest = Some(r.end);
@@ -176,41 +227,39 @@ impl Medium {
         latest
     }
 
-    /// Whether the reception of transmission `seq` at `receiver` (located
-    /// at `pos`) is destroyed by a concurrent transmission or by the
-    /// receiver's own radio being busy (half duplex).
+    /// Gathers, into `out`, every other live transmission that overlaps
+    /// transmission `seq` in time and could destroy it at some receiver
+    /// within `seq`'s range. Each receiver then asks
+    /// [`Interference::collides`], so the medium is searched once per
+    /// frame instead of once per receiver.
+    ///
+    /// On an indexed medium the search is a disc around `seq`'s origin of
+    /// radius `range + max live reach + one cell` (the cell absorbs
+    /// floating-point slack in the triangle inequality). That covers every
+    /// interferer of a receiver within `range`, and — because a node's
+    /// records originate where the node stands — every transmission of
+    /// such a receiver, for the half-duplex check.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is unknown (already pruned or never begun).
-    pub fn collides(&self, seq: u64, receiver: NodeId, pos: Position) -> bool {
-        let subject = self
+    pub fn gather(&self, seq: u64, out: &mut Interference) {
+        out.others.clear();
+        let subject = *self
             .get(seq)
-            // lint: allow(P002) invariant: queried only for live transmissions
-            .expect("collision query for unknown transmission");
-        let (start, end) = (subject.start, subject.end);
-        // Half duplex: the receiver's own transmissions block reception
-        // regardless of distance, so this arm is answered from the
-        // per-transmitter index, not the spatial one.
-        if let Some(own) = self.by_node.get(&receiver) {
-            let busy = own
-                .iter()
-                .any(|&s| s != seq && self.live.get(&s).is_some_and(|r| r.overlaps(start, end)));
-            if busy {
-                return true;
-            }
-        }
-        let mut hit = false;
-        self.for_each_near(pos, |other| {
-            if !hit
-                && other.seq != seq
-                && other.overlaps(start, end)
-                && pos.distance_to(&other.origin) <= other.range * self.interference_factor
-            {
-                hit = true;
+            // lint: allow(P002) invariant: gathered only for live transmissions
+            .expect("collision gather for unknown transmission");
+        let cell = self.buckets.as_ref().map_or(0.0, Buckets::cell);
+        let radius = subject.range + self.max_reach().unwrap_or(0.0) + cell;
+        self.for_each_near(subject.origin, radius, |r| {
+            if r.seq != seq && r.overlaps(subject.start, subject.end) {
+                out.others.push(Interferer {
+                    transmitter: r.transmitter,
+                    origin: r.origin,
+                    reach: self.reach(r),
+                });
             }
         });
-        hit
     }
 
     /// Discards records that can no longer affect any collision query.
@@ -227,7 +276,8 @@ impl Medium {
                 break;
             }
             self.by_end.pop();
-            let Some(r) = self.live.remove(&seq) else {
+            let slot = (seq - self.first_seq) as usize;
+            let Some(r) = self.ring[slot].take() else {
                 continue;
             };
             if let Some(b) = &mut self.buckets {
@@ -240,24 +290,29 @@ impl Medium {
                     self.reaches.remove(&reach_bits);
                 }
             }
-            if let Some(own) = self.by_node.get_mut(&r.transmitter) {
-                own.retain(|&s| s != seq);
-                if own.is_empty() {
-                    self.by_node.remove(&r.transmitter);
-                }
-            }
+        }
+        while let Some(None) = self.ring.front() {
+            self.ring.pop_front();
+            self.first_seq += 1;
         }
     }
 
     /// Number of records currently retained (for tests / diagnostics).
     pub fn record_count(&self) -> usize {
-        self.live.len()
+        self.ring.iter().flatten().count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One receiver's verdict for transmission `seq`, via the gather.
+    fn collides(m: &Medium, seq: u64, receiver: NodeId, pos: Position) -> bool {
+        let mut g = Interference::default();
+        m.gather(seq, &mut g);
+        g.collides(receiver, pos)
+    }
 
     fn rec(seq: u64, node: u32, x: f64, start: u64, end: u64, range: f64) -> TxRecord {
         TxRecord {
@@ -306,8 +361,8 @@ mod tests {
         m.begin(rec(2, 1, 10.0, 15, 25, 30.0));
         // Receiver at x=5 hears both: collision for both frames.
         let p = Position::new(5.0, 0.0);
-        assert!(m.collides(1, NodeId(9), p));
-        assert!(m.collides(2, NodeId(9), p));
+        assert!(collides(&m, 1, NodeId(9), p));
+        assert!(collides(&m, 2, NodeId(9), p));
     }
 
     #[test]
@@ -316,8 +371,8 @@ mod tests {
         m.begin(rec(1, 0, 0.0, 10, 20, 30.0));
         m.begin(rec(2, 1, 10.0, 20, 30, 30.0)); // starts exactly at end
         let p = Position::new(5.0, 0.0);
-        assert!(!m.collides(1, NodeId(9), p));
-        assert!(!m.collides(2, NodeId(9), p));
+        assert!(!collides(&m, 1, NodeId(9), p));
+        assert!(!collides(&m, 2, NodeId(9), p));
     }
 
     #[test]
@@ -328,10 +383,10 @@ mod tests {
         m.begin(rec(1, 0, 0.0, 10, 20, 30.0));
         m.begin(rec(2, 1, 50.0, 12, 22, 30.0));
         let mid = Position::new(25.0, 0.0);
-        assert!(m.collides(1, NodeId(9), mid));
+        assert!(collides(&m, 1, NodeId(9), mid));
         // A receiver near x=0 only hears the first: no collision there.
         let near = Position::new(2.0, 0.0);
-        assert!(!m.collides(1, NodeId(9), near));
+        assert!(!collides(&m, 1, NodeId(9), near));
     }
 
     #[test]
@@ -343,9 +398,9 @@ mod tests {
         m.begin(rec(2, 7, 500.0, 12, 14, 30.0));
         let p = Position::new(5.0, 0.0);
         // Another node at the same spot is fine...
-        assert!(!m.collides(1, NodeId(9), p));
+        assert!(!collides(&m, 1, NodeId(9), p));
         // ...but node 7 itself was transmitting: it misses the frame.
-        assert!(m.collides(1, NodeId(7), p));
+        assert!(collides(&m, 1, NodeId(7), p));
     }
 
     #[test]
@@ -356,7 +411,7 @@ mod tests {
         // x=55 is outside reception range of tx2 (30 m) but inside its
         // 60 m interference disc.
         let p = Position::new(55.0, 0.0);
-        assert!(m.collides(1, NodeId(9), p));
+        assert!(collides(&m, 1, NodeId(9), p));
     }
 
     #[test]
@@ -373,7 +428,29 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "unknown transmission")]
-    fn collides_panics_for_unknown_seq() {
-        Medium::new(1.0).collides(99, NodeId(0), Position::default());
+    fn gather_panics_for_unknown_seq() {
+        Medium::new(1.0).gather(99, &mut Interference::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "not monotonic")]
+    fn begin_rejects_a_reused_seq() {
+        let mut m = Medium::new(1.0);
+        m.begin(rec(5, 0, 0.0, 0, 10, 30.0));
+        m.begin(rec(5, 1, 0.0, 0, 10, 30.0));
+    }
+
+    #[test]
+    fn ring_skips_seq_gaps_and_drops_pruned_heads() {
+        let mut m = Medium::new(1.0);
+        m.begin(rec(3, 0, 0.0, 0, 10, 30.0));
+        m.begin(rec(7, 1, 0.0, 5, 200, 30.0));
+        assert!(m.get(4).is_none(), "a gap is not a record");
+        assert_eq!(m.get(7).map(|r| r.transmitter), Some(NodeId(1)));
+        m.prune(SimTime::from_micros(300));
+        assert!(m.get(3).is_none());
+        assert!(m.get(7).is_some(), "long record outlives the short one");
+        m.begin(rec(8, 2, 0.0, 300, 310, 30.0));
+        assert_eq!(m.record_count(), 2);
     }
 }

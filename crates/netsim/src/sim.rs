@@ -50,7 +50,7 @@ use crate::events::EventQueue;
 use crate::fault::{FaultHook, Reception};
 use crate::field::{Field, NodeId};
 use crate::frame::{Frame, FrameSpec};
-use crate::medium::{Medium, TxRecord};
+use crate::medium::{Interference, Medium, TxRecord};
 use crate::metrics::{Metrics, Trace};
 use crate::node::{Action, Context, NodeLogic};
 use crate::radio::RadioConfig;
@@ -138,6 +138,8 @@ pub struct Simulator<P> {
     actions_scratch: Vec<Action<P>>,
     /// Reusable buffer for the reception fan-out receiver list.
     receivers_scratch: Vec<NodeId>,
+    /// Reusable buffer for the per-transmission collision gather.
+    interference_scratch: Interference,
 }
 
 impl<P: Clone + 'static> Simulator<P> {
@@ -176,6 +178,7 @@ impl<P: Clone + 'static> Simulator<P> {
             fault: None,
             actions_scratch: Vec::new(),
             receivers_scratch: Vec::new(),
+            interference_scratch: Interference::default(),
         }
     }
 
@@ -535,25 +538,33 @@ impl<P: Clone + 'static> Simulator<P> {
     fn tx_end(&mut self, seq: u64, frame: Frame<P>, retries_used: u8) {
         let tx = frame.transmitter;
         self.mac.transmitting_until[tx.index()] = None;
-        let record = self
+        let record = *self
             .medium
             .get(seq)
             // lint: allow(P002) invariant: transmissions outlive their TxEnd
-            .expect("TxEnd for pruned transmission")
-            .clone();
+            .expect("TxEnd for pruned transmission");
         // Deliver to every in-range node, in id order, applying the
-        // per-receiver collision and noise model. The spatial grid narrows
-        // the fan-out to the transmission's disc; `nodes_within_into`
-        // applies the same distance predicate the old all-nodes scan used
-        // and yields ascending ids, so the per-receiver RNG draw order is
-        // byte-identical to the pre-index code.
+        // per-receiver collision and noise model. A normal-power frame's
+        // receivers are the transmitter's precomputed neighbors; any other
+        // range asks the spatial grid. Both apply the same distance
+        // predicate the old all-nodes scan used and yield ascending ids,
+        // so the per-receiver RNG draw order is byte-identical to it.
+        // The medium is searched once for concurrent transmissions; each
+        // receiver then tests only that short list.
         let mut link_dst_got_it = true;
         if let crate::frame::Dest::Unicast(_) = frame.dest {
             link_dst_got_it = false;
         }
         let mut receivers = std::mem::take(&mut self.receivers_scratch);
-        self.field
-            .nodes_within_into(record.origin, record.range, &mut receivers);
+        if record.range.to_bits() == self.field.range().to_bits() {
+            receivers.clear();
+            receivers.extend_from_slice(self.field.in_range_of(tx));
+        } else {
+            self.field
+                .nodes_within_into(record.origin, record.range, &mut receivers);
+        }
+        let mut interference = std::mem::take(&mut self.interference_scratch);
+        self.medium.gather(seq, &mut interference);
         for &receiver in &receivers {
             if receiver == tx {
                 continue;
@@ -567,7 +578,7 @@ impl<P: Clone + 'static> Simulator<P> {
                 self.metrics.incr("fault_rx_while_down");
                 continue;
             }
-            if self.medium.collides(seq, receiver, rpos) {
+            if interference.collides(receiver, rpos) {
                 self.metrics.frames_collided += 1;
                 self.with_logic(receiver, |logic, ctx| logic.on_collision(ctx));
                 continue;
@@ -632,6 +643,7 @@ impl<P: Clone + 'static> Simulator<P> {
         }
         receivers.clear();
         self.receivers_scratch = receivers;
+        self.interference_scratch = interference;
         self.medium.prune(self.now);
         // ACK-timeout emulation: retransmit a unicast whose addressed
         // receiver missed it, up to the configured retry budget.

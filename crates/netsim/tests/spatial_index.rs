@@ -1,16 +1,17 @@
-//! Differential property tests for the spatial index and the event queue:
-//! every indexed query must be *set-identical* to the brute-force O(N²)
-//! scan it replaced, over randomized PCG32 deployments — including the
-//! awkward geometries (cell-boundary nodes, out-of-field probes, fields
-//! smaller than one grid cell, empty fields) where an off-by-one in cell
-//! arithmetic would hide at paper scale.
+//! Differential property tests for the spatial index, the precomputed
+//! adjacency, the collision gather and the event queue: every indexed or
+//! precomputed answer must be *set-identical* to the brute-force scan it
+//! replaced, over randomized PCG32 deployments — including the awkward
+//! geometries (coincident nodes, cell-boundary nodes, out-of-field probes,
+//! fields smaller than one grid cell, empty fields) where an off-by-one in
+//! cell arithmetic would hide at paper scale.
 //!
 //! Driven by the in-repo deterministic PCG32 generator, so any failure
 //! reproduces exactly from the printed case parameters.
 
 use liteworp_netsim::events::EventQueue;
 use liteworp_netsim::field::{Field, NodeId, Position};
-use liteworp_netsim::medium::{Medium, TxRecord};
+use liteworp_netsim::medium::{Interference, Medium, TxRecord};
 use liteworp_netsim::rng::{Pcg32, Rng};
 use liteworp_netsim::time::SimTime;
 
@@ -49,7 +50,7 @@ fn brute_in_disc(positions: &[Position], center: Position, radius: f64) -> Vec<N
 }
 
 // ----------------------------------------------------------------------
-// Field: neighbor and disc queries vs the O(N²) scan.
+// Field: precomputed adjacency and grid disc queries vs the O(N²) scan.
 // ----------------------------------------------------------------------
 
 #[test]
@@ -171,15 +172,6 @@ fn indexed_medium_matches_unindexed_medium() {
                 pos.x,
                 pos.y
             );
-            let seq = rng.gen_range(0u64..txs as u64);
-            let receiver = NodeId(rng.gen_range(0u32..8));
-            assert_eq!(
-                plain.collides(seq, receiver, pos),
-                indexed.collides(seq, receiver, pos),
-                "case {case}: collides seq={seq} receiver={receiver:?} at ({}, {})",
-                pos.x,
-                pos.y
-            );
         }
         // Pruning must leave both sides agreeing as well.
         let now = SimTime::from_micros(rng.gen_range(0u64..10_000));
@@ -190,6 +182,75 @@ fn indexed_medium_matches_unindexed_medium() {
             indexed.record_count(),
             "case {case}: prune"
         );
+    }
+}
+
+#[test]
+fn per_transmission_verdicts_match_brute_force_scan() {
+    let mut rng = Pcg32::seed_from_u64(0x6d65_6404);
+    for case in 0..CASES {
+        let n = rng.gen_range(2usize..60);
+        let side = rng.gen_range(10.0f64..300.0);
+        let range = rng.gen_range(5.0f64..80.0);
+        let positions = arb_positions(&mut rng, n, side, range);
+        let field = Field::from_positions(side, range, positions.clone());
+        // Transmissions come from field nodes at their own positions, as
+        // in the simulator; some nodes transmit twice so receivers are
+        // often transmitters too (the half-duplex arm), and one in five
+        // records is high power, reaching past one cell ring.
+        let txs = rng.gen_range(1usize..24);
+        let records: Vec<TxRecord> = (0..txs as u64)
+            .map(|seq| {
+                let node = rng.gen_range(0u32..n as u32);
+                let start = rng.gen_range(0u64..4_000);
+                let power = if rng.gen_range(0u32..5) == 0 {
+                    rng.gen_range(2.0f64..4.0)
+                } else {
+                    1.0
+                };
+                TxRecord {
+                    seq,
+                    transmitter: NodeId(node),
+                    origin: positions[node as usize],
+                    start: SimTime::from_micros(start),
+                    end: SimTime::from_micros(start + rng.gen_range(1u64..1_500)),
+                    range: range * power,
+                }
+            })
+            .collect();
+        for factor in [1.0, 2.0] {
+            let mut plain = Medium::new(factor);
+            let mut indexed = Medium::with_geometry(factor, side, range);
+            for r in &records {
+                plain.begin(*r);
+                indexed.begin(*r);
+            }
+            let (mut from_plain, mut from_indexed) =
+                (Interference::default(), Interference::default());
+            for subject in &records {
+                plain.gather(subject.seq, &mut from_plain);
+                indexed.gather(subject.seq, &mut from_indexed);
+                for rx in field.nodes_within(subject.origin, subject.range) {
+                    if rx == subject.transmitter {
+                        continue;
+                    }
+                    let pos = positions[rx.index()];
+                    let brute = records.iter().any(|o| {
+                        o.seq != subject.seq
+                            && o.start < subject.end
+                            && o.end > subject.start
+                            && (o.transmitter == rx
+                                || pos.distance_to(&o.origin) <= o.range * factor)
+                    });
+                    let what = format!(
+                        "case {case}: factor={factor} seq={} rx={rx} n={n} side={side} range={range}",
+                        subject.seq
+                    );
+                    assert_eq!(from_plain.collides(rx, pos), brute, "unindexed {what}");
+                    assert_eq!(from_indexed.collides(rx, pos), brute, "indexed {what}");
+                }
+            }
+        }
     }
 }
 

@@ -40,11 +40,11 @@ use liteworp_netsim::field::{Field, NodeId as SimNodeId};
 pub fn preload_liteworp(lw: &mut Liteworp, me: SimNodeId, field: &Field) {
     let table = lw.table_mut();
     let neighbors = field.in_range_of(me);
-    for &nb in &neighbors {
+    for &nb in neighbors {
         table.add_neighbor(core_id(nb));
     }
-    for &nb in &neighbors {
-        let list = field.in_range_of(nb).into_iter().map(core_id);
+    for &nb in neighbors {
+        let list = field.in_range_of(nb).iter().copied().map(core_id);
         table.set_neighbor_list(core_id(nb), list);
     }
 }

@@ -49,7 +49,7 @@ fn main() {
         let truth: Vec<CoreId> = sim
             .field()
             .in_range_of(SimId(i))
-            .into_iter()
+            .iter()
             .map(|n| CoreId(n.0))
             .collect();
         let node: &ProtocolNode = sim

@@ -12,9 +12,10 @@
 #     divergence in the spatially indexed simulator (grid query order, a
 #     lost (time, seq) tie-break) changes it.
 #   * Asymptotics — the run must finish within SCALE_SMOKE_BUDGET_SECS
-#     (default 120 s; ~7 s on the reference machine). An accidentally
-#     quadratic hot path turns a 10⁴-node run from seconds into minutes,
-#     which this budget catches long before the 10⁵ acceptance run would.
+#     (default 30 s; ~1 s on a 2-vCPU Xeon VM). An accidentally
+#     quadratic hot path or a lost spatial index turns a 10⁴-node run
+#     from about a second into minutes, which this budget catches long
+#     before the 10⁵ acceptance run would.
 #
 # When a simulator behavior change is intentional, re-pin: run
 # `./target/release/scale_sweep --smoke --no-cache`, copy the digest from
@@ -22,7 +23,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET="${SCALE_SMOKE_BUDGET_SECS:-120}"
+BUDGET="${SCALE_SMOKE_BUDGET_SECS:-30}"
 PINNED_DIGEST="31bb22e637c95e38"
 
 cargo build --release --offline -q -p liteworp-bench --bin scale_sweep

@@ -39,7 +39,7 @@ fn empirical_guard_count_tracks_the_geometry() {
     let mut total_guards = 0usize;
     let mut links = 0usize;
     for a in 0..600u32 {
-        for b in field.in_range_of(SimId(a)) {
+        for &b in field.in_range_of(SimId(a)) {
             if b.0 <= a {
                 continue;
             }

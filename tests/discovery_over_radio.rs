@@ -47,7 +47,7 @@ fn discovered_tables_match_geometry() {
         let truth: Vec<CoreId> = sim
             .field()
             .in_range_of(SimId(i))
-            .into_iter()
+            .iter()
             .map(|n| CoreId(n.0))
             .collect();
         let node: &ProtocolNode = sim.logic(SimId(i)).as_any().downcast_ref().unwrap();

@@ -73,7 +73,7 @@ fn late_joiner_builds_two_hop_tables_and_routes() {
     let truth: Vec<CoreId> = sim
         .field()
         .in_range_of(SimId(joiner.0))
-        .into_iter()
+        .iter()
         .map(|n| CoreId(n.0))
         .collect();
     assert!(!truth.is_empty(), "joiner placed next to node 0");
