@@ -21,8 +21,8 @@
 //!   deterministically.
 //! * [`process_faults::ProcessFaultPlan`] — chaos for the *service
 //!   fabric*: kill -9 a shard worker mid-drain, stall its accept loop,
-//!   or tear its request-WAL tail, sampled and shrunk like every other
-//!   plan. The shard front (`liteworp-served --front`) must drain to
+//!   or tear its request-WAL tail, sampled from a seed and validated.
+//!   The shard front (`liteworp-served --front`) must drain to
 //!   byte-identical digests under any sampled plan.
 //! * [`oracle`] — replays a [`liteworp_telemetry::EventLog`] and asserts
 //!   the protocol invariants (alert quorum, `MalC` provenance, watch
@@ -46,4 +46,4 @@ pub use engine_faults::EngineFaultPlan;
 pub use inject::Injector;
 pub use oracle::{check, Immunity, Invariant, OracleConfig, ReplayStats, Violation};
 pub use plan::{parse_crashes, parse_drifts, ClockDrift, CrashWindow, FaultPlan, FuzzProfile};
-pub use process_faults::{parse_process_faults, ProcessFault, ProcessFaultPlan};
+pub use process_faults::{ProcessFault, ProcessFaultPlan};

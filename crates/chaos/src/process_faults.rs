@@ -10,10 +10,9 @@
 //! the `shard` integration tests and `scripts/shard_smoke.sh` assert
 //! exactly that.
 //!
-//! Like every chaos plan in this crate, a [`ProcessFaultPlan`] is pure
-//! data: sampled deterministically from a seed, validated, shrinkable
-//! toward a minimal counterexample, and round-trippable through a
-//! reproducer command line. The *mechanics* live next to the victims —
+//! A [`ProcessFaultPlan`] is pure data: sampled deterministically from a
+//! seed and validated, and its `Debug` form is the reproducer a failing
+//! test prints. The *mechanics* live next to the victims —
 //! `--stall-accept-secs` on the daemon binary, `kill -9` by pid from the
 //! front's `shards.json` manifest, a file truncation/garbage append for
 //! WAL corruption — so this module stays dependency-free data.
@@ -144,103 +143,6 @@ impl ProcessFaultPlan {
         }
         Ok(())
     }
-
-    /// Ordered simplification candidates for greedy shrinking: drop a
-    /// fault, or weaken one (kill later → kill sooner is *not* simpler,
-    /// so only list shortening and stall/garbage halving qualify).
-    pub fn shrink_candidates(&self) -> Vec<ProcessFaultPlan> {
-        let mut out = Vec::new();
-        for drop in 0..self.faults.len() {
-            let mut faults = self.faults.clone();
-            faults.remove(drop);
-            out.push(ProcessFaultPlan {
-                faults,
-                ..self.clone()
-            });
-        }
-        for (i, fault) in self.faults.iter().enumerate() {
-            let weakened = match fault {
-                ProcessFault::StallAccept { shard, millis } if *millis > 1 => {
-                    Some(ProcessFault::StallAccept {
-                        shard: *shard,
-                        millis: millis / 2,
-                    })
-                }
-                ProcessFault::CorruptWalTail { shard, bytes } if *bytes > 1 => {
-                    Some(ProcessFault::CorruptWalTail {
-                        shard: *shard,
-                        bytes: bytes / 2,
-                    })
-                }
-                _ => None,
-            };
-            if let Some(weakened) = weakened {
-                let mut faults = self.faults.clone();
-                faults[i] = weakened;
-                out.push(ProcessFaultPlan {
-                    faults,
-                    ..self.clone()
-                });
-            }
-        }
-        out
-    }
-
-    /// A reproducer command-line fragment: `--proc-seed S --shards N
-    /// --proc-faults kill:SHARD@DONE,stall:SHARD@MS,waltear:SHARD@BYTES`.
-    pub fn cli_args(&self) -> String {
-        let mut s = format!("--proc-seed {} --shards {}", self.seed, self.shards);
-        if !self.faults.is_empty() {
-            let spec: Vec<String> = self
-                .faults
-                .iter()
-                .map(|f| match f {
-                    ProcessFault::Kill { shard, after_done } => {
-                        format!("kill:{shard}@{after_done}")
-                    }
-                    ProcessFault::StallAccept { shard, millis } => {
-                        format!("stall:{shard}@{millis}")
-                    }
-                    ProcessFault::CorruptWalTail { shard, bytes } => {
-                        format!("waltear:{shard}@{bytes}")
-                    }
-                })
-                .collect();
-            s.push_str(&format!(" --proc-faults {}", spec.join(",")));
-        }
-        s
-    }
-}
-
-/// Parses a `--proc-faults` spec back into faults (see
-/// [`ProcessFaultPlan::cli_args`]).
-pub fn parse_process_faults(spec: &str) -> Result<Vec<ProcessFault>, String> {
-    let mut out = Vec::new();
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let (kind, rest) = part
-            .split_once(':')
-            .ok_or_else(|| format!("bad fault entry {part:?} (want kind:shard@arg)"))?;
-        let (shard, arg) = rest
-            .split_once('@')
-            .ok_or_else(|| format!("bad fault target {rest:?} (want shard@arg)"))?;
-        let shard: usize = shard
-            .parse()
-            .map_err(|e| format!("bad shard {shard:?}: {e}"))?;
-        let arg: u64 = arg.parse().map_err(|e| format!("bad arg {arg:?}: {e}"))?;
-        out.push(match kind {
-            "kill" => ProcessFault::Kill {
-                shard,
-                after_done: arg,
-            },
-            "stall" => ProcessFault::StallAccept { shard, millis: arg },
-            "waltear" => ProcessFault::CorruptWalTail {
-                shard,
-                bytes: arg as usize,
-            },
-            other => return Err(format!("unknown fault kind {other:?}")),
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -311,35 +213,5 @@ mod tests {
             }],
         };
         assert!(plan.validate().is_err(), "null stall");
-    }
-
-    #[test]
-    fn shrink_candidates_are_strictly_simpler_and_valid() {
-        let plan = ProcessFaultPlan::sample(9, 3, 3);
-        for cand in plan.shrink_candidates() {
-            assert_ne!(cand, plan);
-            cand.validate().expect("shrunk plan must validate");
-        }
-        let empty = ProcessFaultPlan {
-            seed: 0,
-            shards: 1,
-            faults: Vec::new(),
-        };
-        assert!(empty.shrink_candidates().is_empty());
-    }
-
-    #[test]
-    fn cli_args_round_trip() {
-        for seed in 0..20 {
-            let plan = ProcessFaultPlan::sample(seed, 3, 3);
-            let args = plan.cli_args();
-            let spec = args
-                .split("--proc-faults ")
-                .nth(1)
-                .expect("sampled plans have at least one fault");
-            assert_eq!(parse_process_faults(spec).unwrap(), plan.faults, "{args}");
-        }
-        assert!(parse_process_faults("explode:0@1").is_err());
-        assert!(parse_process_faults("kill:0").is_err());
     }
 }

@@ -25,7 +25,7 @@
 //! * [`allow`] — the `// lint: allow(<rule>) <reason>` escape hatch; a
 //!   justification is mandatory and unused allows are themselves errors.
 //! * [`scan`] — workspace walking, file classification (library, bin,
-//!   test, bench, example), and the thread-chunked parallel scan.
+//!   test, bench, example), and the one serial scan.
 //! * [`report`] — human-readable (`path:line:col: RULE message`) and JSON
 //!   renderings of the diagnostic list.
 //! * [`fix`] — the `--fix` rewriter for stale allows (L003).
@@ -64,8 +64,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Diagnostic> {
 }
 
 /// [`check_file`] with the lex/parse/graph phases supplied by the
-/// caller, so the workspace scan can share one cross-file call graph
-/// and run files in parallel.
+/// caller, so the workspace scan can share one cross-file call graph.
 pub fn check_file_with(
     file: &SourceFile,
     lexed: &lexer::Lexed,

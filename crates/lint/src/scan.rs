@@ -1,15 +1,13 @@
-//! Workspace walking, file classification, and the parallel scan.
+//! Workspace walking, file classification, and the scan.
 //!
 //! The walk is deterministic: directory entries are sorted before
-//! descending, and the parallel phases write results into per-file
-//! index slots before a final `(path, line, col, rule)` sort — so two
-//! runs over the same tree emit diagnostics in the same order
-//! regardless of thread scheduling. The lint engine obeys the
-//! determinism discipline it enforces.
+//! descending, and diagnostics get a final `(path, line, col, rule)`
+//! sort — so two runs over the same tree emit diagnostics in the same
+//! order. The lint engine obeys the determinism discipline it enforces.
 //!
-//! The scan runs in two thread-chunked phases: lex+parse every file,
-//! then (after the sequential cross-file call-graph build) evaluate
-//! every rule family per file.
+//! The scan is one serial pass in two phases: lex+parse every file,
+//! then (after the cross-file call-graph build) evaluate every rule
+//! family per file.
 
 use crate::ast::FileAst;
 use crate::callgraph::CallGraph;
@@ -36,14 +34,17 @@ const SKIP_DIRS: &[&str] = &["target", "corpus", ".git"];
 pub fn check_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
     let files = collect_files(root)?;
     let count = files.len();
-    // Phase 1 (parallel): lex and skeleton-parse every file.
-    let parsed: Vec<(Lexed, FileAst)> = par_map(&files, |f| {
-        let lexed = Lexed::lex(&f.src);
-        let ast = crate::ast::parse(&f.src, &lexed);
-        (lexed, ast)
-    });
-    // Sequential: one call graph over every fn in the workspace, so
-    // C-rules resolve callees across crate boundaries.
+    // Phase 1: lex and skeleton-parse every file.
+    let parsed: Vec<(Lexed, FileAst)> = files
+        .iter()
+        .map(|f| {
+            let lexed = Lexed::lex(&f.src);
+            let ast = crate::ast::parse(&f.src, &lexed);
+            (lexed, ast)
+        })
+        .collect();
+    // One call graph over every fn in the workspace, so C-rules resolve
+    // callees across crate boundaries.
     let asts: Vec<&FileAst> = parsed.iter().map(|(_, a)| a).collect();
     let graph = CallGraph::build(&asts);
     let obs_names = files
@@ -51,22 +52,17 @@ pub fn check_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> 
         .zip(&parsed)
         .find(|(f, _)| f.path == OBS_NAMES_FILE)
         .and_then(|(f, (lexed, _))| rules::parse_obs_names(&f.src, &lexed.tokens));
-    // Phase 2 (parallel): every rule family, per file, into index
-    // slots; the final sort makes the order scheduling-independent.
-    let indices: Vec<usize> = (0..files.len()).collect();
-    let per_file: Vec<Vec<Diagnostic>> = par_map(&indices, |&i| {
-        let file = &files[i];
-        let (lexed, ast) = &parsed[i];
-        let mut out = crate::check_file_with(file, lexed, ast, &graph);
+    // Phase 2: every rule family, per file.
+    let mut diags: Vec<Diagnostic> = Vec::new();
+    for (file, (lexed, ast)) in files.iter().zip(&parsed) {
+        diags.extend(crate::check_file_with(file, lexed, ast, &graph));
         if let Some(names) = &obs_names {
-            out.extend(rules::obs_name_rules(file, lexed, names));
+            diags.extend(rules::obs_name_rules(file, lexed, names));
         }
         if file.path == TELEMETRY_EVENT_FILE {
-            out.extend(rules::telemetry_rules(file, lexed));
+            diags.extend(rules::telemetry_rules(file, lexed));
         }
-        out
-    });
-    let mut diags: Vec<Diagnostic> = per_file.into_iter().flatten().collect();
+    }
     if obs_names.is_none() {
         diags.push(Diagnostic {
             rule: "S003",
@@ -82,36 +78,6 @@ pub fn check_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> 
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
     Ok((diags, count))
-}
-
-/// Applies `f` to every item, fanning out over scoped worker threads in
-/// contiguous chunks. Results land in input order, so the output is
-/// identical to a sequential map. Small inputs stay sequential.
-fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8);
-    if workers == 1 || items.len() < 2 * workers {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut rest: &mut [Option<R>] = &mut out;
-        for batch in items.chunks(chunk) {
-            let (slot, tail) = rest.split_at_mut(batch.len());
-            rest = tail;
-            s.spawn(move || {
-                for (dst, item) in slot.iter_mut().zip(batch) {
-                    *dst = Some(f(item));
-                }
-            });
-        }
-    });
-    out.into_iter().flatten().collect()
 }
 
 /// Every `.rs` file the gate covers, classified, in sorted path order.

@@ -7,13 +7,14 @@
 //! failure that quarantined it. Appends are flushed and fsync'd, so a
 //! `kill -9` loses at most the job that was being written.
 //!
-//! On [`SweepJournal::resume`] the file is replayed: a torn or corrupt
-//! tail (the partially written last line of a crash) is detected,
-//! reported, and truncated away rather than parsed, and the recovered
-//! entries let the supervisor skip exactly the jobs that already
-//! finished. Because result values are embedded, resume works even with
-//! the result cache disabled, and a resumed sweep merges to byte-identical
-//! aggregates (JSON round-trips are exact).
+//! On [`SweepJournal::resume`] the file is replayed through
+//! [`replay_truncating`], the torn-tail reader the daemon's request WAL
+//! shares: a torn or corrupt tail (the partially written last line of a
+//! crash) is detected, reported, and truncated away rather than parsed,
+//! and the recovered entries let the supervisor skip exactly the jobs
+//! that already finished. Because result values are embedded, resume
+//! works even with the result cache disabled, and a resumed sweep merges
+//! to byte-identical aggregates (JSON round-trips are exact).
 
 use crate::cache::{atomic_write, fnv64};
 use crate::json::Json;
@@ -226,68 +227,34 @@ impl SweepJournal {
     }
 
     /// Reopens an existing journal, verifying it records exactly this
-    /// sweep, and replays its entries.
+    /// sweep, and replays its entries through [`replay_truncating`].
     ///
     /// A torn tail — the half-written last line a crash leaves behind, or
-    /// any corrupt suffix — ends the replay: everything after the last
-    /// fully parsed line is truncated from the file so appends resume from
-    /// a clean boundary. The valid prefix is never discarded.
+    /// any corrupt suffix — ends the replay and is cut from the file so
+    /// appends resume from a clean boundary. The valid prefix is never
+    /// discarded. A header that is missing, torn, or records another
+    /// sweep is a [`JournalError::Header`].
     pub fn resume(
         path: &Path,
         sweep_id: u64,
         jobs: usize,
     ) -> Result<(SweepJournal, Recovered), JournalError> {
-        let text = fs::read_to_string(path)?;
-        let mut good_bytes = 0usize;
-        let mut lines = text.split_inclusive('\n');
-        let header_line = lines
-            .next()
-            .filter(|l| l.ends_with('\n'))
-            .ok_or_else(|| JournalError::Header("empty or truncated header".into()))?;
-        let header = Json::parse(header_line.trim_end())
-            .map_err(|e| JournalError::Header(format!("unparsable header: {e}")))?;
-        if header.get("magic").and_then(Json::as_str) != Some(JOURNAL_MAGIC) {
-            return Err(JournalError::Header("not a sweep journal".into()));
-        }
-        if header.get("version").and_then(Json::as_u64) != Some(JOURNAL_VERSION) {
-            return Err(JournalError::Header("unsupported journal version".into()));
-        }
-        let recorded = header
-            .get("sweep")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| JournalError::Header("missing sweep id".into()))?;
-        if recorded != sweep_id {
-            return Err(JournalError::Header(format!(
-                "journal records sweep {recorded:016x}, this run is {sweep_id:016x} \
-                 (different jobs, scenario, or code version)"
-            )));
-        }
-        if header.get("jobs").and_then(Json::as_u64) != Some(jobs as u64) {
-            return Err(JournalError::Header("job count changed".into()));
-        }
-        good_bytes += header_line.len();
-
+        let mut header_seen = false;
         let mut entries = BTreeMap::new();
-        for line in lines {
-            if !line.ends_with('\n') {
-                break; // torn final line: the crash interrupted this write
+        let torn_bytes = replay_truncating(path, |line| -> Result<bool, JournalError> {
+            if !header_seen {
+                check_header(line, sweep_id, jobs)?;
+                header_seen = true;
+                return Ok(true);
             }
-            let Some(entry) = Json::parse(line.trim_end())
+            let entry = Json::parse(line)
                 .ok()
                 .as_ref()
-                .and_then(JournalEntry::from_json)
-            else {
-                break; // corrupt line: stop replay, truncate the rest
-            };
-            entries.insert(entry.key, entry);
-            good_bytes += line.len();
-        }
-        let torn_bytes = text.len() - good_bytes;
-        if torn_bytes > 0 {
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(good_bytes as u64)?;
-            file.sync_data()?;
+                .and_then(JournalEntry::from_json);
+            Ok(entry.map(|e| entries.insert(e.key, e)).is_some())
+        })?;
+        if !header_seen {
+            return Err(JournalError::Header("empty or truncated header".into()));
         }
         let file = OpenOptions::new().append(true).open(path)?;
         Ok((
@@ -315,6 +282,69 @@ impl SweepJournal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Validates a journal header line against the sweep being resumed.
+fn check_header(line: &str, sweep_id: u64, jobs: usize) -> Result<(), JournalError> {
+    let header =
+        Json::parse(line).map_err(|e| JournalError::Header(format!("unparsable header: {e}")))?;
+    if header.get("magic").and_then(Json::as_str) != Some(JOURNAL_MAGIC) {
+        return Err(JournalError::Header("not a sweep journal".into()));
+    }
+    if header.get("version").and_then(Json::as_u64) != Some(JOURNAL_VERSION) {
+        return Err(JournalError::Header("unsupported journal version".into()));
+    }
+    let recorded = header
+        .get("sweep")
+        .and_then(Json::as_str)
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| JournalError::Header("missing sweep id".into()))?;
+    if recorded != sweep_id {
+        return Err(JournalError::Header(format!(
+            "journal records sweep {recorded:016x}, this run is {sweep_id:016x} \
+             (different jobs, scenario, or code version)"
+        )));
+    }
+    if header.get("jobs").and_then(Json::as_u64) != Some(jobs as u64) {
+        return Err(JournalError::Header("job count changed".into()));
+    }
+    Ok(())
+}
+
+/// Replays an append-only JSONL log line by line and cuts it back to its
+/// clean prefix: the one torn-tail reader behind both the sweep journal
+/// and the daemon's request WAL.
+///
+/// A line counts only when it ends in a newline and `accept` takes it
+/// (`Ok(true)`; the line is passed without its newline). The first line
+/// that does not — the half-written last line of a crash, even one that
+/// happens to parse, or any corrupt suffix — ends the replay, and
+/// everything from it on is truncated from the file and fsync'd, so the
+/// next append starts a fresh line instead of gluing onto a fragment.
+/// `accept` returning `Err` aborts the replay with the file untouched.
+/// Returns the number of torn bytes cut.
+pub fn replay_truncating<E: From<io::Error>>(
+    path: &Path,
+    mut accept: impl FnMut(&str) -> Result<bool, E>,
+) -> Result<usize, E> {
+    let text = fs::read_to_string(path)?;
+    let mut good_bytes = 0usize;
+    for line in text.split_inclusive('\n') {
+        let Some(body) = line.strip_suffix('\n') else {
+            break;
+        };
+        if !accept(body)? {
+            break;
+        }
+        good_bytes += line.len();
+    }
+    let torn_bytes = text.len() - good_bytes;
+    if torn_bytes > 0 {
+        let file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(good_bytes as u64)?;
+        file.sync_data()?;
+    }
+    Ok(torn_bytes)
 }
 
 #[cfg(test)]
@@ -405,6 +435,26 @@ mod tests {
         drop(j);
         let (_, rec) = SweepJournal::resume(&path, id, 2).unwrap();
         assert_eq!(rec.entries.len(), 2);
+        assert_eq!(rec.torn_bytes, 0);
+
+        // A complete, parseable entry missing only its newline is torn
+        // too: kept, the next append would glue onto it.
+        let unterminated = entry(3, 2).to_json().dump();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(unterminated.as_bytes()).unwrap();
+        drop(f);
+        let (mut j, rec) = SweepJournal::resume(&path, id, 2).unwrap();
+        assert_eq!(
+            rec.entries.len(),
+            2,
+            "the unterminated entry is not replayed"
+        );
+        assert_eq!(rec.torn_bytes, unterminated.len());
+        j.append(&entry(3, 2)).unwrap();
+        drop(j);
+        let (_, rec) = SweepJournal::resume(&path, id, 2).unwrap();
+        assert_eq!(rec.entries.len(), 3);
+        assert_eq!(rec.entries[&3], entry(3, 2));
         assert_eq!(rec.torn_bytes, 0);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }

@@ -29,15 +29,19 @@
 //! pure functions of request content and seeds, a rerouted sweep drains
 //! to the same digest as an uninterrupted one.
 //!
-//! # Lock discipline
+//! # Connections and locks
 //!
-//! Registry and shard-slot locks are taken one at a time, always as
-//! statement-scoped temporaries, and never across a socket operation —
-//! the C001/C002 lint rules hold on every path here.
+//! Connections are served by the accept and connection loop in
+//! [`crate::net`], shared with the plain daemon; the front supplies only
+//! its routed answers. Its routing registry and the shard-slot locks are
+//! taken one at a time, always as statement-scoped temporaries, and
+//! never across a socket operation — the C001/C002 lint rules hold on
+//! every path here.
 
-use crate::frame::{read_frame, read_frame_paced, write_frame, FrameError};
-use crate::net;
-use crate::proto::{err_response, format_key, ok_response, request_key, Request};
+use crate::frame::{read_frame, write_frame};
+use crate::lock;
+use crate::net::{self, Daemon};
+use crate::proto::{err_response, format_key, ok_response, request_key, unknown_request, Request};
 use crate::server::{Server, ServerConfig};
 use crate::shard::{self, ShardHealth, ShardSlot, WorkerSpawn};
 use liteworp_bench::catalog;
@@ -46,12 +50,12 @@ use liteworp_runner::supervisor::RestartBudget;
 use liteworp_runner::Json;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How a front instance is configured.
@@ -163,18 +167,6 @@ struct FrontState {
     started_us: u64,
 }
 
-fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl FrontState {
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.front_addr);
-    }
-}
-
 /// A running shard front (in-process handle, used by the binary and by
 /// integration tests).
 pub struct Front {
@@ -195,14 +187,11 @@ impl Front {
         // a loopback port. Started eagerly so degradation never races a
         // lazy bring-up.
         let local = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
             threads: cfg.spawn.jobs,
-            state_dir: cfg.state_dir.join("local"),
             drainers: cfg.spawn.drainers,
             resume: cfg.resume,
             no_cache: cfg.spawn.no_cache,
-            metrics_interval: None,
-            stall_accept: None,
+            ..ServerConfig::new(cfg.state_dir.join("local"))
         })?;
 
         let mut slots = Vec::new();
@@ -234,7 +223,7 @@ impl Front {
 
         let accept = {
             let state = Arc::clone(&state);
-            std::thread::spawn(move || accept_loop(listener, state))
+            std::thread::spawn(move || net::accept_loop(listener, state, None))
         };
         let supervisor = {
             let state = Arc::clone(&state);
@@ -311,6 +300,18 @@ fn target_addr(state: &FrontState, target: Target) -> Option<SocketAddr> {
     }
 }
 
+/// Forwards `payload` to `target`; a target that is not routable fails
+/// like an unreachable one.
+fn forward_to(state: &FrontState, target: Target, payload: &str) -> Result<Json, String> {
+    let addr = target_addr(state, target).ok_or("shard not routable")?;
+    shard::forward(addr, payload)
+}
+
+/// The current owner of a routed request.
+fn owner(state: &FrontState, key: u64) -> Option<Target> {
+    lock(&state.registry).get(&key).map(|r| r.target)
+}
+
 fn set_target(state: &FrontState, key: u64, target: Target) {
     if let Some(r) = lock(&state.registry).get_mut(&key) {
         r.target = target;
@@ -329,6 +330,12 @@ fn remember_done(state: &FrontState, key: u64, resp: &Json) {
     if let Some(r) = lock(&state.registry).get_mut(&key) {
         r.done_digest = Some(digest.to_string());
     }
+}
+
+/// The payload of a keyed op (`status`, `cancel`, `subscribe`) forwarded
+/// to the owner.
+fn keyed_payload(op: &str, key: u64) -> String {
+    Json::object([("op", Json::from(op)), ("req", Json::from(format_key(key)))]).dump()
 }
 
 fn submit_payload(kind: &str, params: &Json, trace: bool) -> String {
@@ -402,11 +409,7 @@ fn front_submit(state: &FrontState, kind: String, params: Json, trace: bool) -> 
     let payload = submit_payload(&kind, &params, trace);
     let mut attempts = 0usize;
     loop {
-        let forwarded = match target_addr(state, target) {
-            Some(addr) => shard::forward(addr, &payload),
-            None => Err("shard not routable".to_string()),
-        };
-        match forwarded {
+        match forward_to(state, target, &payload) {
             Ok(resp) => {
                 if resp.get("ok").and_then(Json::as_bool) != Some(true) {
                     // The worker rejected a validated submit — relay the
@@ -488,31 +491,19 @@ fn front_status(state: &FrontState, req: u64) -> String {
         })
     };
     let Some((target, done, kind, params, trace)) = known else {
-        return err_response(&format!("unknown request {}", format_key(req)));
+        return unknown_request(req);
     };
     if let Some(digest) = &done {
         // Terminal and remembered: answer locally, no forwarding needed.
         return synthesized_done(req, &kind, digest);
     }
-    let addr = target_addr(state, target);
-    let payload = Json::object([
-        ("op", Json::from("status")),
-        ("req", Json::from(format_key(req))),
-    ])
-    .dump();
-    let forwarded = match addr {
-        Some(a) => shard::forward(a, &payload),
-        None => Err("shard not routable".to_string()),
-    };
-    match forwarded {
+    match forward_to(state, target, &keyed_payload("status", req)) {
         Ok(resp) if resp.get("ok").and_then(Json::as_bool) == Some(true) => {
             remember_done(state, req, &resp);
             with_fields(resp, vec![("shard".to_string(), target_json(target))])
         }
         Ok(_shard_does_not_know_it) => {
-            if let Some(a) = addr {
-                let _ = shard::forward(a, &submit_payload(&kind, &params, trace));
-            }
+            let _ = forward_to(state, target, &submit_payload(&kind, &params, trace));
             synthesized_queued(req, &kind, target)
         }
         Err(_) => synthesized_queued(req, &kind, target),
@@ -523,23 +514,10 @@ fn front_status(state: &FrontState, req: u64) -> String {
 /// owner answers `cancelled: false` (the request is still safe — it
 /// either drains on the restarted worker or is rerouted).
 fn front_cancel(state: &FrontState, req: u64) -> String {
-    let target = {
-        let registry = lock(&state.registry);
-        registry.get(&req).map(|r| r.target)
+    let Some(target) = owner(state, req) else {
+        return unknown_request(req);
     };
-    let Some(target) = target else {
-        return err_response(&format!("unknown request {}", format_key(req)));
-    };
-    let payload = Json::object([
-        ("op", Json::from("cancel")),
-        ("req", Json::from(format_key(req))),
-    ])
-    .dump();
-    let forwarded = match target_addr(state, target) {
-        Some(a) => shard::forward(a, &payload),
-        None => Err("shard not routable".to_string()),
-    };
-    match forwarded {
+    match forward_to(state, target, &keyed_payload("cancel", req)) {
         Ok(resp) if resp.get("ok").and_then(Json::as_bool) == Some(true) => {
             with_fields(resp, vec![("shard".to_string(), target_json(target))])
         }
@@ -557,15 +535,8 @@ fn front_cancel(state: &FrontState, req: u64) -> String {
 /// either side hangs up, or on a worker death mid-stream (the client
 /// re-subscribes and lands on the new owner).
 fn front_subscribe(state: &FrontState, writer: &mut TcpStream, req: u64) -> std::io::Result<()> {
-    let target = {
-        let registry = lock(&state.registry);
-        registry.get(&req).map(|r| r.target)
-    };
-    let Some(target) = target else {
-        return write_frame(
-            writer,
-            &err_response(&format!("unknown request {}", format_key(req))),
-        );
+    let Some(target) = owner(state, req) else {
+        return write_frame(writer, &unknown_request(req));
     };
     let Some(addr) = target_addr(state, target) else {
         return write_frame(
@@ -578,12 +549,7 @@ fn front_subscribe(state: &FrontState, writer: &mut TcpStream, req: u64) -> std:
         Err(e) => return write_frame(writer, &err_response(&format!("shard connect: {e}"))),
     };
     let mut up_writer = upstream.try_clone()?;
-    let payload = Json::object([
-        ("op", Json::from("subscribe")),
-        ("req", Json::from(format_key(req))),
-    ])
-    .dump();
-    if write_frame(&mut up_writer, &payload).is_err() {
+    if write_frame(&mut up_writer, &keyed_payload("subscribe", req)).is_err() {
         return write_frame(writer, &err_response("shard hung up on subscribe"));
     }
     let mut up_reader = BufReader::new(upstream);
@@ -591,13 +557,10 @@ fn front_subscribe(state: &FrontState, writer: &mut TcpStream, req: u64) -> std:
         match read_frame(&mut up_reader) {
             Ok(Some(frame)) => {
                 write_frame(writer, &frame)?;
-                let done = Json::parse(&frame)
-                    .ok()
-                    .map(|j| {
-                        j.get("stream").and_then(Json::as_str) == Some("done")
-                            || j.get("ok").and_then(Json::as_bool) == Some(false)
-                    })
-                    .unwrap_or(false);
+                let done = Json::parse(&frame).is_ok_and(|j| {
+                    j.get("stream").and_then(Json::as_str) == Some("done")
+                        || j.get("ok").and_then(Json::as_bool) == Some(false)
+                });
                 if done {
                     return Ok(());
                 }
@@ -623,11 +586,6 @@ fn front_stats_pairs(state: &FrontState) -> Vec<(String, Json)> {
             .count();
         (registry.len(), done)
     };
-    let up = state
-        .shards
-        .iter()
-        .filter(|s| s.snapshot().health == ShardHealth::Up)
-        .count();
     let m = &state.metrics;
     vec![
         ("role".to_string(), Json::from("front")),
@@ -636,7 +594,7 @@ fn front_stats_pairs(state: &FrontState) -> Vec<(String, Json)> {
             Json::from(obs::clock::now_micros().saturating_sub(state.started_us) / 1_000),
         ),
         ("shards_total".to_string(), Json::from(state.shards.len())),
-        ("shards_up".to_string(), Json::from(up)),
+        ("shards_up".to_string(), Json::from(shards_up(state))),
         (
             "requests".to_string(),
             Json::object([
@@ -661,96 +619,33 @@ fn front_stats_pairs(state: &FrontState) -> Vec<(String, Json)> {
     ]
 }
 
-// ---------------------------------------------------------------------
-// Connection plumbing
-// ---------------------------------------------------------------------
-
-fn accept_loop(listener: TcpListener, state: Arc<FrontState>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || {
-                    let _ = handle_connection(stream, state);
-                });
-            }
-            Err(_) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
+impl Daemon for FrontState {
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
     }
-}
 
-fn handle_connection(stream: TcpStream, state: Arc<FrontState>) -> std::io::Result<()> {
-    net::configure(&stream)?;
-    let deadline = net::ConnDeadline::new(net::CONN_LIFETIME);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) || deadline.expired() {
-            return Ok(());
-        }
-        let pacer = net::FramePacer::new();
-        let payload = match read_frame_paced(&mut reader, &pacer) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return Ok(()),               // client hung up
-            Err(FrameError::Io(_)) => return Ok(()), // idle timeout / transport death
-            Err(e) => {
-                let _ = write_frame(&mut writer, &err_response(&e.to_string()));
-                return Ok(());
-            }
-        };
-        let request = match Request::parse(&payload) {
-            Ok(request) => request,
-            Err(e) => {
-                write_frame(&mut writer, &err_response(&e))?;
-                continue;
-            }
-        };
-        match request {
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.front_addr);
+    }
+
+    fn answer(&self, request: Request, writer: &mut TcpStream) -> std::io::Result<()> {
+        let response = match request {
             Request::Submit {
                 kind,
                 params,
                 trace,
-            } => {
-                let response = front_submit(&state, kind, params, trace);
-                write_frame(&mut writer, &response)?;
-            }
-            Request::Status { req } => {
-                let response = front_status(&state, req);
-                write_frame(&mut writer, &response)?;
-            }
-            Request::Cancel { req } => {
-                let response = front_cancel(&state, req);
-                write_frame(&mut writer, &response)?;
-            }
-            Request::Subscribe { req } => {
-                front_subscribe(&state, &mut writer, req)?;
-            }
-            Request::Stats => {
-                write_frame(&mut writer, &ok_response(front_stats_pairs(&state)))?;
-            }
-            Request::Shards => {
-                write_frame(&mut writer, &ok_response([("shards", shards_json(&state))]))?;
-            }
-            Request::Ping => {
-                write_frame(&mut writer, &ok_response([("pong", Json::from(true))]))?;
-            }
-            Request::Shutdown => {
-                write_frame(
-                    &mut writer,
-                    &ok_response([("shutting_down", Json::from(true))]),
-                )?;
-                writer.flush()?;
-                state.begin_shutdown();
-                return Ok(());
-            }
-        }
+            } => front_submit(self, kind, params, trace),
+            Request::Status { req } => front_status(self, req),
+            Request::Cancel { req } => front_cancel(self, req),
+            Request::Subscribe { req } => return front_subscribe(self, writer, req),
+            Request::Stats => ok_response(front_stats_pairs(self)),
+            Request::Shards => ok_response([("shards", shards_json(self))]),
+            // Answered by the shared connection loop.
+            Request::Ping | Request::Shutdown => return Ok(()),
+        };
+        write_frame(writer, &response)
     }
 }
 
@@ -760,8 +655,10 @@ fn handle_connection(stream: TcpStream, state: Arc<FrontState>) -> std::io::Resu
 
 /// Writes the current fabric topology to `state_dir/shards.json` so
 /// scripts and operators can find worker pids/addresses without a
-/// protocol client. Best-effort; refreshed on every health change.
+/// protocol client, and republishes the `shards_up` gauge. Best-effort;
+/// refreshed on every health change.
 fn publish(state: &FrontState) {
+    state.metrics.shards_up.set(shards_up(state) as i64);
     let manifest = Json::object([
         ("front", Json::from(state.front_addr.to_string())),
         ("local", Json::from(state.fallback_addr.to_string())),
@@ -771,13 +668,12 @@ fn publish(state: &FrontState) {
     let _ = std::fs::write(state.state_dir.join("shards.json"), manifest + "\n");
 }
 
-fn update_up_gauge(state: &FrontState) {
-    let up = state
+fn shards_up(state: &FrontState) -> usize {
+    state
         .shards
         .iter()
         .filter(|s| s.snapshot().health == ShardHealth::Up)
-        .count();
-    state.metrics.shards_up.set(up as i64);
+        .count()
 }
 
 fn reap(child_slot: &mut Option<Child>) {
@@ -797,18 +693,10 @@ fn supervise(
     ping_interval: Duration,
     ping_timeout: Duration,
 ) {
-    update_up_gauge(&state);
     loop {
-        // Sleep in short steps so shutdown is honored promptly.
-        let step = Duration::from_millis(25);
-        let mut slept = Duration::ZERO;
-        while slept < ping_interval {
-            if state.shutdown.load(Ordering::SeqCst) {
-                shutdown_workers(&state, &mut children);
-                return;
-            }
-            std::thread::sleep(step);
-            slept += step;
+        if net::sleep_or_shutdown(&state.shutdown, ping_interval) {
+            shutdown_workers(&state, &mut children);
+            return;
         }
         for id in 0..state.shards.len() {
             if state.shutdown.load(Ordering::SeqCst) {
@@ -831,17 +719,14 @@ fn supervise(
                 continue;
             }
             state.metrics.ping_failures.inc();
-            eprintln!(
-                "liteworp-served: shard {id} failed its liveness probe ({})",
-                if exited {
-                    "process exited"
-                } else {
-                    "unresponsive"
-                }
-            );
+            let why = if exited {
+                "process exited"
+            } else {
+                "unresponsive"
+            };
+            eprintln!("liteworp-served: shard {id} failed its liveness probe ({why})");
             state.shards[id].mark_degraded();
             publish(&state);
-            update_up_gauge(&state);
             reap(&mut children[id]);
             restart_or_quarantine(
                 &state,
@@ -852,7 +737,6 @@ fn supervise(
                 ping_timeout,
             );
             publish(&state);
-            update_up_gauge(&state);
         }
     }
 }
@@ -882,7 +766,9 @@ fn restart_or_quarantine(
             reroute_orphans(state, id);
             return;
         };
-        std::thread::sleep(Duration::from_micros(pause_us));
+        if net::sleep_or_shutdown(&state.shutdown, Duration::from_micros(pause_us)) {
+            return;
+        }
         match shard::spawn_worker(spawn, &state.shards[id].state_dir, true) {
             Ok((child, addr)) => {
                 if shard::ping(addr, ping_timeout) {
@@ -896,9 +782,7 @@ fn restart_or_quarantine(
                     );
                     return;
                 }
-                let mut child = child;
-                let _ = child.kill();
-                let _ = child.wait();
+                reap(&mut Some(child));
             }
             Err(e) => eprintln!("liteworp-served: shard {id} restart failed: {e}"),
         }
@@ -935,10 +819,7 @@ fn reroute_orphans(state: &Arc<FrontState>, dead: usize) {
         if target == Target::Local {
             state.metrics.submits_local.inc();
         }
-        let payload = submit_payload(&kind, &params, trace);
-        if let Some(addr) = target_addr(state, target) {
-            let _ = shard::forward(addr, &payload);
-        }
+        let _ = forward_to(state, target, &submit_payload(&kind, &params, trace));
     }
 }
 

@@ -35,3 +35,11 @@ pub mod proto;
 pub mod server;
 pub mod shard;
 pub mod state;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the data from a poisoned lock: a panicked
+/// connection or drainer thread must not take the daemon down with it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

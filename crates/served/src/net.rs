@@ -1,5 +1,11 @@
-//! The daemon's socket-timeout boundary — the **only** place in this
-//! crate that touches the host wall clock.
+//! The daemon's connection boundary: the one accept and connection loop
+//! the plain daemon and the shard front share, and the **only** place in
+//! this crate that touches the host wall clock.
+//!
+//! `accept_loop` and its per-connection handler own everything the two
+//! daemons have in common — framing, pacing, `Request::parse` errors,
+//! `ping`, `shutdown`, the connection lifetime — and hand every other op
+//! to the daemon's `Daemon::answer`.
 //!
 //! Sweep results never depend on wall time (determinism is seed- and
 //! sim-time-based throughout the workspace); the clock here only bounds
@@ -19,8 +25,13 @@
 //!   one byte per tick can no longer hold a handler thread for the
 //!   connection lifetime.
 
-use crate::frame::{FrameError, ReadPacer};
-use std::net::TcpStream;
+use crate::frame::{read_frame_paced, write_frame, FrameError, ReadPacer};
+use crate::proto::{err_response, ok_response, Request};
+use liteworp_runner::Json;
+use std::io::{BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a connection may sit idle between frames before the daemon
@@ -119,9 +130,122 @@ impl ReadPacer for FramePacer {
     }
 }
 
+/// Granularity of [`sleep_or_shutdown`]: how late a sleeper notices a
+/// shutdown at worst.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
+
+/// Sleeps for `total` in short steps, returning early once
+/// `shutdown` is set. Returns whether shutdown was observed.
+pub(crate) fn sleep_or_shutdown(shutdown: &AtomicBool, total: Duration) -> bool {
+    let mut slept = Duration::ZERO;
+    while slept < total {
+        if shutdown.load(Ordering::SeqCst) {
+            return true;
+        }
+        let step = SHUTDOWN_POLL.min(total - slept);
+        std::thread::sleep(step);
+        slept += step;
+    }
+    shutdown.load(Ordering::SeqCst)
+}
+
+/// What a daemon supplies to the shared connection loop: its shutdown
+/// state and its answers to the request ops.
+pub(crate) trait Daemon: Send + Sync + 'static {
+    /// Set once shutdown has begun; connections hang up at their next
+    /// frame and the accept loop exits.
+    fn shutdown_flag(&self) -> &AtomicBool;
+
+    /// Starts a graceful stop (the `shutdown` op).
+    fn begin_shutdown(&self);
+
+    /// Answers one request, writing its response frame(s) to `writer`.
+    /// `ping` and `shutdown` never get here: the connection loop answers
+    /// them itself.
+    fn answer(&self, request: Request, writer: &mut TcpStream) -> std::io::Result<()>;
+}
+
+/// Accepts connections until shutdown, serving each on its own thread.
+/// `stall_accept` is a chaos hook: sleep this long after every accepted
+/// connection, simulating a stalled acceptor.
+pub(crate) fn accept_loop<D: Daemon>(
+    listener: TcpListener,
+    daemon: Arc<D>,
+    stall_accept: Option<Duration>,
+) {
+    loop {
+        let accepted = listener.accept();
+        if daemon.shutdown_flag().load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
+            continue;
+        };
+        if let Some(stall) = stall_accept {
+            std::thread::sleep(stall);
+        }
+        let daemon = Arc::clone(&daemon);
+        std::thread::spawn(move || {
+            let _ = handle_connection(stream, &*daemon);
+        });
+    }
+}
+
+fn handle_connection(stream: TcpStream, daemon: &impl Daemon) -> std::io::Result<()> {
+    configure(&stream)?;
+    let deadline = ConnDeadline::new(CONN_LIFETIME);
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    loop {
+        if daemon.shutdown_flag().load(Ordering::SeqCst) || deadline.expired() {
+            return Ok(());
+        }
+        // A fresh pacer per frame: idle waits between frames get the
+        // idle budget, and a started frame must complete within the
+        // frame budget (slow-loris defence, `FrameError::FrameTimeout`).
+        let pacer = FramePacer::new();
+        let payload = match read_frame_paced(&mut reader, &pacer) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => return Ok(()),               // client hung up
+            Err(FrameError::Io(_)) => return Ok(()), // idle timeout / transport death
+            Err(e) => {
+                // Framing errors are answered, then the connection is
+                // dropped: the stream position is no longer trustworthy.
+                let _ = write_frame(&mut writer, &err_response(&e.to_string()));
+                return Ok(());
+            }
+        };
+        match Request::parse(&payload) {
+            Err(e) => write_frame(&mut writer, &err_response(&e))?,
+            Ok(Request::Ping) => {
+                write_frame(&mut writer, &ok_response([("pong", Json::from(true))]))?;
+            }
+            Ok(Request::Shutdown) => {
+                write_frame(
+                    &mut writer,
+                    &ok_response([("shutting_down", Json::from(true))]),
+                )?;
+                writer.flush()?;
+                daemon.begin_shutdown();
+                return Ok(());
+            }
+            Ok(request) => daemon.answer(request, &mut writer)?,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sleep_or_shutdown_returns_early_once_shutdown_is_set() {
+        let flag = AtomicBool::new(false);
+        assert!(!sleep_or_shutdown(&flag, Duration::from_millis(1)));
+        flag.store(true, Ordering::SeqCst);
+        // Would sleep an hour without the flag.
+        assert!(sleep_or_shutdown(&flag, Duration::from_secs(3600)));
+    }
 
     #[test]
     fn a_fresh_deadline_is_not_expired_and_a_zero_one_is() {

@@ -152,6 +152,11 @@ pub fn err_response(reason: &str) -> String {
     Json::object([("ok", Json::from(false)), ("error", Json::from(reason))]).dump()
 }
 
+/// The error response for a request key the daemon does not know.
+pub fn unknown_request(req: u64) -> String {
+    err_response(&format!("unknown request {}", format_key(req)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,25 +17,31 @@
 //!
 //! # Shared state
 //!
-//! One [`SweepEngine`] (pool + result cache) serves every request; the
-//! request registry, queue, and request WAL are daemon-global. Per-client
-//! state is only the connection handler's socket.
+//! One [`SweepEngine`] (pool + result cache) serves every request. Every
+//! request's phase, subscribers, and place in the drain queue live in
+//! one [`Registry`] behind one mutex, whose condvar wakes drainers; the
+//! request WAL holds its own file lock, and the two are never held
+//! together (appends happen after the registry guard drops). A finished
+//! request's stored stream is sent to its subscribers after the guard
+//! drops too. Connections
+//! are served by the loop in [`crate::net`], shared with the shard front;
+//! per-client state is only the handler's socket.
 
-use crate::frame::{read_frame_paced, write_frame, FrameError};
-use crate::net;
-use crate::proto::{err_response, format_key, ok_response, request_key, Request};
-use crate::state::{DoneInfo, ReqPhase, RequestState, RequestWal, WalRecord};
+use crate::frame::write_frame;
+use crate::lock;
+use crate::net::{self, Daemon};
+use crate::proto::{err_response, format_key, ok_response, request_key, unknown_request, Request};
+use crate::state::{DoneInfo, Registry, ReqPhase, RequestWal, WalRecord};
 use liteworp_bench::catalog;
 use liteworp_bench::exec::{run_cells_on, SimCell, SIM_CODE_VERSION};
 use liteworp_obs as obs;
 use liteworp_runner::supervisor::Supervision;
 use liteworp_runner::{Json, ProgressObserver, ResultCache, SweepEngine};
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
 /// How a daemon instance is configured.
 #[derive(Debug, Clone)]
@@ -136,8 +142,8 @@ impl Drop for GaugeHold {
 
 struct DaemonState {
     engine: SweepEngine,
-    registry: Mutex<BTreeMap<u64, Arc<RequestState>>>,
-    queue: Mutex<VecDeque<u64>>,
+    /// The daemon's one request lock; `work` wakes drainers on it.
+    registry: Mutex<Registry>,
     work: Condvar,
     shutdown: AtomicBool,
     wal: RequestWal,
@@ -149,24 +155,26 @@ struct DaemonState {
     started_us: u64,
 }
 
-fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl DaemonState {
-    fn enqueue(&self, key: u64) {
-        let mut queue = lock(&self.queue);
-        queue.push_back(key);
-        self.metrics.queue_depth.set(queue.len() as i64);
-        drop(queue);
-        self.work.notify_one();
+    /// Runs `f` under the request lock, then republishes the queue depth.
+    fn with_registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
+        let mut registry = lock(&self.registry);
+        let out = f(&mut registry);
+        self.metrics.queue_depth.set(registry.queue_len() as i64);
+        out
     }
 
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.work.notify_all();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
+    /// Finishes a running request, then sends its subscribers their
+    /// final stream once the registry guard has dropped.
+    fn complete(&self, key: u64, outcome: Result<DoneInfo, String>, trace_lines: Vec<String>) {
+        if let Some(flush) = self.with_registry(|r| r.complete(key, outcome, trace_lines)) {
+            flush.send();
+        }
+    }
+
+    fn enqueue(&self, key: u64) {
+        self.with_registry(|r| r.enqueue(key));
+        self.work.notify_one();
     }
 
     fn journal_path(&self, key: u64) -> PathBuf {
@@ -206,6 +214,8 @@ impl Server {
             );
         }
         let wal = RequestWal::open(&wal_path)?;
+        let mut registry = Registry::default();
+        registry.replay(records);
 
         let cache = (!cfg.no_cache).then(|| ResultCache::new(cfg.state_dir.join("cache")));
         let engine = SweepEngine::new(cfg.threads, cache, SIM_CODE_VERSION);
@@ -215,8 +225,7 @@ impl Server {
 
         let state = Arc::new(DaemonState {
             engine,
-            registry: Mutex::new(BTreeMap::new()),
-            queue: Mutex::new(VecDeque::new()),
+            registry: Mutex::new(registry),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             wal,
@@ -226,12 +235,11 @@ impl Server {
             drainer_count: cfg.drainers.max(1),
             started_us: obs::clock::now_micros(),
         });
-        replay(&state, records);
 
         let accept = {
             let state = Arc::clone(&state);
             let stall = cfg.stall_accept;
-            std::thread::spawn(move || accept_loop(listener, state, stall))
+            std::thread::spawn(move || net::accept_loop(listener, state, stall))
         };
         let drainers = (0..cfg.drainers.max(1))
             .map(|_| {
@@ -241,7 +249,7 @@ impl Server {
             .collect();
         let metrics_pump = cfg.metrics_interval.filter(|s| *s > 0.0).map(|secs| {
             let state = Arc::clone(&state);
-            std::thread::spawn(move || metrics_loop(state, secs))
+            std::thread::spawn(move || metrics_loop(state, metrics_period(secs)))
         });
 
         Ok(Server {
@@ -280,130 +288,41 @@ impl Server {
     }
 }
 
-/// Rebuilds the registry and queue from WAL records, in order. A request
-/// whose sweep never logged `done` (the daemon died while it was queued
-/// or running) comes back `Queued`; its per-request journal then skips
-/// the jobs that already completed. Telemetry trace lines are not
-/// persisted, so a restarted daemon replays `done` requests without
-/// them.
-fn replay(state: &DaemonState, records: Vec<WalRecord>) {
-    // `restore_phase` takes each request's own lock, so restores are
-    // collected under the registry guard and applied after it drops —
-    // one lock at a time (the C001 discipline). Order is preserved, and
-    // each restore only touches its own request, so the final state is
-    // identical to interleaved application.
-    let mut registry = lock(&state.registry);
-    let mut order: Vec<u64> = Vec::new();
-    let mut restores: Vec<(Arc<RequestState>, ReqPhase)> = Vec::new();
-    for record in records {
-        match record {
-            WalRecord::Submitted {
-                key,
-                kind,
-                params,
-                trace,
-            } => {
-                let req = registry
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(RequestState::new(key, kind, params, trace)));
-                restores.push((Arc::clone(req), ReqPhase::Queued));
-                if !order.contains(&key) {
-                    order.push(key);
-                }
-            }
-            WalRecord::Done { key, info } => {
-                if let Some(req) = registry.get(&key) {
-                    restores.push((Arc::clone(req), ReqPhase::Done(info)));
-                }
-                order.retain(|k| *k != key);
-            }
-            WalRecord::Cancelled { key } => {
-                if let Some(req) = registry.get(&key) {
-                    restores.push((Arc::clone(req), ReqPhase::Cancelled));
-                }
-                order.retain(|k| *k != key);
-            }
-        }
-    }
-    drop(registry);
-    for (req, phase) in restores {
-        req.restore_phase(phase);
-    }
-    let mut queue = lock(&state.queue);
-    queue.extend(order);
-    if !queue.is_empty() {
-        state.work.notify_all();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    state: Arc<DaemonState>,
-    stall_accept: Option<std::time::Duration>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(stall) = stall_accept {
-                    // Chaos hook: a deliberately unresponsive acceptor.
-                    std::thread::sleep(stall);
-                }
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || {
-                    let _ = handle_connection(stream, state);
-                });
-            }
-            Err(_) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 fn drain_loop(state: Arc<DaemonState>) {
     loop {
-        let key = {
-            let mut queue = lock(&state.queue);
+        let (key, kind, params, trace) = {
+            let mut registry = lock(&state.registry);
             loop {
                 if state.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(key) = queue.pop_front() {
-                    state.metrics.queue_depth.set(queue.len() as i64);
-                    break key;
+                if let Some(req) = registry.start_next() {
+                    let job = (req.key, req.kind.clone(), req.params.clone(), req.trace);
+                    state.metrics.queue_depth.set(registry.queue_len() as i64);
+                    break job;
                 }
-                queue = state
+                registry = state
                     .work
-                    .wait(queue)
+                    .wait(registry)
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        drain_one(&state, key);
+        drain_one(&state, key, &kind, &params, trace);
     }
 }
 
-/// Executes one request's sweep on the shared engine.
-fn drain_one(state: &DaemonState, key: u64) {
-    let Some(req) = lock(&state.registry).get(&key).cloned() else {
-        return;
-    };
-    if !req.set_running() {
-        return; // a cancel won the race, or a stale queue entry
-    }
+/// Executes one started request's sweep on the shared engine.
+fn drain_one(state: &Arc<DaemonState>, key: u64, kind: &str, params: &Json, trace: bool) {
     let _request_span = obs::span("request");
     let _active = GaugeHold::new(state.metrics.active_drains.clone());
-    let cells = match catalog::cells_for(&req.kind, &req.params) {
+    let cells = match catalog::cells_for(kind, params) {
         Ok(cells) => cells,
         Err(e) => {
             // Submit validated this, so only a version-skewed WAL replay
             // can land here.
             state.metrics.requests_failed.inc();
-            req.complete(Err(format!("catalog rejected request: {e}")), Vec::new());
+            let reason = format!("catalog rejected request: {e}");
+            state.complete(key, Err(reason), Vec::new());
             return;
         }
     };
@@ -415,11 +334,11 @@ fn drain_one(state: &DaemonState, key: u64) {
         ..Supervision::default()
     };
     let observer: Arc<ProgressObserver> = {
-        let req = Arc::clone(&req);
+        let state = Arc::clone(state);
         Arc::new(move |p| {
             let frame = Json::object([
                 ("stream", Json::from("progress")),
-                ("req", Json::from(format_key(req.key))),
+                ("req", Json::from(format_key(key))),
                 ("index", Json::from(p.index)),
                 ("total", Json::from(p.total)),
                 ("label", Json::from(p.label)),
@@ -428,7 +347,7 @@ fn drain_one(state: &DaemonState, key: u64) {
                 ("journaled", Json::from(p.journaled)),
             ])
             .dump();
-            req.broadcast(&frame);
+            lock(&state.registry).broadcast(key, &frame);
         })
     };
 
@@ -445,13 +364,11 @@ fn drain_one(state: &DaemonState, key: u64) {
         // Keep the journal: completed jobs replay if the request is
         // retried after a restart.
         state.metrics.requests_failed.inc();
-        req.complete(
-            Err(format!("{} of {} jobs quarantined", m.failed, m.jobs)),
-            Vec::new(),
-        );
+        let reason = format!("{} of {} jobs quarantined", m.failed, m.jobs);
+        state.complete(key, Err(reason), Vec::new());
         return;
     }
-    let trace_lines = if req.trace {
+    let trace_lines = if trace {
         trace_request(&cells, key)
     } else {
         Vec::new()
@@ -470,7 +387,7 @@ fn drain_one(state: &DaemonState, key: u64) {
     });
     let _ = std::fs::remove_file(&journal);
     state.metrics.requests_done.inc();
-    req.complete(Ok(info), trace_lines);
+    state.complete(key, Ok(info), trace_lines);
 }
 
 /// Builds one `{"stream":"metrics",…}` frame: uptime, queue depth, and
@@ -487,24 +404,25 @@ fn metrics_frame(state: &DaemonState) -> String {
     .dump()
 }
 
+/// The metrics pump's fastest tick: a tiny `--metrics-interval` cannot
+/// keep the registry lock busy.
+const METRICS_FLOOR: Duration = Duration::from_millis(50);
+
+/// The pump period for a positive `--metrics-interval SECS`: at least
+/// [`METRICS_FLOOR`]. A value too large for a `Duration`, or infinite,
+/// never ticks.
+fn metrics_period(secs: f64) -> Duration {
+    Duration::try_from_secs_f64(secs)
+        .unwrap_or(Duration::MAX)
+        .max(METRICS_FLOOR)
+}
+
 /// Periodically broadcasts a metrics frame to every subscriber of every
-/// live request (`--metrics-interval`). Sleeps in short steps so
-/// shutdown is honored promptly.
-fn metrics_loop(state: Arc<DaemonState>, interval_secs: f64) {
-    let step = std::time::Duration::from_millis(50);
-    let steps_per_tick = ((interval_secs / 0.05).ceil() as u64).max(1);
-    loop {
-        for _ in 0..steps_per_tick {
-            if state.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(step);
-        }
+/// live request (`--metrics-interval`) until shutdown.
+fn metrics_loop(state: Arc<DaemonState>, interval: Duration) {
+    while !net::sleep_or_shutdown(&state.shutdown, interval) {
         let frame = metrics_frame(&state);
-        let requests: Vec<Arc<RequestState>> = lock(&state.registry).values().cloned().collect();
-        for req in requests {
-            req.broadcast(&frame);
-        }
+        state.with_registry(|r| r.broadcast_all(&frame));
     }
 }
 
@@ -512,12 +430,15 @@ fn metrics_loop(state: Arc<DaemonState>, interval_secs: f64) {
 /// snapshot. `phase_latency_us` summarizes the per-span histograms the
 /// drain and simulate paths feed (`span_us.<name>` series).
 fn stats_pairs(state: &DaemonState) -> Vec<(String, Json)> {
-    let queue_depth = lock(&state.queue).len();
-    let phases: Vec<(ReqPhase, u64)> = {
-        let registry = lock(&state.registry);
-        registry.values().map(|r| (r.phase(), r.key)).collect()
-    };
-    let count = |want: &str| phases.iter().filter(|(p, _)| p.name() == want).count();
+    let (queue_depth, registered, queued, running) = state.with_registry(|r| {
+        let count = |want: &ReqPhase| r.requests().filter(|q| q.phase() == want).count();
+        (
+            r.queue_len(),
+            r.requests().count(),
+            count(&ReqPhase::Queued),
+            count(&ReqPhase::Running),
+        )
+    });
     let wal_bytes = std::fs::metadata(&state.wal.path)
         .map(|m| m.len())
         .unwrap_or(0);
@@ -554,9 +475,9 @@ fn stats_pairs(state: &DaemonState) -> Vec<(String, Json)> {
         (
             "requests".to_string(),
             Json::object([
-                ("registered", Json::from(phases.len())),
-                ("queued", Json::from(count("queued"))),
-                ("running", Json::from(count("running"))),
+                ("registered", Json::from(registered)),
+                ("queued", Json::from(queued)),
+                ("running", Json::from(running)),
                 ("submitted", Json::from(m.requests_submitted.get())),
                 ("done", Json::from(m.requests_done.get())),
                 ("failed", Json::from(m.requests_failed.get())),
@@ -589,124 +510,63 @@ fn trace_request(cells: &[SimCell], key: u64) -> Vec<String> {
     let mut run = scenario.build();
     run.run_until_secs(cell.duration);
     let jsonl = run.sim().trace().log().to_jsonl();
+    let frame = |field: &str, value: Json| {
+        Json::object([
+            ("stream", Json::from("telemetry")),
+            ("req", Json::from(format_key(key))),
+            (field, value),
+        ])
+        .dump()
+    };
     let mut lines: Vec<String> = jsonl
         .lines()
         .take(TRACE_LINE_CAP)
         .map(|line| {
-            Json::object([
-                ("stream", Json::from("telemetry")),
-                ("req", Json::from(format_key(key))),
-                (
-                    "data",
-                    Json::parse(line).unwrap_or_else(|_| Json::from(line)),
-                ),
-            ])
-            .dump()
+            frame(
+                "data",
+                Json::parse(line).unwrap_or_else(|_| Json::from(line)),
+            )
         })
         .collect();
     let total = jsonl.lines().count();
     if total > TRACE_LINE_CAP {
-        lines.push(
-            Json::object([
-                ("stream", Json::from("telemetry")),
-                ("req", Json::from(format_key(key))),
-                ("truncated", Json::from(total - TRACE_LINE_CAP)),
-            ])
-            .dump(),
-        );
+        lines.push(frame("truncated", Json::from(total - TRACE_LINE_CAP)));
     }
     lines
 }
 
-fn handle_connection(stream: TcpStream, state: Arc<DaemonState>) -> std::io::Result<()> {
-    net::configure(&stream)?;
-    let deadline = net::ConnDeadline::new(net::CONN_LIFETIME);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) || deadline.expired() {
-            return Ok(());
-        }
-        // A fresh pacer per frame: idle waits between frames get the
-        // idle budget, and a started frame must complete within the
-        // frame budget (slow-loris defence, `FrameError::FrameTimeout`).
-        let pacer = net::FramePacer::new();
-        let payload = match read_frame_paced(&mut reader, &pacer) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return Ok(()),               // client hung up
-            Err(FrameError::Io(_)) => return Ok(()), // idle timeout / transport death
-            Err(e) => {
-                // Framing errors are answered, then the connection is
-                // dropped: the stream position is no longer trustworthy.
-                let _ = write_frame(&mut writer, &err_response(&e.to_string()));
-                return Ok(());
-            }
-        };
-        let request = match Request::parse(&payload) {
-            Ok(request) => request,
-            Err(e) => {
-                write_frame(&mut writer, &err_response(&e))?;
-                continue;
-            }
-        };
-        match request {
+impl Daemon for DaemonState {
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.work.notify_all();
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.local_addr);
+    }
+
+    fn answer(&self, request: Request, writer: &mut TcpStream) -> std::io::Result<()> {
+        let response = match request {
             Request::Submit {
                 kind,
                 params,
                 trace,
-            } => {
-                let response = submit(&state, kind, params, trace);
-                write_frame(&mut writer, &response)?;
-            }
-            Request::Status { req } => {
-                // Registry and queue locks are taken one at a time (the
-                // drain path does the same), so a stale position is
-                // possible but a deadlock is not.
-                let entry = lock(&state.registry).get(&req).cloned();
-                let response = match entry {
-                    Some(r) => {
-                        let queue_position = lock(&state.queue).iter().position(|k| *k == req);
-                        ok_response(r.status_json(queue_position))
-                    }
-                    None => err_response(&format!("unknown request {}", format_key(req))),
-                };
-                write_frame(&mut writer, &response)?;
-            }
-            Request::Stats => {
-                write_frame(&mut writer, &ok_response(stats_pairs(&state)))?;
-            }
-            Request::Cancel { req } => {
-                // Like Status: clone the entry out of the registry guard
-                // before touching the request's own lock in `cancel()`.
-                let entry = lock(&state.registry).get(&req).cloned();
-                let response = match entry {
-                    Some(r) => {
-                        let cancelled = r.cancel();
-                        if cancelled {
-                            state.metrics.requests_cancelled.inc();
-                            let _ = state.wal.append(&WalRecord::Cancelled { key: req });
-                        }
-                        ok_response([
-                            ("req", Json::from(format_key(req))),
-                            ("cancelled", Json::from(cancelled)),
-                            ("phase", Json::from(r.phase().name())),
-                        ])
-                    }
-                    None => err_response(&format!("unknown request {}", format_key(req))),
-                };
-                write_frame(&mut writer, &response)?;
-            }
+            } => submit(self, kind, params, trace),
+            Request::Status { req } => match self.with_registry(|r| r.status_json(req)) {
+                Some(pairs) => ok_response(pairs),
+                None => unknown_request(req),
+            },
+            Request::Stats => ok_response(stats_pairs(self)),
+            Request::Cancel { req } => cancel(self, req),
             Request::Subscribe { req } => {
-                let Some(r) = lock(&state.registry).get(&req).cloned() else {
-                    write_frame(
-                        &mut writer,
-                        &err_response(&format!("unknown request {}", format_key(req))),
-                    )?;
-                    continue;
+                let Some((rx, flush)) = self.with_registry(|r| r.subscribe(req)) else {
+                    return write_frame(writer, &unknown_request(req));
                 };
-                let rx = r.subscribe();
+                flush.send();
                 write_frame(
-                    &mut writer,
+                    writer,
                     &ok_response([
                         ("req", Json::from(format_key(req))),
                         ("stream", Json::from(true)),
@@ -715,86 +575,69 @@ fn handle_connection(stream: TcpStream, state: Arc<DaemonState>) -> std::io::Res
                 // Stream until the request completes (sender dropped) or
                 // the client goes away (write fails).
                 for frame in rx {
-                    write_frame(&mut writer, &frame)?;
+                    write_frame(writer, &frame)?;
                 }
-            }
-            Request::Shards => {
-                write_frame(
-                    &mut writer,
-                    &err_response("this daemon is not a shard front (run with --front)"),
-                )?;
-            }
-            Request::Ping => {
-                write_frame(&mut writer, &ok_response([("pong", Json::from(true))]))?;
-            }
-            Request::Shutdown => {
-                write_frame(
-                    &mut writer,
-                    &ok_response([("shutting_down", Json::from(true))]),
-                )?;
-                writer.flush()?;
-                state.begin_shutdown();
                 return Ok(());
             }
-        }
+            Request::Shards => err_response("this daemon is not a shard front (run with --front)"),
+            // Answered by the shared connection loop.
+            Request::Ping | Request::Shutdown => return Ok(()),
+        };
+        write_frame(writer, &response)
     }
 }
 
-/// Handles one `submit`: validate, dedup by content key, WAL, enqueue.
+/// Handles one `submit`: validate, register (dedup by content key), WAL,
+/// enqueue.
 fn submit(state: &DaemonState, kind: String, params: Json, trace: bool) -> String {
     if let Err(e) = catalog::cells_for(&kind, &params) {
         return err_response(&e);
     }
     let key = request_key(&kind, &params);
-    let mut registry = lock(&state.registry);
-    match registry.get(&key).cloned() {
-        None => {
-            let req = Arc::new(RequestState::new(key, kind.clone(), params.clone(), trace));
-            registry.insert(key, req);
-            drop(registry);
-            state.metrics.requests_submitted.inc();
-            let _ = state.wal.append(&WalRecord::Submitted {
-                key,
-                kind,
-                params,
-                trace,
-            });
-            state.enqueue(key);
-            ok_response([
-                ("req", Json::from(format_key(key))),
-                ("dedup", Json::from(false)),
-                ("phase", Json::from("queued")),
-            ])
-        }
-        Some(req) => {
-            drop(registry);
-            if req.requeue() {
-                // A cancelled request revived: log a fresh submission so
-                // WAL replay re-enqueues it, and queue it again.
-                state.metrics.requests_submitted.inc();
-                let _ = state.wal.append(&WalRecord::Submitted {
-                    key,
-                    kind: req.kind.clone(),
-                    params: req.params.clone(),
-                    trace: req.trace,
-                });
-                state.enqueue(key);
-                return ok_response([
-                    ("req", Json::from(format_key(key))),
-                    ("dedup", Json::from(true)),
-                    ("phase", Json::from("queued")),
-                ]);
-            }
-            let phase = req.phase();
-            let mut pairs = vec![
-                ("req".to_string(), Json::from(format_key(key))),
-                ("dedup".to_string(), Json::from(true)),
-                ("phase".to_string(), Json::from(phase.name())),
-            ];
-            if let ReqPhase::Done(info) = &phase {
-                pairs.push(("digest".to_string(), Json::from(format_key(info.digest))));
-            }
-            ok_response(pairs)
-        }
+    let submission = state.with_registry(|r| r.submit(key, kind, params, trace));
+    if let Some(record) = &submission.record {
+        // New or revived: log the submission before a drainer can see it.
+        state.metrics.requests_submitted.inc();
+        let _ = state.wal.append(record);
+        state.enqueue(key);
+    }
+    let mut pairs = vec![
+        ("req".to_string(), Json::from(format_key(key))),
+        ("dedup".to_string(), Json::from(submission.dedup)),
+        ("phase".to_string(), Json::from(submission.phase.name())),
+    ];
+    if let ReqPhase::Done(info) = &submission.phase {
+        pairs.push(("digest".to_string(), Json::from(format_key(info.digest))));
+    }
+    ok_response(pairs)
+}
+
+/// Handles one `cancel`: only a queued request parks; the WAL records it
+/// after the registry lock is released.
+fn cancel(state: &DaemonState, req: u64) -> String {
+    let Some((cancelled, phase)) = state.with_registry(|r| r.cancel(req)) else {
+        return unknown_request(req);
+    };
+    if cancelled {
+        state.metrics.requests_cancelled.inc();
+        let _ = state.wal.append(&WalRecord::Cancelled { key: req });
+    }
+    ok_response([
+        ("req", Json::from(format_key(req))),
+        ("cancelled", Json::from(cancelled)),
+        ("phase", Json::from(phase)),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn metrics_period_is_floored_and_never_panics() {
+        assert_eq!(metrics_period(0.2), Duration::from_millis(200));
+        assert_eq!(metrics_period(1e-9), METRICS_FLOOR);
+        assert_eq!(metrics_period(1e20), Duration::MAX);
+        assert_eq!(metrics_period(f64::INFINITY), Duration::MAX);
     }
 }

@@ -13,13 +13,14 @@
 //! a clock): the wall-clock sites of the crate stay in `net.rs`.
 
 use crate::frame::{read_frame, write_frame};
+use crate::lock;
 use liteworp_runner::supervisor::RestartBudget;
 use liteworp_runner::Json;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Read/write timeout on a forwarded request's connection. Submit,
@@ -80,10 +81,6 @@ pub struct ShardSlot {
     /// The shard's private state directory.
     pub state_dir: PathBuf,
     state: Mutex<ShardState>,
-}
-
-fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ShardSlot {

@@ -1,23 +1,27 @@
-//! Daemon-side request registry: per-request lifecycle state, subscriber
-//! fan-out, and the write-ahead request log that makes submissions
-//! survive a daemon crash.
+//! Daemon-side request bookkeeping: the [`Registry`] of per-request
+//! lifecycle state, queue, and subscriber fan-out, and the write-ahead
+//! request log that makes submissions survive a daemon crash.
 //!
 //! A request is identified by its content-addressed key (see
 //! [`crate::proto::request_key`]) and moves through
 //! `Queued → Running → Done/Failed`, with `Queued → Cancelled` (and back
-//! to `Queued` on re-submit) as the only other edges. Subscribers attach
-//! an [`std::sync::mpsc`] sender to the request; the attach-vs-complete
-//! race is serialized by the request's mutex — completion takes the
-//! subscriber list under the lock, flushes the stored telemetry lines
-//! and the final frame, and drops the senders so each subscriber's
-//! receiver disconnects and its stream ends.
+//! to `Queued` on re-submit) as the only other edges. The registry is a
+//! plain value: the server keeps it behind its one request lock, so the
+//! attach-vs-complete race of a subscriber is serialized there. Under
+//! that lock, completion (or a late attach) only takes the subscribers'
+//! senders out as a [`Flush`]; the caller sends the stored telemetry
+//! lines and the final frame after the lock drops, over each unbounded
+//! [`std::sync::mpsc`] channel, then drops the senders so each receiver
+//! disconnects and its stream ends.
 
 use crate::proto::{format_key, parse_key};
+use liteworp_runner::journal::replay_truncating;
 use liteworp_runner::Json;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Result summary of a finished sweep, as recorded in the WAL and
 /// reported by `status`.
@@ -75,17 +79,10 @@ impl ReqPhase {
     }
 }
 
-struct ReqInner {
-    phase: ReqPhase,
-    subs: Vec<mpsc::Sender<String>>,
-    trace_lines: Vec<String>,
-    /// Obs-clock reading of the (latest) submission, for `age_ms`.
-    submitted_us: u64,
-}
-
-/// One registered request: immutable identity plus mutex-guarded
-/// lifecycle state.
-pub struct RequestState {
+/// One registered request: its identity plus lifecycle state. Plain
+/// data with `&mut self` transitions; the [`Registry`] that owns it is
+/// what the daemon locks.
+pub struct Request {
     /// Content-addressed request key.
     pub key: u64,
     /// Catalog kind.
@@ -94,152 +91,324 @@ pub struct RequestState {
     pub params: Json,
     /// Whether the first submission asked for a telemetry trace.
     pub trace: bool,
-    inner: Mutex<ReqInner>,
+    phase: ReqPhase,
+    subs: Vec<mpsc::Sender<String>>,
+    trace_lines: Arc<[String]>,
+    /// Obs-clock reading of the (latest) submission, for `age_ms`.
+    submitted_us: u64,
 }
 
-impl RequestState {
+impl Request {
     /// A freshly submitted (queued) request.
     pub fn new(key: u64, kind: String, params: Json, trace: bool) -> Self {
-        RequestState {
+        Request {
             key,
             kind,
             params,
             trace,
-            inner: Mutex::new(ReqInner {
-                phase: ReqPhase::Queued,
-                subs: Vec::new(),
-                trace_lines: Vec::new(),
-                submitted_us: liteworp_obs::clock::now_micros(),
-            }),
+            phase: ReqPhase::Queued,
+            subs: Vec::new(),
+            trace_lines: Arc::default(),
+            submitted_us: liteworp_obs::clock::now_micros(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ReqInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// A snapshot of the current phase.
-    pub fn phase(&self) -> ReqPhase {
-        self.lock().phase.clone()
-    }
-
-    /// Restores a phase loaded from the WAL (startup only).
-    pub fn restore_phase(&self, phase: ReqPhase) {
-        self.lock().phase = phase;
+    /// The current phase.
+    pub fn phase(&self) -> &ReqPhase {
+        &self.phase
     }
 
     /// `Queued → Running`. Returns false (and does nothing) from any
-    /// other phase — in particular a cancel that won the race.
-    pub fn set_running(&self) -> bool {
-        let mut inner = self.lock();
-        if inner.phase == ReqPhase::Queued {
-            inner.phase = ReqPhase::Running;
-            true
-        } else {
-            false
+    /// other phase.
+    pub fn set_running(&mut self) -> bool {
+        let queued = self.phase == ReqPhase::Queued;
+        if queued {
+            self.phase = ReqPhase::Running;
         }
+        queued
     }
 
     /// `Queued → Cancelled`. Running or finished sweeps are unaffected;
     /// returns whether the cancel took. Subscribers of a cancelled
     /// request get its final frame and their streams end.
-    pub fn cancel(&self) -> bool {
-        let mut inner = self.lock();
-        if inner.phase != ReqPhase::Queued {
+    pub fn cancel(&mut self) -> bool {
+        if self.phase != ReqPhase::Queued {
             return false;
         }
-        inner.phase = ReqPhase::Cancelled;
-        let frame = final_frame(self.key, &inner.phase);
-        for sub in inner.subs.drain(..) {
-            let _ = sub.send(frame.clone());
-        }
+        self.phase = ReqPhase::Cancelled;
+        self.flush().send();
         true
     }
 
     /// `Cancelled → Queued` (a duplicate submit reviving the request).
     /// Returns whether the transition happened.
-    pub fn requeue(&self) -> bool {
-        let mut inner = self.lock();
-        if inner.phase == ReqPhase::Cancelled {
-            inner.phase = ReqPhase::Queued;
-            inner.trace_lines.clear();
-            inner.submitted_us = liteworp_obs::clock::now_micros();
-            true
-        } else {
-            false
+    pub fn requeue(&mut self) -> bool {
+        if self.phase != ReqPhase::Cancelled {
+            return false;
         }
+        self.phase = ReqPhase::Queued;
+        self.trace_lines = Arc::default();
+        self.submitted_us = liteworp_obs::clock::now_micros();
+        true
     }
 
     /// Attaches a subscriber. On a live request the receiver sees
-    /// progress frames as they happen; on a terminal one it is served
-    /// the stored telemetry lines and the final frame immediately.
-    /// Either way the stream ends when the sender side is dropped.
-    pub fn subscribe(&self) -> mpsc::Receiver<String> {
+    /// progress frames as they happen (the returned flush is empty); on
+    /// a terminal one the flush serves it the stored telemetry lines and
+    /// the final frame. Either way the stream ends when the sender side
+    /// is dropped.
+    pub fn subscribe(&mut self) -> (mpsc::Receiver<String>, Flush) {
         let (tx, rx) = mpsc::channel();
-        let mut inner = self.lock();
-        if inner.phase.is_terminal() {
-            for line in &inner.trace_lines {
-                let _ = tx.send(line.clone());
-            }
-            let _ = tx.send(final_frame(self.key, &inner.phase));
-            // tx drops here: the replayed stream ends immediately.
-        } else {
-            inner.subs.push(tx);
+        self.subs.push(tx);
+        if self.phase.is_terminal() {
+            return (rx, self.flush());
         }
-        rx
+        (rx, Flush::default())
     }
 
     /// Sends one frame to every live subscriber, pruning the hung-up.
-    pub fn broadcast(&self, frame: &str) {
-        self.lock()
-            .subs
-            .retain(|sub| sub.send(frame.to_string()).is_ok());
+    pub fn broadcast(&mut self, frame: &str) {
+        self.subs.retain(|sub| sub.send(frame.to_string()).is_ok());
     }
 
     /// Finishes the request: records the terminal phase and telemetry
-    /// lines, then flushes both to every subscriber and hangs them up.
-    pub fn complete(&self, outcome: Result<DoneInfo, String>, trace_lines: Vec<String>) {
-        let mut inner = self.lock();
-        inner.phase = match outcome {
+    /// lines, and takes every subscriber out into the returned flush,
+    /// which sends them both and hangs up.
+    pub fn complete(
+        &mut self,
+        outcome: Result<DoneInfo, String>,
+        trace_lines: Vec<String>,
+    ) -> Flush {
+        self.phase = match outcome {
             Ok(info) => ReqPhase::Done(info),
             Err(reason) => ReqPhase::Failed(reason),
         };
-        inner.trace_lines = trace_lines;
-        let frame = final_frame(self.key, &inner.phase);
-        let lines = inner.trace_lines.clone();
-        for sub in inner.subs.drain(..) {
-            for line in &lines {
+        self.trace_lines = trace_lines.into();
+        self.flush()
+    }
+
+    /// Takes every subscriber out with the terminal stream it is owed.
+    fn flush(&mut self) -> Flush {
+        Flush {
+            subs: std::mem::take(&mut self.subs),
+            lines: Arc::clone(&self.trace_lines),
+            frame: final_frame(self.key, &self.phase),
+        }
+    }
+}
+
+/// The end of a terminal stream, owed to some subscribers: the stored
+/// telemetry lines, then the final frame. It is taken out under the
+/// registry lock and sent after the lock drops, so copying a long trace
+/// into the channels never holds the lock.
+#[derive(Default)]
+#[must_use = "subscribers get their final frame only when the flush is sent"]
+pub struct Flush {
+    subs: Vec<mpsc::Sender<String>>,
+    lines: Arc<[String]>,
+    frame: String,
+}
+
+impl Flush {
+    /// Sends the lines and the final frame to every subscriber, then
+    /// drops the senders so each stream ends.
+    pub fn send(self) {
+        for sub in self.subs {
+            for line in self.lines.iter() {
                 let _ = sub.send(line.clone());
             }
-            let _ = sub.send(frame.clone());
+            let _ = sub.send(self.frame.clone());
+        }
+    }
+}
+
+/// What a `submit` did to the [`Registry`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Submission {
+    /// Whether the key was already registered.
+    pub dedup: bool,
+    /// The request's phase after the submit.
+    pub phase: ReqPhase,
+    /// Set when the submit (re)queued the request: the record to log
+    /// before [`Registry::enqueue`] hands it to a drainer.
+    pub record: Option<WalRecord>,
+}
+
+/// The daemon's whole request bookkeeping — every registered request and
+/// the drain queue — as one plain value. The server keeps it behind one
+/// mutex (with the condvar that wakes drainers); nothing in here locks,
+/// blocks, or touches a file, so the lifecycle is testable without
+/// sockets.
+#[derive(Default)]
+pub struct Registry {
+    /// Every registered request, by key.
+    requests: BTreeMap<u64, Request>,
+    /// Keys waiting for a drainer, oldest submission first. Holds only
+    /// `Queued` requests, each at most once.
+    queue: VecDeque<u64>,
+}
+
+impl Registry {
+    /// Every registered request, in key order.
+    pub fn requests(&self) -> impl Iterator<Item = &Request> {
+        self.requests.values()
+    }
+
+    /// How many requests wait for a drainer.
+    pub fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Registers a submission, deduplicating by key: a new key is added
+    /// `Queued`, a cancelled one is revived, anything else is reported
+    /// as it stands.
+    pub fn submit(&mut self, key: u64, kind: String, params: Json, trace: bool) -> Submission {
+        let dedup = self.requests.contains_key(&key);
+        let req = self
+            .requests
+            .entry(key)
+            .or_insert_with(|| Request::new(key, kind, params, trace));
+        // A new or revived request logs a submission, so WAL replay
+        // (re-)enqueues it.
+        let queued = !dedup || req.requeue();
+        Submission {
+            dedup,
+            phase: req.phase.clone(),
+            record: queued.then(|| WalRecord::Submitted {
+                key,
+                kind: req.kind.clone(),
+                params: req.params.clone(),
+                trace: req.trace,
+            }),
         }
     }
 
-    /// The `status` response body for this request (without the `ok`
-    /// field). `queue_position` is the request's 0-based place in the
-    /// drain queue, passed in by the server for queued requests only.
-    pub fn status_json(&self, queue_position: Option<usize>) -> Vec<(String, Json)> {
-        let inner = self.lock();
-        let age_us = liteworp_obs::clock::now_micros().saturating_sub(inner.submitted_us);
+    /// Appends a queued request to the drain queue — after its
+    /// submission is logged. Does nothing when a cancel won the race or
+    /// the key is already queued; returns whether it queued.
+    pub fn enqueue(&mut self, key: u64) -> bool {
+        let queued = self.requests.get(&key).map(Request::phase) == Some(&ReqPhase::Queued);
+        let fresh = queued && !self.queue.contains(&key);
+        if fresh {
+            self.queue.push_back(key);
+        }
+        fresh
+    }
+
+    /// Pops the oldest queued request and marks it running.
+    pub fn start_next(&mut self) -> Option<&Request> {
+        let key = loop {
+            let key = self.queue.pop_front()?;
+            if self
+                .requests
+                .get_mut(&key)
+                .is_some_and(Request::set_running)
+            {
+                break key;
+            }
+        };
+        self.requests.get(&key)
+    }
+
+    /// Cancels a queued request and takes it off the queue. `None` for
+    /// an unknown key, else whether the cancel took and the phase after.
+    pub fn cancel(&mut self, key: u64) -> Option<(bool, &'static str)> {
+        let req = self.requests.get_mut(&key)?;
+        let cancelled = req.cancel();
+        if cancelled {
+            self.queue.retain(|k| *k != key);
+        }
+        Some((cancelled, req.phase.name()))
+    }
+
+    /// Finishes a running request (see [`Request::complete`]). Returns
+    /// `None`, changing nothing, for any other phase.
+    pub fn complete(
+        &mut self,
+        key: u64,
+        outcome: Result<DoneInfo, String>,
+        trace_lines: Vec<String>,
+    ) -> Option<Flush> {
+        match self.requests.get_mut(&key) {
+            Some(req) if req.phase == ReqPhase::Running => Some(req.complete(outcome, trace_lines)),
+            _ => None,
+        }
+    }
+
+    /// Attaches a subscriber to `key` (see [`Request::subscribe`]);
+    /// `None` for an unknown key.
+    pub fn subscribe(&mut self, key: u64) -> Option<(mpsc::Receiver<String>, Flush)> {
+        self.requests.get_mut(&key).map(Request::subscribe)
+    }
+
+    /// Sends one frame to the subscribers of `key`.
+    pub fn broadcast(&mut self, key: u64, frame: &str) {
+        if let Some(req) = self.requests.get_mut(&key) {
+            req.broadcast(frame);
+        }
+    }
+
+    /// Sends one frame to the subscribers of every request.
+    pub fn broadcast_all(&mut self, frame: &str) {
+        self.requests
+            .values_mut()
+            .for_each(|req| req.broadcast(frame));
+    }
+
+    /// The `status` response body for `key` (without the `ok` field).
+    /// A queued request also reports its exact 0-based `queue_position`.
+    pub fn status_json(&self, key: u64) -> Option<Vec<(String, Json)>> {
+        let req = self.requests.get(&key)?;
+        let age_us = liteworp_obs::clock::now_micros().saturating_sub(req.submitted_us);
         let mut pairs = vec![
-            ("req".to_string(), Json::from(format_key(self.key))),
-            ("kind".to_string(), Json::from(self.kind.clone())),
-            ("phase".to_string(), Json::from(inner.phase.name())),
+            ("req".to_string(), Json::from(format_key(key))),
+            ("kind".to_string(), Json::from(req.kind.clone())),
+            ("phase".to_string(), Json::from(req.phase.name())),
             ("age_ms".to_string(), Json::from(age_us / 1_000)),
         ];
-        if inner.phase == ReqPhase::Queued {
-            if let Some(pos) = queue_position {
-                pairs.push(("queue_position".to_string(), Json::from(pos)));
-            }
+        if let Some(pos) = self.queue.iter().position(|k| *k == key) {
+            pairs.push(("queue_position".to_string(), Json::from(pos)));
         }
-        match &inner.phase {
+        match &req.phase {
             ReqPhase::Done(info) => pairs.extend(done_pairs(info)),
             ReqPhase::Failed(reason) => {
                 pairs.push(("reason".to_string(), Json::from(reason.clone())));
             }
             _ => {}
         }
-        pairs
+        Some(pairs)
+    }
+
+    /// Rebuilds the registry from WAL records, in order. A request whose
+    /// sweep never logged `done` (the daemon died while it was queued or
+    /// running, or it failed) comes back `Queued`, in submission order;
+    /// its per-request journal then skips the jobs that already
+    /// completed. Telemetry trace lines are not persisted, so replayed
+    /// `done` requests come back without them.
+    pub fn replay(&mut self, records: impl IntoIterator<Item = WalRecord>) {
+        for record in records {
+            let (key, phase) = match record {
+                WalRecord::Submitted {
+                    key,
+                    kind,
+                    params,
+                    trace,
+                } => {
+                    self.requests
+                        .entry(key)
+                        .or_insert_with(|| Request::new(key, kind, params, trace))
+                        .phase = ReqPhase::Queued;
+                    self.enqueue(key);
+                    continue;
+                }
+                WalRecord::Done { key, info } => (key, ReqPhase::Done(info)),
+                WalRecord::Cancelled { key } => (key, ReqPhase::Cancelled),
+            };
+            if let Some(req) = self.requests.get_mut(&key) {
+                req.phase = phase;
+            }
+            self.queue.retain(|k| *k != key);
+        }
     }
 }
 
@@ -360,9 +529,10 @@ impl WalRecord {
 }
 
 /// Append-only JSONL log of request lifecycle records. Replaying it in
-/// order (last record per key wins for phase; submit order builds the
-/// queue) reconstructs the registry after a crash. A torn final line —
-/// the daemon died mid-write — is ignored on load.
+/// order ([`Registry::replay`]: last record per key wins for phase,
+/// submit order builds the queue) reconstructs the registry after a
+/// crash. A torn final line — the daemon died mid-write — is cut on
+/// load.
 pub struct RequestWal {
     file: Mutex<std::fs::File>,
     /// The log's location.
@@ -389,85 +559,47 @@ impl RequestWal {
     /// Appends one record durably (fsync per record: a crash loses at
     /// most the torn line the loader already tolerates).
     pub fn append(&self, record: &WalRecord) -> std::io::Result<()> {
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut file = crate::lock(&self.file);
         file.write_all(format!("{}\n", record.to_json().dump()).as_bytes())?;
         // lint: allow(C002) WAL durability contract: the fsync *must* be
         // serialized under the file lock so records hit disk in append order
         file.sync_data()
     }
 
-    /// Loads every well-formed record, in order. A missing file is an
-    /// empty log; a torn or malformed line ends the replay (everything
-    /// before it is kept).
-    pub fn load(path: &Path) -> Vec<WalRecord> {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return Vec::new();
-        };
-        let mut records = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some(record) = Json::parse(line)
-                .ok()
-                .and_then(|j| WalRecord::from_json(&j))
-            else {
-                break;
-            };
-            records.push(record);
-        }
-        records
-    }
-
-    /// [`RequestWal::load`] plus repair: when the log ends in a torn or
-    /// malformed tail (the daemon died mid-append), the file is
-    /// truncated back to its last well-formed record — mirroring
-    /// `runner/journal.rs` — so the next [`RequestWal::open`] appends
-    /// after clean bytes instead of corrupting the record stream.
-    /// Returns the records kept and how many torn bytes were cut.
+    /// Loads the log through the runner's torn-tail reader
+    /// ([`replay_truncating`]): every newline-terminated, well-formed
+    /// record in order, up to the first line that is not. That line and
+    /// everything after it (the daemon died mid-append) is cut from the
+    /// file and fsync'd, so the next [`RequestWal::open`] appends on a
+    /// clean line boundary. Returns the records kept and how many torn
+    /// bytes were cut; a missing file is an empty log.
     pub fn load_truncating(path: &Path) -> (Vec<WalRecord>, u64) {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return (Vec::new(), 0);
-        };
         let mut records = Vec::new();
-        let mut good_bytes = 0usize;
-        for line in text.split_inclusive('\n') {
-            if line.trim().is_empty() {
-                good_bytes += line.len();
-                continue;
-            }
-            let Some(record) = Json::parse(line.trim_end())
+        let replayed = replay_truncating(path, |line| {
+            let record = Json::parse(line)
                 .ok()
-                .and_then(|j| WalRecord::from_json(&j))
-            else {
-                break;
-            };
-            records.push(record);
-            good_bytes += line.len();
-        }
-        let torn_bytes = (text.len() - good_bytes) as u64;
-        if torn_bytes > 0 {
-            let truncated = std::fs::OpenOptions::new()
-                .write(true)
-                .open(path)
-                .and_then(|file| {
-                    file.set_len(good_bytes as u64)?;
-                    file.sync_data()
-                });
-            if let Err(e) = truncated {
-                eprintln!(
-                    "liteworp-served: failed to truncate torn WAL tail of {}: {e}",
-                    path.display()
-                );
+                .and_then(|j| WalRecord::from_json(&j));
+            Ok::<_, std::io::Error>(record.map(|r| records.push(r)).is_some())
+        });
+        match replayed {
+            Ok(torn_bytes) => (records, torn_bytes as u64),
+            Err(e) => {
+                if e.kind() != std::io::ErrorKind::NotFound {
+                    eprintln!(
+                        "liteworp-served: failed to replay the WAL {}: {e}",
+                        path.display()
+                    );
+                }
+                (records, 0)
             }
         }
-        (records, torn_bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liteworp_runner::{Pcg32, Rng};
 
     fn info() -> DoneInfo {
         DoneInfo {
@@ -480,45 +612,75 @@ mod tests {
         }
     }
 
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "liteworp-wal-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir.join("requests.jsonl")
+    }
+
+    fn submitted(key: u64, trace: bool) -> WalRecord {
+        WalRecord::Submitted {
+            key,
+            kind: "fig9".into(),
+            params: Json::parse(r#"{"seeds":2}"#).unwrap(),
+            trace,
+        }
+    }
+
     #[test]
     fn lifecycle_edges_are_enforced() {
-        let req = RequestState::new(7, "fig9".into(), Json::Null, false);
-        assert_eq!(req.phase(), ReqPhase::Queued);
+        let mut req = Request::new(7, "fig9".into(), Json::Null, false);
+        assert_eq!(req.phase(), &ReqPhase::Queued);
         assert!(req.set_running());
         assert!(!req.set_running(), "running is not queued");
         assert!(!req.cancel(), "running sweeps cannot be cancelled");
-        req.complete(Ok(info()), Vec::new());
-        assert_eq!(req.phase(), ReqPhase::Done(info()));
+        req.complete(Ok(info()), Vec::new()).send();
+        assert_eq!(req.phase(), &ReqPhase::Done(info()));
         assert!(!req.requeue(), "done requests stay done");
 
-        let req = RequestState::new(8, "fig9".into(), Json::Null, false);
+        let mut req = Request::new(8, "fig9".into(), Json::Null, false);
         assert!(req.cancel());
         assert!(!req.set_running(), "cancel wins the race to the drainer");
         assert!(req.requeue());
-        assert_eq!(req.phase(), ReqPhase::Queued);
+        assert_eq!(req.phase(), &ReqPhase::Queued);
     }
 
     #[test]
     fn status_reports_age_and_queue_position_while_queued() {
-        let req = RequestState::new(11, "fig9".into(), Json::Null, false);
-        let status = Json::Obj(req.status_json(Some(3)));
-        assert!(status.get("age_ms").and_then(Json::as_u64).is_some());
-        assert_eq!(status.get("queue_position").and_then(Json::as_u64), Some(3));
+        let mut reg = Registry::default();
+        for key in [11, 12] {
+            reg.submit(key, "fig9".into(), Json::Null, false);
+            reg.enqueue(key);
+        }
+        let status = |reg: &Registry, key| Json::Obj(reg.status_json(key).unwrap());
+        let queued = status(&reg, 12);
+        assert!(queued.get("age_ms").and_then(Json::as_u64).is_some());
+        assert_eq!(queued.get("queue_position").and_then(Json::as_u64), Some(1));
 
-        // Once past Queued the position is gone, even if the caller
-        // passes one; age keeps counting from the submission.
-        req.set_running();
-        let status = Json::Obj(req.status_json(Some(0)));
-        assert_eq!(status.get("queue_position"), None);
-        assert!(status.get("age_ms").and_then(Json::as_u64).is_some());
+        // Once past Queued the position is gone; age keeps counting
+        // from the submission.
+        assert_eq!(reg.start_next().map(|r| r.key), Some(11));
+        let running = status(&reg, 11);
+        assert_eq!(running.get("phase").and_then(Json::as_str), Some("running"));
+        assert_eq!(running.get("queue_position"), None);
+        assert!(running.get("age_ms").and_then(Json::as_u64).is_some());
+        let queued = status(&reg, 12);
+        assert_eq!(queued.get("queue_position").and_then(Json::as_u64), Some(0));
     }
 
     #[test]
     fn late_subscribers_get_the_stored_stream() {
-        let req = RequestState::new(9, "fig9".into(), Json::Null, true);
+        let mut req = Request::new(9, "fig9".into(), Json::Null, true);
         req.set_running();
-        req.complete(Ok(info()), vec!["line-a".into(), "line-b".into()]);
-        let rx = req.subscribe();
+        req.complete(Ok(info()), vec!["line-a".into(), "line-b".into()])
+            .send();
+        let (rx, flush) = req.subscribe();
+        assert!(rx.try_recv().is_err(), "nothing is sent before the flush");
+        flush.send();
         let got: Vec<String> = rx.iter().collect();
         assert_eq!(got.len(), 3, "two trace lines plus the final frame");
         assert_eq!(got[0], "line-a");
@@ -529,12 +691,13 @@ mod tests {
 
     #[test]
     fn live_subscribers_see_broadcasts_then_hang_up() {
-        let req = RequestState::new(10, "fig9".into(), Json::Null, false);
-        let rx = req.subscribe();
+        let mut req = Request::new(10, "fig9".into(), Json::Null, false);
+        let (rx, flush) = req.subscribe();
+        flush.send(); // empty: the request is live
         req.broadcast("progress-1");
         req.set_running();
         req.broadcast("progress-2");
-        req.complete(Err("boom".into()), Vec::new());
+        req.complete(Err("boom".into()), Vec::new()).send();
         let got: Vec<String> = rx.iter().collect(); // iter ends: sender dropped
         assert_eq!(got[0], "progress-1");
         assert_eq!(got[1], "progress-2");
@@ -544,17 +707,37 @@ mod tests {
     }
 
     #[test]
-    fn wal_round_trips_and_tolerates_a_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("liteworp-wal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("requests.jsonl");
+    fn status_queue_position_is_exact_after_a_cancel() {
+        let mut reg = Registry::default();
+        for key in [1, 2, 3] {
+            reg.submit(key, "fig9".into(), Json::Null, false);
+            assert!(reg.enqueue(key));
+        }
+        assert_eq!(reg.cancel(1), Some((true, "cancelled")));
+        let position = |reg: &Registry, key| {
+            Json::Obj(reg.status_json(key).unwrap())
+                .get("queue_position")
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(
+            position(&reg, 3),
+            Some(1),
+            "the cancelled key left the queue"
+        );
+        let revived = reg.submit(1, "fig9".into(), Json::Null, false);
+        assert!(revived.dedup && revived.record.is_some());
+        assert!(reg.enqueue(1));
+        assert!(!reg.enqueue(1), "a live key is queued once");
+        assert_eq!(position(&reg, 1), Some(2), "a revived request queues last");
+        assert_eq!(reg.status_json(99), None);
+    }
+
+    #[test]
+    fn wal_round_trips() {
+        let path = scratch("roundtrip");
+        // A traced submission, so a dropped `trace` field would show.
         let records = vec![
-            WalRecord::Submitted {
-                key: 1,
-                kind: "fig9".into(),
-                params: Json::parse(r#"{"seeds":2}"#).unwrap(),
-                trace: true,
-            },
+            submitted(1, true),
             WalRecord::Done {
                 key: 1,
                 info: info(),
@@ -567,34 +750,15 @@ mod tests {
                 wal.append(r).unwrap();
             }
         }
-        assert_eq!(RequestWal::load(&path), records);
-
-        // A torn final line is dropped, everything before it kept.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str(r#"{"rec":"done","key":"00000000000"#);
-        std::fs::write(&path, text).unwrap();
-        assert_eq!(RequestWal::load(&path), records);
-
-        assert!(RequestWal::load(Path::new("/nonexistent/wal.jsonl")).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(RequestWal::load_truncating(&path), (records, 0));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn load_truncating_cuts_the_torn_tail_back_to_clean_bytes() {
-        let dir = std::env::temp_dir().join(format!(
-            "liteworp-wal-trunc-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("requests.jsonl");
+        let path = scratch("trunc");
         let records = vec![
-            WalRecord::Submitted {
-                key: 3,
-                kind: "fig9".into(),
-                params: Json::parse(r#"{"seeds":2}"#).unwrap(),
-                trace: false,
-            },
+            submitted(3, false),
             WalRecord::Done {
                 key: 3,
                 info: info(),
@@ -611,7 +775,6 @@ mod tests {
         // Simulate dying mid-append: a partial record with no newline.
         let torn_tail = r#"{"rec":"submitted","key":"dead"#;
         {
-            use std::io::Write as _;
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)
@@ -645,6 +808,201 @@ mod tests {
             RequestWal::load_truncating(Path::new("/nonexistent/wal.jsonl")),
             (Vec::new(), 0)
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A record that parses but lost its newline is torn: keeping it
+    /// would let the next append glue onto it, and the restart after
+    /// that would drop both records — one of them acknowledged.
+    #[test]
+    fn an_unterminated_record_is_torn_so_the_next_append_survives() {
+        let path = scratch("unterminated");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let first = submitted(1, false).to_json().dump();
+        std::fs::write(&path, &first).unwrap();
+
+        let (loaded, torn_bytes) = RequestWal::load_truncating(&path);
+        assert_eq!(loaded, Vec::new());
+        assert_eq!(torn_bytes, first.len() as u64);
+
+        let second = submitted(2, false);
+        RequestWal::open(&path).unwrap().append(&second).unwrap();
+        assert_eq!(RequestWal::load_truncating(&path), (vec![second], 0));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// The phase of every registered request.
+    fn phases(reg: &Registry) -> BTreeMap<u64, ReqPhase> {
+        reg.requests
+            .iter()
+            .map(|(k, r)| (*k, r.phase().clone()))
+            .collect()
+    }
+
+    /// The DESIGN.md §11 lifecycle edges (plus staying put).
+    fn is_edge(from: Option<&ReqPhase>, to: &ReqPhase) -> bool {
+        use ReqPhase::*;
+        match (from, to) {
+            (None, Queued) => true,
+            (Some(a), b) if a == b => true,
+            (Some(Queued), Running | Cancelled) => true,
+            (Some(Running), Done(_) | Failed(_)) => true,
+            (Some(Cancelled), Queued) => true,
+            _ => false,
+        }
+    }
+
+    /// Checks the registry invariants after one op of a seeded sequence.
+    fn check_invariants(
+        reg: &Registry,
+        before: &BTreeMap<u64, ReqPhase>,
+        digests: &mut BTreeMap<u64, DoneInfo>,
+        ctx: &str,
+    ) {
+        for (key, req) in &reg.requests {
+            let phase = req.phase();
+            assert!(
+                is_edge(before.get(key), phase),
+                "{ctx}: key {key} went {:?} -> {phase:?}",
+                before.get(key)
+            );
+            if let ReqPhase::Done(info) = phase {
+                let recorded = digests.entry(*key).or_insert_with(|| info.clone());
+                assert_eq!(recorded, info, "{ctx}: done digest of {key} changed");
+            }
+        }
+        assert!(
+            before.keys().all(|k| reg.requests.contains_key(k)),
+            "{ctx}: a registered request is never forgotten"
+        );
+        let mut seen = std::collections::BTreeSet::new();
+        for key in &reg.queue {
+            assert!(seen.insert(*key), "{ctx}: key {key} queued twice");
+            assert_eq!(
+                reg.requests.get(key).map(Request::phase),
+                Some(&ReqPhase::Queued),
+                "{ctx}: queued key {key} is not in phase queued"
+            );
+        }
+    }
+
+    /// Replaying the WAL into a fresh registry reproduces every logged
+    /// terminal phase and the queue order; requests that were running
+    /// (or failed, which is not logged) come back queued.
+    fn check_replay(live: &Registry, wal: &[WalRecord], ctx: &str) {
+        let mut replayed = Registry::default();
+        replayed.replay(wal.iter().cloned());
+        assert_eq!(
+            replayed.requests.keys().collect::<Vec<_>>(),
+            live.requests.keys().collect::<Vec<_>>(),
+            "{ctx}: replay registers the same keys"
+        );
+        for (key, req) in &live.requests {
+            let want = match req.phase() {
+                ReqPhase::Running | ReqPhase::Failed(_) => ReqPhase::Queued,
+                other => other.clone(),
+            };
+            assert_eq!(
+                replayed.requests[key].phase(),
+                &want,
+                "{ctx}: replayed phase of {key}"
+            );
+        }
+        let still_queued: Vec<u64> = replayed
+            .queue
+            .iter()
+            .copied()
+            .filter(|k| live.requests[k].phase() == &ReqPhase::Queued)
+            .collect();
+        assert_eq!(
+            still_queued,
+            live.queue.iter().copied().collect::<Vec<_>>(),
+            "{ctx}: replayed queue order"
+        );
+    }
+
+    /// Seeded op sequences over the registry, driven the way the server
+    /// drives it: WAL records are emitted where the server appends them,
+    /// and the registry's invariants are checked after every op.
+    #[test]
+    fn seeded_op_sequences_keep_the_registry_invariants() {
+        for seed in 0..64u64 {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let mut reg = Registry::default();
+            let mut wal: Vec<WalRecord> = Vec::new();
+            let mut digests: BTreeMap<u64, DoneInfo> = BTreeMap::new();
+            let mut running: Vec<u64> = Vec::new();
+            let mut subscribers: Vec<(u64, mpsc::Receiver<String>)> = Vec::new();
+            for step in 0..200 {
+                let ctx = format!("seed {seed} step {step}");
+                let before = phases(&reg);
+                // A small key space makes duplicates, revivals, and
+                // cancels of live keys common.
+                let key = rng.gen_range(0..8u64);
+                match rng.gen_range(0..6u32) {
+                    0 | 1 => {
+                        // submit (a repeat key is a duplicate submit)
+                        let sub = reg.submit(key, "fig9".into(), Json::Null, false);
+                        assert_eq!(sub.dedup, before.contains_key(&key), "{ctx}");
+                        if let Some(record) = sub.record {
+                            wal.push(record);
+                            reg.enqueue(key);
+                        }
+                    }
+                    2 => {
+                        if reg.cancel(key) == Some((true, "cancelled")) {
+                            wal.push(WalRecord::Cancelled { key });
+                        }
+                    }
+                    3 => running.extend(reg.start_next().map(|r| r.key)),
+                    4 if !running.is_empty() => {
+                        let key = running.remove(rng.gen_range(0..running.len()));
+                        if rng.gen_bool(0.8) {
+                            let info = DoneInfo {
+                                digest: key.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                                ..info()
+                            };
+                            let flush = reg.complete(key, Ok(info.clone()), Vec::new());
+                            flush.expect(&ctx).send();
+                            wal.push(WalRecord::Done { key, info });
+                        } else {
+                            let flush = reg.complete(key, Err("quarantined".into()), Vec::new());
+                            flush.expect(&ctx).send();
+                        }
+                        // Only a running request completes: a second
+                        // completion never rewrites the outcome.
+                        let late = reg.complete(key, Err("late".into()), Vec::new());
+                        assert!(late.is_none(), "{ctx}");
+                    }
+                    _ => {
+                        if let Some((rx, flush)) = reg.subscribe(key) {
+                            flush.send();
+                            subscribers.push((key, rx));
+                        }
+                    }
+                }
+                check_invariants(&reg, &before, &mut digests, &ctx);
+                check_replay(&reg, &wal, &ctx);
+            }
+            // Every subscriber of a finished request got its final frame
+            // and was hung up on.
+            for (key, rx) in subscribers {
+                if reg.requests[&key].phase().is_terminal() {
+                    let frames: Vec<String> = rx.try_iter().collect();
+                    let last = frames.last().map(|f| Json::parse(f).unwrap());
+                    assert_eq!(
+                        last.as_ref()
+                            .and_then(|j| j.get("stream"))
+                            .and_then(Json::as_str),
+                        Some("done"),
+                        "seed {seed}: subscriber of {key} saw its final frame"
+                    );
+                    assert!(
+                        matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)),
+                        "seed {seed}: subscriber of {key} hung up"
+                    );
+                }
+            }
+        }
     }
 }

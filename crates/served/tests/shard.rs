@@ -261,10 +261,7 @@ fn digest_set_is_identical_across_shard_counts_and_a_mid_drain_worker_kill() {
     };
     // The plan decides which in-flight request's owner dies.
     let victim_req = (after_done as usize) % specs().len();
-    eprintln!(
-        "shard chaos reproducer: {} (killing owner of request {victim_req})",
-        plan.cli_args()
-    );
+    eprintln!("shard chaos reproducer: {plan:?} (killing owner of request {victim_req})");
 
     // Baseline: a single-shard fabric, no faults.
     let (expected, stats) = fabric_run("one", 1, 2, None);

@@ -21,13 +21,15 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> lint (determinism / panic-hygiene / lock-discipline / structure gate)"
-# The thread-chunked scan keeps the whole-workspace pass cheap even with
-# the call-graph families; hold it to a wall-clock budget so an
-# accidentally quadratic rule (or a lost parallel phase) fails CI
-# instead of silently eating minutes. Override with LINT_BUDGET_SECS.
+# One serial scan covers the whole workspace, call-graph families
+# included; hold it to a wall-clock budget so an accidentally quadratic
+# rule fails CI instead of silently eating minutes. Override with
+# LINT_BUDGET_SECS. The JSON report is kept for the CI artifact upload;
+# pipefail keeps the gate failing on any diagnostic.
 LINT_BUDGET_SECS="${LINT_BUDGET_SECS:-30}"
+mkdir -p target/lint
 lint_start_ns=$(date +%s%N)
-./target/release/lint --root .
+./target/release/lint --root . --json | tee target/lint/report.json
 lint_elapsed_ms=$(( ($(date +%s%N) - lint_start_ns) / 1000000 ))
 echo "lint: whole-workspace scan in ${lint_elapsed_ms} ms (budget ${LINT_BUDGET_SECS}s)"
 if [ "$lint_elapsed_ms" -gt $(( LINT_BUDGET_SECS * 1000 )) ]; then
