@@ -12,7 +12,7 @@ use liteworp::neighbor::NeighborTable;
 use liteworp::types::{Micros, NodeId, PacketKind, PacketSig};
 use liteworp::watch::WatchBuffer;
 use liteworp_analysis::special::{binomial_tail, regularized_incomplete_beta};
-use liteworp_bench::timing::{bench, black_box};
+use liteworp_bench::timing::{bench, bench_pair, black_box};
 use liteworp_netsim::events::EventQueue;
 use liteworp_netsim::field::{Field, NodeId as SimNodeId};
 use liteworp_netsim::rng::{Pcg32, Rng};
@@ -88,47 +88,85 @@ fn bench_keys() {
     });
 }
 
+/// One overheard hop of packet `seq` at `now`: the transmission by 1,
+/// then the forward by 2 claiming prev = 1 — fabrication check plus watch
+/// arming, twice.
+fn observe_hop(mon: &mut LocalMonitor, table: &mut NeighborTable, seq: u64, now: Micros) {
+    let tx = PacketObs {
+        sender: NodeId(1),
+        claimed_prev: None,
+        link_dst: Some(NodeId(2)),
+        sig: sig(seq),
+        terminal: false,
+    };
+    mon.observe(table, &tx, now);
+    let fwd = PacketObs {
+        sender: NodeId(2),
+        claimed_prev: Some(NodeId(1)),
+        link_dst: Some(NodeId(3)),
+        sig: sig(seq),
+        terminal: false,
+    };
+    black_box(mon.observe(table, &fwd, now));
+}
+
 fn bench_monitor_pipeline() {
-    // The full guard-side path for one overheard forwarded packet:
-    // fabrication check + watch arming.
+    // The full guard-side path for one overheard forwarded packet. Time
+    // advances 1 us per hop and nothing expires, so this scans a buffer
+    // saturated at its 512-entry capacity.
     let mut table = table_with_degree(8);
     let mut mon = LocalMonitor::new(Config::default());
     let mut seq = 0u64;
     bench("monitor/observe_forward", || {
         seq += 1;
-        // Transmission by 1, then forward by 2 claiming prev = 1.
-        let tx = PacketObs {
-            sender: NodeId(1),
-            claimed_prev: None,
-            link_dst: Some(NodeId(2)),
-            sig: sig(seq),
-            terminal: false,
-        };
-        mon.observe(&mut table, &tx, Micros(seq));
-        let fwd = PacketObs {
-            sender: NodeId(2),
-            claimed_prev: Some(NodeId(1)),
-            link_dst: Some(NodeId(3)),
-            sig: sig(seq),
-            terminal: false,
-        };
-        black_box(mon.observe(&mut table, &fwd, Micros(seq)));
+        observe_hop(&mut mon, &mut table, seq, Micros(seq));
     });
+
+    // The same hop at the standing fill a simulated guard carries: time
+    // advances δ/14 per hop and the buffer is expired every δ, so it holds
+    // 28–56 entries (mean ~42; results/cost_table.txt measures 41.4).
+    let mut table = table_with_degree(8);
+    let mut mon = LocalMonitor::new(Config::default());
+    let delta = mon.config().watch_timeout_us;
+    let step = delta / 14;
+    let mut seq = 0u64;
+    bench("monitor/observe_forward_steady", || {
+        seq += 1;
+        let now = Micros(seq * step);
+        if seq.is_multiple_of(14) {
+            black_box(mon.expire(&mut table, now));
+        }
+        observe_hop(&mut mon, &mut table, seq, now);
+    });
+}
+
+/// 64 MalC updates over 8 nodes, 40 ms apart, each holding what `guard`
+/// returns (a span, or nothing).
+fn malc_updates<G>(window: u64, mut guard: impl FnMut() -> G) -> u32 {
+    let mut t = MalcTable::new(window);
+    let mut out = 0u32;
+    for i in 0..64u64 {
+        let _guard = guard();
+        out = t.record(NodeId((i % 8) as u32), 2, Micros(i * 40_000));
+    }
+    out
 }
 
 fn bench_malc() {
     // MalC accusation bookkeeping: the windowed variant pays expiry on
     // every update, the unbounded one is a pure counter bump.
-    for (label, window) in [("unbounded", 0u64), ("windowed", 1_000_000)] {
-        bench(&format!("malc/update/{label}"), || {
-            let mut t = MalcTable::new(window);
-            let mut out = 0u32;
-            for i in 0..64u64 {
-                out = t.record(NodeId((i % 8) as u32), 2, Micros(i * 40_000));
-            }
-            out
-        });
-    }
+    bench("malc/update/unbounded", || malc_updates(0, || ()));
+    // The windowed workload timed interleaved with the same workload
+    // under a disabled span around every update: obs_smoke.sh holds the
+    // spanned record's `pair_ratio` to the plain one within 5%.
+    obs::disable();
+    bench_pair(
+        ("malc/update/windowed", || malc_updates(1_000_000, || ())),
+        ("malc/update/windowed_spanned", || {
+            malc_updates(1_000_000, || obs::span("job"))
+        }),
+        101,
+    );
 }
 
 fn bench_cache_lookup() {
@@ -161,19 +199,6 @@ fn bench_obs() {
     // reads plus the thread-local stack push/pop.
     obs::disable();
     bench("obs/span_disabled", || obs::span("job"));
-
-    // The malc/update/windowed workload with a disabled span around
-    // every update: obs_smoke.sh holds this within 5% of the unspanned
-    // malc/update/windowed record from the same run.
-    bench("malc/update/windowed_spanned", || {
-        let mut t = MalcTable::new(1_000_000);
-        let mut out = 0u32;
-        for i in 0..64u64 {
-            let _span = obs::span("job");
-            out = t.record(NodeId((i % 8) as u32), 2, Micros(i * 40_000));
-        }
-        out
-    });
 
     obs::enable();
     {

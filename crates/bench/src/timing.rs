@@ -15,6 +15,51 @@ use std::time::Instant;
 /// Benchmark a fast operation: auto-calibrate a batch size that runs for
 /// at least ~20 ms, then report the best of five batches in ns/iter.
 pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+    let iters = calibrate(&mut f, 20);
+    let best = (0..5)
+        .map(|_| time_batch(iters, &mut f))
+        .fold(f64::INFINITY, f64::min);
+    write_record(name, fast_record(name, best, iters, 5, []));
+}
+
+/// Benchmark two fast operations against each other, interleaved in one
+/// process: one batch size of ~2 ms for both (the larger calibration),
+/// then `pairs` rounds of one batch of `a` followed by one batch of `b`.
+/// Each record reports its operation's best batch in ns/iter; `b`'s also
+/// carries `pair_ratio`, the median over the rounds of `b`'s batch time
+/// over `a`'s.
+///
+/// The two batches of a round run back to back, so a host-speed swing
+/// almost always lands on both, and the median of the per-round ratios
+/// holds steady where the ratio of two best batches does not: on a
+/// shared 2-vCPU VM whose speed flips between two levels every few tens
+/// of milliseconds, timing one workload against itself read
+/// 0.91–1.03 as a ratio of bests and 0.99–1.01 as `pair_ratio`.
+pub fn bench_pair<A, B>(
+    (name_a, mut a): (&str, impl FnMut() -> A),
+    (name_b, mut b): (&str, impl FnMut() -> B),
+    pairs: usize,
+) {
+    let iters = calibrate(&mut a, 2).max(calibrate(&mut b, 2));
+    let mut rounds: Vec<(f64, f64)> = (0..pairs)
+        .map(|_| (time_batch(iters, &mut a), time_batch(iters, &mut b)))
+        .collect();
+    let best_a = rounds.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+    let best_b = rounds.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
+    rounds.sort_by(|x, y| (x.1 / x.0).total_cmp(&(y.1 / y.0)));
+    let ratio = rounds.get(pairs / 2).map_or(f64::NAN, |r| r.1 / r.0);
+    write_record(name_a, fast_record(name_a, best_a, iters, pairs, []));
+    let paired = [
+        ("paired_with", Json::from(name_a)),
+        ("pair_ratio", Json::from(ratio)),
+    ];
+    write_record(name_b, fast_record(name_b, best_b, iters, pairs, paired));
+    println!("{name_b:<44} {ratio:>14.3} x {name_a} (median of {pairs} pairs)");
+}
+
+/// The smallest power-of-two batch of `f` that runs for at least
+/// `target_ms` (capped at 2^24 iterations).
+fn calibrate<T>(f: &mut impl FnMut() -> T, target_ms: u128) -> u64 {
     let mut iters: u64 = 1;
     loop {
         // lint: allow(D001) this module *is* the wall-clock profiling seam
@@ -22,34 +67,41 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
         for _ in 0..iters {
             black_box(f());
         }
-        if start.elapsed().as_millis() >= 20 || iters >= 1 << 24 {
-            break;
+        if start.elapsed().as_millis() >= target_ms || iters >= 1 << 24 {
+            return iters;
         }
         iters *= 2;
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        // lint: allow(D001) this module *is* the wall-clock profiling seam
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let per = start.elapsed().as_secs_f64() / iters as f64;
-        if per < best {
-            best = per;
-        }
+}
+
+/// Seconds per iteration over one batch of `iters` calls of `f`.
+fn time_batch<T>(iters: u64, f: &mut impl FnMut() -> T) -> f64 {
+    // lint: allow(D001) this module *is* the wall-clock profiling seam
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
     }
-    println!("{name:<44} {:>14.1} ns/iter  (x{iters})", best * 1e9);
-    write_record(
-        name,
-        Json::object([
-            ("name", Json::from(name)),
-            ("unit", Json::from("ns/iter")),
-            ("value", Json::from(best * 1e9)),
-            ("iters_per_sample", Json::from(iters)),
-            ("samples", Json::from(5u64)),
-        ]),
-    );
+    start.elapsed().as_secs_f64() / iters as f64
+}
+
+/// Prints a fast-operation result of `per_iter` seconds and builds its
+/// record, ending with the `extra` fields.
+fn fast_record<const N: usize>(
+    name: &str,
+    per_iter: f64,
+    iters: u64,
+    samples: usize,
+    extra: [(&str, Json); N],
+) -> Json {
+    println!("{name:<44} {:>14.1} ns/iter  (x{iters})", per_iter * 1e9);
+    let fields = [
+        ("name", Json::from(name)),
+        ("unit", Json::from("ns/iter")),
+        ("value", Json::from(per_iter * 1e9)),
+        ("iters_per_sample", Json::from(iters)),
+        ("samples", Json::from(samples as u64)),
+    ];
+    Json::object(fields.into_iter().chain(extra))
 }
 
 /// Benchmark a slow operation: run it `samples` times and report the
@@ -121,6 +173,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lw_bench_test_{}", std::process::id()));
         std::env::set_var("LITEWORP_BENCH_DIR", &dir);
         bench_heavy("unit test op", 2, || 1 + 1);
+        bench_pair(
+            ("pair a", || black_box(1) + 1),
+            ("pair b", || black_box(2) * 2),
+            3,
+        );
         std::env::remove_var("LITEWORP_BENCH_DIR");
         let path = dir.join("BENCH_unit_test_op.json");
         let text = std::fs::read_to_string(&path).expect("record written");
@@ -132,6 +189,24 @@ mod tests {
         assert_eq!(json.get("unit").and_then(Json::as_str), Some("ms"));
         assert_eq!(json.get("samples").and_then(Json::as_u64), Some(2));
         assert!(json.get("value").and_then(Json::as_f64).is_some());
+        // A pair writes both records; the second names its partner and
+        // carries the median per-round ratio.
+        let read = |file: &str| {
+            let text = std::fs::read_to_string(dir.join(file)).expect("pair record written");
+            Json::parse(&text).expect("valid json")
+        };
+        assert_eq!(
+            read("BENCH_pair_a.json")
+                .get("samples")
+                .and_then(Json::as_u64),
+            Some(3)
+        );
+        let b = read("BENCH_pair_b.json");
+        assert_eq!(b.get("paired_with").and_then(Json::as_str), Some("pair a"));
+        assert!(b
+            .get("pair_ratio")
+            .and_then(Json::as_f64)
+            .is_some_and(|r| r > 0.0));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

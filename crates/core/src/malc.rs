@@ -29,7 +29,15 @@ use std::collections::{BTreeMap, VecDeque};
 #[derive(Debug, Clone)]
 pub struct MalcTable {
     window_us: u64,
-    counters: BTreeMap<NodeId, VecDeque<(Micros, u32)>>,
+    counters: BTreeMap<NodeId, Counter>,
+}
+
+/// One node's contributions, oldest first, and their running sum (the
+/// window trim subtracts what it drops).
+#[derive(Debug, Clone, Default)]
+struct Counter {
+    log: VecDeque<(Micros, u32)>,
+    sum: u32,
 }
 
 impl MalcTable {
@@ -46,26 +54,35 @@ impl MalcTable {
     /// Adds a contribution of `weight` against `node` at time `now` and
     /// returns the counter's new value.
     pub fn record(&mut self, node: NodeId, weight: u32, now: Micros) -> u32 {
-        let log = self.counters.entry(node).or_default();
-        log.push_back((now, weight));
-        Self::trim(log, self.window_us, now);
-        log.iter().map(|&(_, w)| w).sum()
+        let counter = self.counters.entry(node).or_default();
+        counter.log.push_back((now, weight));
+        counter.sum += weight;
+        if self.window_us > 0 {
+            let cutoff = now.0.saturating_sub(self.window_us);
+            while let Some(&(t, w)) = counter.log.front() {
+                if t.0 >= cutoff {
+                    break;
+                }
+                counter.log.pop_front();
+                counter.sum -= w;
+            }
+        }
+        counter.sum
     }
 
     /// Current counter value for `node` at time `now`.
     pub fn value(&self, node: NodeId, now: Micros) -> u32 {
         match self.counters.get(&node) {
             None => 0,
-            Some(log) => {
-                if self.window_us == 0 {
-                    log.iter().map(|&(_, w)| w).sum()
-                } else {
-                    let cutoff = now.0.saturating_sub(self.window_us);
-                    log.iter()
-                        .filter(|&&(t, _)| t.0 >= cutoff)
-                        .map(|&(_, w)| w)
-                        .sum()
-                }
+            Some(counter) if self.window_us == 0 => counter.sum,
+            Some(counter) => {
+                let cutoff = now.0.saturating_sub(self.window_us);
+                counter
+                    .log
+                    .iter()
+                    .filter(|&&(t, _)| t.0 >= cutoff)
+                    .map(|&(_, w)| w)
+                    .sum()
             }
         }
     }
@@ -80,18 +97,8 @@ impl MalcTable {
     pub fn suspects(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.counters
             .iter()
-            .filter(|(_, log)| !log.is_empty())
+            .filter(|(_, counter)| !counter.log.is_empty())
             .map(|(&n, _)| n)
-    }
-
-    fn trim(log: &mut VecDeque<(Micros, u32)>, window_us: u64, now: Micros) {
-        if window_us == 0 {
-            return;
-        }
-        let cutoff = now.0.saturating_sub(window_us);
-        while log.front().is_some_and(|&(t, _)| t.0 < cutoff) {
-            log.pop_front();
-        }
     }
 }
 

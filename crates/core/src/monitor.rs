@@ -19,10 +19,9 @@
 
 use crate::config::{Config, InvalidConfig};
 use crate::malc::MalcTable;
-use crate::neighbor::NeighborTable;
+use crate::neighbor::{NeighborTable, ACCUSED, REVOKED, SUSPECTED};
 use crate::types::{Micros, Misbehavior, NodeId, PacketKind, PacketSig};
 use crate::watch::WatchBuffer;
-use std::collections::BTreeSet;
 
 /// A control-packet transmission as observed on the air.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +65,11 @@ pub enum MonitorEvent {
 
 /// The guard-side monitoring engine of one node.
 ///
+/// The monitor's standing judgment of each neighbor (accused, suspected
+/// by another guard, last alert round) lives in that neighbor's slot of
+/// the [`NeighborTable`] it is handed, so one lookup per id serves every
+/// per-frame check.
+///
 /// # Example
 ///
 /// A guard that neighbors `X(=1)` and `A(=2)` catches `A` fabricating:
@@ -104,9 +108,6 @@ pub struct LocalMonitor {
     config: Config,
     watch: WatchBuffer,
     malc: MalcTable,
-    accused: BTreeSet<NodeId>,
-    last_alert_round: std::collections::BTreeMap<NodeId, Micros>,
-    externally_suspected: BTreeSet<NodeId>,
     last_collision: Option<Micros>,
     watch_expiries: u64,
 }
@@ -134,9 +135,6 @@ impl LocalMonitor {
             config,
             watch,
             malc,
-            accused: BTreeSet::new(),
-            last_alert_round: std::collections::BTreeMap::new(),
-            externally_suspected: BTreeSet::new(),
             last_collision: None,
             watch_expiries: 0,
         })
@@ -148,9 +146,10 @@ impl LocalMonitor {
     /// expectations for its transmissions are cancelled, no new ones are
     /// armed, and forwards claiming `node` as previous hop are not judged
     /// (neighbors that already isolated `node` legitimately refuse its
-    /// packets, which would otherwise look like drops here).
-    pub fn note_external_suspicion(&mut self, node: NodeId) {
-        self.externally_suspected.insert(node);
+    /// packets, which would otherwise look like drops here). The mark is
+    /// kept in `node`'s slot of `table`, so only known neighbors carry it.
+    pub fn note_external_suspicion(&mut self, table: &mut NeighborTable, node: NodeId) {
+        table.mark_suspected(node);
         self.watch.cancel_expectations_from(node);
     }
 
@@ -198,51 +197,45 @@ impl LocalMonitor {
         now: Micros,
     ) -> Vec<MonitorEvent> {
         let mut events = Vec::new();
+        let me = table.owner();
+        // The sender's slot flags (`None`: not a known neighbor), read once
+        // and refreshed only if this frame gets it accused.
+        let mut sender = table.flags(obs.sender);
 
         // 0. Re-alert: an accused node still transmitting means some of
         // its neighbors have not isolated it yet (or it simply refuses to
         // stop) — refresh the alert round, rate-limited.
-        if self.accused.contains(&obs.sender) && self.config.realert_interval_us > 0 {
-            let due = match self.last_alert_round.get(&obs.sender) {
-                None => true,
-                Some(last) => now.0.saturating_sub(last.0) >= self.config.realert_interval_us,
-            };
-            if due {
-                self.last_alert_round.insert(obs.sender, now);
-                events.push(MonitorEvent::Accuse {
-                    suspect: obs.sender,
-                    recipients: Self::alert_recipients(table, obs.sender),
-                });
-            }
+        if sender.is_some_and(|f| f & ACCUSED != 0)
+            && self.config.realert_interval_us > 0
+            && table.realert_due(obs.sender, now, self.config.realert_interval_us)
+        {
+            events.push(MonitorEvent::Accuse {
+                suspect: obs.sender,
+                recipients: Self::alert_recipients(table, obs.sender),
+            });
         }
 
-        // 1. Fabrication check on the forward we just overheard.
+        // 1. Fabrication check on the forward we just overheard: judged
+        // when we guard the link prev -> sender (we know both ends), the
+        // sender is not accused yet and prev is not under suspicion.
         if let Some(prev) = obs.claimed_prev {
-            if prev != obs.sender
-                && table.is_guard_of(prev, obs.sender)
-                && !self.accused.contains(&obs.sender)
-                && !self.externally_suspected.contains(&prev)
-                && !self.watch.confirm_forward(prev, &obs.sig, obs.sender)
-                && !self.in_collision_grace(now)
-            {
-                #[cfg(debug_assertions)]
-                if std::env::var_os("LITEWORP_DEBUG_FABRICATION").is_some() {
-                    eprintln!(
-                        "FAB guard={} sender={} prev={} sig={:?} t={}us",
-                        table.owner(),
+            if prev != obs.sender && (obs.sender == me || sender.is_some()) {
+                let prev_flags = table.flags(prev);
+                if (prev == me || prev_flags.is_some())
+                    && sender.is_none_or(|f| f & ACCUSED == 0)
+                    && prev_flags.is_none_or(|f| f & SUSPECTED == 0)
+                    && !self.watch.confirm_forward(prev, &obs.sig, obs.sender)
+                    && !self.in_collision_grace(now)
+                {
+                    self.punish(
+                        table,
                         obs.sender,
-                        prev,
-                        obs.sig,
-                        now.0
+                        Misbehavior::Fabrication,
+                        now,
+                        &mut events,
                     );
+                    sender = table.flags(obs.sender);
                 }
-                self.punish(
-                    table,
-                    obs.sender,
-                    Misbehavior::Fabrication,
-                    now,
-                    &mut events,
-                );
             }
         }
 
@@ -252,13 +245,13 @@ impl LocalMonitor {
             Some(dst) if !obs.terminal => {
                 // Unicast that must be forwarded: watch it if we guard the
                 // link sender -> dst (i.e., we can hear dst's forward).
-                // No expectation is armed for transmissions of revoked or
-                // already-accused nodes — receivers rightly discard those.
-                if table.is_guard_of(obs.sender, dst)
-                    && !table.is_revoked(obs.sender)
-                    && !self.accused.contains(&obs.sender)
-                    && !self.externally_suspected.contains(&obs.sender)
-                {
+                // No expectation is armed for transmissions of revoked,
+                // accused or suspected nodes — receivers rightly discard
+                // those.
+                let sender_watchable = sender.map_or(obs.sender == me, |f| {
+                    f & (REVOKED | ACCUSED | SUSPECTED) == 0
+                });
+                if sender_watchable && dst != obs.sender && (dst == me || table.is_neighbor(dst)) {
                     self.watch
                         .note_transmission_at(obs.sender, obs.sig, Some(dst), deadline, now);
                 }
@@ -269,8 +262,8 @@ impl LocalMonitor {
             None => {
                 // Broadcast (flood): record for fabrication checking when
                 // the sender is someone we can monitor.
-                if (obs.sender == table.owner() || table.is_neighbor(obs.sender))
-                    && obs.sig.kind == PacketKind::RouteRequest
+                if obs.sig.kind == PacketKind::RouteRequest
+                    && (obs.sender == me || sender.is_some())
                 {
                     self.watch
                         .note_transmission_at(obs.sender, obs.sig, None, deadline, now);
@@ -284,7 +277,7 @@ impl LocalMonitor {
     /// and charges the receivers that failed to forward.
     pub fn expire(&mut self, table: &mut NeighborTable, now: Micros) -> Vec<MonitorEvent> {
         let mut events = Vec::new();
-        for (dropper, _sig, armed_at) in self.watch.expire(now) {
+        for (dropper, _, armed_at) in self.watch.expire(now) {
             self.watch_expiries += 1;
             // A node never charges itself: its own unforwarded receptions
             // are either terminal or already rejected at admission. And a
@@ -292,19 +285,9 @@ impl LocalMonitor {
             // gives the benefit of the doubt — it may have missed the
             // forward.
             if dropper != table.owner()
-                && !self.accused.contains(&dropper)
+                && !table.is_accused(dropper)
                 && !self.collision_since(armed_at)
             {
-                #[cfg(debug_assertions)]
-                if std::env::var_os("LITEWORP_DEBUG_DROP").is_some() {
-                    eprintln!(
-                        "DROP guard={} dropper={} sig={:?} t={}us",
-                        table.owner(),
-                        dropper,
-                        _sig,
-                        now.0
-                    );
-                }
                 self.punish(table, dropper, Misbehavior::Drop, now, &mut events);
             }
         }
@@ -315,11 +298,6 @@ impl LocalMonitor {
     /// cannot forward `sig`: its pending forward obligation is waived.
     pub fn absolve(&mut self, forwarder: NodeId, sig: &PacketSig) {
         self.watch.absolve(forwarder, sig);
-    }
-
-    /// Whether this monitor has already accused `node`.
-    pub fn has_accused(&self, node: NodeId) -> bool {
-        self.accused.contains(&node)
     }
 
     /// Cumulative count of watch-buffer entries that timed out
@@ -347,11 +325,9 @@ impl LocalMonitor {
             malc,
         });
         if malc >= self.config.malc_threshold {
-            self.accused.insert(suspect);
-            self.last_alert_round.insert(suspect, now);
             self.malc.clear(suspect);
             // Revoke locally (the guard stops trusting the suspect now).
-            table.revoke(suspect);
+            table.accuse(suspect, now);
             events.push(MonitorEvent::Accuse {
                 suspect,
                 recipients: Self::alert_recipients(table, suspect),
@@ -454,7 +430,7 @@ mod tests {
             other => panic!("expected accusation, got {other:?}"),
         }
         assert!(table.is_revoked(NodeId(2)), "guard revokes immediately");
-        assert!(mon.has_accused(NodeId(2)));
+        assert!(table.is_accused(NodeId(2)));
     }
 
     #[test]
@@ -463,7 +439,7 @@ mod tests {
         for seq in 1..=3u64 {
             mon.observe(&mut table, &forward_obs(seq), Micros(seq));
         }
-        assert!(mon.has_accused(NodeId(2)));
+        assert!(table.is_accused(NodeId(2)));
         let e = mon.observe(&mut table, &forward_obs(4), Micros(6));
         assert!(e.is_empty(), "no further events after accusation: {e:?}");
     }
@@ -624,7 +600,7 @@ mod tests {
             terminal: false,
         };
         mon.observe(&mut table, &tx, Micros(0));
-        mon.note_external_suspicion(NodeId(1));
+        mon.note_external_suspicion(&mut table, NodeId(1));
         let events = mon.expire(&mut table, Micros(3_000_000));
         assert!(
             events.is_empty(),

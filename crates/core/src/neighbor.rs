@@ -14,9 +14,15 @@
 //! 2. *Is the claimed previous hop plausible?* (`prev ∈ R_via` — defeats
 //!    encapsulation/out-of-band wormholes that name their colluder), and
 //! 3. *Am I a guard of this link?* (neighbor of both endpoints).
+//!
+//! Every one of them is a binary search over one sorted id column, plus
+//! (for the second) one over a short sorted run of one shared arena, so
+//! the state a guard touches per overheard frame sits in a few contiguous
+//! cache lines. Each neighbor's slot also carries the guard's standing
+//! judgment of it (accused, suspected by another guard, last alert
+//! round), which [`crate::monitor::LocalMonitor`] reads on every frame.
 
-use crate::types::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::types::{Micros, NodeId};
 
 /// Status of a first-hop neighbor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +33,37 @@ pub enum NeighborStatus {
     Revoked,
 }
 
+/// Status bit: the neighbor is revoked.
+pub(crate) const REVOKED: u8 = 1;
+/// Status bit: the neighbor's announced list `R_b` is stored.
+const LISTED: u8 = 1 << 1;
+/// Status bit: this guard accused the neighbor (implies [`REVOKED`]).
+pub(crate) const ACCUSED: u8 = 1 << 2;
+/// Status bit: another guard's alert named the neighbor as a suspect.
+pub(crate) const SUSPECTED: u8 = 1 << 3;
+
+/// The rest of one known neighbor's state, index-aligned with the sorted
+/// id column: read for its list and its alert rounds, not on every frame.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Start of `R_b` in the second-hop arena (meaningful when listed).
+    start: u32,
+    /// Length of `R_b`.
+    len: u32,
+    /// When this guard last sent an alert round about the neighbor
+    /// (meaningful once accused).
+    last_alert: Micros,
+}
+
 /// A node's first- and second-hop neighbor knowledge.
+///
+/// Stored as one per-node arena: the known ids in ascending order, a
+/// status byte per id (revoked, listed, and the monitor's flags), a slot
+/// per id (a `(start, len)` range and the last alert round), and one `Vec`
+/// holding every announced list, each run sorted and deduplicated.
+/// Ascending order everywhere matches the ordered-set iteration this
+/// layout replaced, so everything derived from it (alert recipients,
+/// announcements) keeps its order.
 ///
 /// # Example
 ///
@@ -51,8 +87,18 @@ pub enum NeighborStatus {
 #[derive(Debug, Clone)]
 pub struct NeighborTable {
     me: NodeId,
-    first_hop: BTreeMap<NodeId, NeighborStatus>,
-    second_hop: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// Known first-hop ids (active and revoked), ascending.
+    ids: Vec<NodeId>,
+    /// `flags[i]` is the status byte of `ids[i]`: the per-frame checks
+    /// read only this column and `ids`.
+    flags: Vec<u8>,
+    /// `slots[i]` holds the rest of `ids[i]`'s state.
+    slots: Vec<Slot>,
+    /// Every stored `R_b`, concatenated; runs no slot points at any more
+    /// (replaced lists) are reclaimed by [`NeighborTable::compact`].
+    second: Vec<NodeId>,
+    /// Arena ids outside every live run.
+    stale: usize,
 }
 
 impl NeighborTable {
@@ -60,14 +106,51 @@ impl NeighborTable {
     pub fn new(me: NodeId) -> Self {
         NeighborTable {
             me,
-            first_hop: BTreeMap::new(),
-            second_hop: BTreeMap::new(),
+            ids: Vec::new(),
+            flags: Vec::new(),
+            slots: Vec::new(),
+            second: Vec::new(),
+            stale: 0,
         }
     }
 
     /// The owning node.
     pub fn owner(&self) -> NodeId {
         self.me
+    }
+
+    /// Reserves room for `neighbors` more first-hop entries and
+    /// `second_hop` more stored second-hop ids, so a bulk load of known
+    /// size allocates each column exactly once.
+    pub fn reserve(&mut self, neighbors: usize, second_hop: usize) {
+        self.ids.reserve_exact(neighbors);
+        self.flags.reserve_exact(neighbors);
+        self.slots.reserve_exact(neighbors);
+        self.second.reserve_exact(second_hop);
+    }
+
+    /// The slot index of `n`, if known.
+    fn find(&self, n: NodeId) -> Option<usize> {
+        self.ids.binary_search(&n).ok()
+    }
+
+    /// The slot index of `n`, inserting an empty slot if unknown.
+    fn find_or_insert(&mut self, n: NodeId) -> usize {
+        match self.ids.binary_search(&n) {
+            Ok(i) => i,
+            Err(i) => {
+                self.ids.insert(i, n);
+                self.flags.insert(i, 0);
+                self.slots.insert(i, Slot::default());
+                i
+            }
+        }
+    }
+
+    /// The status byte of a known neighbor ([`REVOKED`], [`ACCUSED`],
+    /// [`SUSPECTED`]), or `None` for an unknown id.
+    pub(crate) fn flags(&self, n: NodeId) -> Option<u8> {
+        self.find(n).map(|i| self.flags[i])
     }
 
     /// Registers a first-hop neighbor (idempotent; does not resurrect a
@@ -78,75 +161,177 @@ impl NeighborTable {
     /// Panics if asked to add the owner itself.
     pub fn add_neighbor(&mut self, n: NodeId) {
         assert_ne!(n, self.me, "a node is not its own neighbor");
-        self.first_hop.entry(n).or_insert(NeighborStatus::Active);
+        self.find_or_insert(n);
     }
 
-    /// Stores neighbor `b`'s announced list `R_b` (second-hop knowledge).
-    /// Ignored if `b` is not a known neighbor — per the protocol, a node
-    /// only accepts list announcements from verified neighbors.
+    /// Stores neighbor `b`'s announced list `R_b` (second-hop knowledge),
+    /// replacing any earlier one. Ignored if `b` is not a known neighbor —
+    /// per the protocol, a node only accepts list announcements from
+    /// verified neighbors. The list may come unsorted and with repeats.
+    ///
+    /// The ids are appended straight to the arena and sorted and
+    /// deduplicated there (an ascending list is only checked), so no
+    /// temporary buffer is allocated.
     ///
     /// Returns whether the list was stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's stored second-hop ids would exceed
+    /// `u32::MAX` (the width of a slot's range).
     pub fn set_neighbor_list<I: IntoIterator<Item = NodeId>>(
         &mut self,
         b: NodeId,
         list: I,
     ) -> bool {
-        if !self.first_hop.contains_key(&b) {
+        let Some(i) = self.find(b) else {
             return false;
+        };
+        let start = self.second.len();
+        self.second.extend(list);
+        let run = &mut self.second[start..];
+        run.sort_unstable();
+        let len = dedup_sorted(run);
+        self.second.truncate(start + len);
+        assert!(
+            u32::try_from(self.second.len()).is_ok(),
+            "second-hop arena exceeds u32 ranges"
+        );
+        let slot = &mut self.slots[i];
+        let old = (self.flags[i] & LISTED != 0).then_some((slot.start as usize, slot.len as usize));
+        self.flags[i] |= LISTED;
+        slot.len = len as u32;
+        match old {
+            Some((old_start, old_len)) if len <= old_len => {
+                // Fits where the replaced list was: move it there.
+                self.second.copy_within(start.., old_start);
+                self.second.truncate(start);
+                self.stale += old_len - len;
+            }
+            _ => {
+                slot.start = start as u32;
+                self.stale += old.map_or(0, |(_, old_len)| old_len);
+            }
         }
-        // Insert rather than `collect()`: `BTreeSet`'s `FromIterator` sorts
-        // through a temporary `Vec`. At 10^5 nodes those ~10^6 short-lived
-        // buffers sit between the long-lived tables, and the allocator's
-        // cached copies of them kept much of a dropped deployment's heap
-        // resident.
-        let mut set = BTreeSet::new();
-        set.extend(list);
-        self.second_hop.insert(b, set);
+        if self.stale * 2 > self.second.len() {
+            self.compact();
+        }
         true
+    }
+
+    /// Rewrites the arena with only the live runs, in slot order (an
+    /// unlisted slot's run is empty).
+    fn compact(&mut self) {
+        let mut second = Vec::with_capacity(self.second.len() - self.stale);
+        for slot in &mut self.slots {
+            let run = slot.start as usize..(slot.start + slot.len) as usize;
+            slot.start = second.len() as u32;
+            second.extend_from_slice(&self.second[run]);
+        }
+        self.second = second;
+        self.stale = 0;
+    }
+
+    /// The status of `n`, or `None` if it is not a known neighbor.
+    pub fn status(&self, n: NodeId) -> Option<NeighborStatus> {
+        self.flags(n).map(|f| {
+            if f & REVOKED != 0 {
+                NeighborStatus::Revoked
+            } else {
+                NeighborStatus::Active
+            }
+        })
     }
 
     /// Whether `n` is a *known* neighbor (active or revoked).
     pub fn is_neighbor(&self, n: NodeId) -> bool {
-        self.first_hop.contains_key(&n)
+        self.find(n).is_some()
     }
 
     /// Whether `n` is an active (non-revoked) neighbor.
     pub fn is_active_neighbor(&self, n: NodeId) -> bool {
-        self.first_hop.get(&n) == Some(&NeighborStatus::Active)
+        self.status(n) == Some(NeighborStatus::Active)
     }
 
     /// Whether `n` has been revoked.
     pub fn is_revoked(&self, n: NodeId) -> bool {
-        self.first_hop.get(&n) == Some(&NeighborStatus::Revoked)
+        self.status(n) == Some(NeighborStatus::Revoked)
     }
 
     /// Marks `n` as revoked. Unknown ids are recorded as revoked too, so
     /// that an alert about a not-yet-discovered node still takes effect.
     pub fn revoke(&mut self, n: NodeId) {
-        self.first_hop.insert(n, NeighborStatus::Revoked);
+        let i = self.find_or_insert(n);
+        self.flags[i] |= REVOKED;
+    }
+
+    /// Whether this node's monitor accused `n` (see
+    /// [`crate::monitor::LocalMonitor`]).
+    pub fn is_accused(&self, n: NodeId) -> bool {
+        self.flags(n).is_some_and(|f| f & ACCUSED != 0)
+    }
+
+    /// Revokes `n` as accused by this node's monitor, opening its first
+    /// alert round at `now`.
+    pub(crate) fn accuse(&mut self, n: NodeId, now: Micros) {
+        let i = self.find_or_insert(n);
+        self.flags[i] |= ACCUSED | REVOKED;
+        self.slots[i].last_alert = now;
+    }
+
+    /// Whether an accused `n` is due another alert round at `now` (at
+    /// least `interval_us` after the last); if so, opens it.
+    pub(crate) fn realert_due(&mut self, n: NodeId, now: Micros, interval_us: u64) -> bool {
+        let Some(i) = self.find(n) else {
+            return false;
+        };
+        let slot = &mut self.slots[i];
+        let due =
+            self.flags[i] & ACCUSED != 0 && now.0.saturating_sub(slot.last_alert.0) >= interval_us;
+        if due {
+            slot.last_alert = now;
+        }
+        due
+    }
+
+    /// Records that another guard's alert named `n` as a suspect. Only
+    /// known neighbors are recorded: the monitor judges and watches no
+    /// one else, so the mark would change nothing for an unknown id.
+    pub(crate) fn mark_suspected(&mut self, n: NodeId) {
+        if let Some(i) = self.find(n) {
+            self.flags[i] |= SUSPECTED;
+        }
     }
 
     /// Active neighbors in ascending id order.
     pub fn active_neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.first_hop
+        self.ids
             .iter()
-            .filter(|(_, &s)| s == NeighborStatus::Active)
+            .zip(&self.flags)
+            .filter(|(_, &f)| f & REVOKED == 0)
             .map(|(&n, _)| n)
     }
 
     /// Count of known neighbors (active and revoked).
     pub fn len(&self) -> usize {
-        self.first_hop.len()
+        self.ids.len()
     }
 
     /// Whether no neighbors are known.
     pub fn is_empty(&self) -> bool {
-        self.first_hop.is_empty()
+        self.ids.is_empty()
     }
 
-    /// The stored neighbor list `R_b` of neighbor `b`, if announced.
-    pub fn neighbor_list_of(&self, b: NodeId) -> Option<&BTreeSet<NodeId>> {
-        self.second_hop.get(&b)
+    fn list_at(&self, i: usize) -> Option<&[NodeId]> {
+        let slot = &self.slots[i];
+        (self.flags[i] & LISTED != 0)
+            .then(|| &self.second[slot.start as usize..(slot.start + slot.len) as usize])
+    }
+
+    /// The stored neighbor list `R_b` of neighbor `b` in ascending order,
+    /// if announced.
+    pub fn neighbor_list_of(&self, b: NodeId) -> Option<&[NodeId]> {
+        self.find(b).and_then(|i| self.list_at(i))
     }
 
     /// Whether a packet forwarded by `via` claiming previous hop `prev`
@@ -158,16 +343,16 @@ impl NeighborTable {
     /// in the previous hop, C discards the packet if A is not a second
     /// hop neighbor."
     pub fn link_plausible(&self, prev: NodeId, via: NodeId) -> bool {
-        if !self.is_active_neighbor(via) {
+        let Some(i) = self.find(via) else {
+            return false;
+        };
+        if self.flags[i] & REVOKED != 0 {
             return false;
         }
-        if prev == self.me {
-            return true;
-        }
-        match self.second_hop.get(&via) {
-            Some(list) => list.contains(&prev),
-            None => false,
-        }
+        prev == self.me
+            || self
+                .list_at(i)
+                .is_some_and(|list| list.binary_search(&prev).is_ok())
     }
 
     /// Whether this node guards the link `prev → via`: it must neighbor
@@ -187,10 +372,24 @@ impl NeighborTable {
     /// accounting: 5 bytes per first-hop entry (4-byte id + 1-byte MalC)
     /// plus 4 bytes per stored second-hop id.
     pub fn storage_bytes(&self) -> usize {
-        let first = self.first_hop.len() * 5;
-        let second: usize = self.second_hop.values().map(|s| s.len() * 4).sum();
+        let first = self.ids.len() * 5;
+        // An unlisted slot's range is empty.
+        let second: usize = self.slots.iter().map(|s| s.len as usize * 4).sum();
         first + second
     }
+}
+
+/// Moves the distinct values of the sorted `run` to its front; returns
+/// how many there are.
+fn dedup_sorted(run: &mut [NodeId]) -> usize {
+    let mut w = 0;
+    for r in 0..run.len() {
+        if w == 0 || run[r] != run[w - 1] {
+            run[w] = run[r];
+            w += 1;
+        }
+    }
+    w
 }
 
 #[cfg(test)]
@@ -293,6 +492,73 @@ mod tests {
         let t = table();
         // 2 first-hop entries * 5 + (3 + 2) second-hop ids * 4 = 30.
         assert_eq!(t.storage_bytes(), 30);
+    }
+
+    #[test]
+    fn announced_lists_are_stored_sorted_and_deduplicated() {
+        let mut t = table();
+        t.set_neighbor_list(NodeId(2), [NodeId(7), NodeId(0), NodeId(7), NodeId(3)]);
+        assert_eq!(
+            t.neighbor_list_of(NodeId(2)),
+            Some(&[NodeId(0), NodeId(3), NodeId(7)][..])
+        );
+        assert!(t.link_plausible(NodeId(7), NodeId(2)));
+        assert!(!t.link_plausible(NodeId(1), NodeId(2)), "old list replaced");
+        // An empty announcement is still an announcement.
+        t.set_neighbor_list(NodeId(1), []);
+        assert_eq!(t.neighbor_list_of(NodeId(1)), Some(&[][..]));
+    }
+
+    #[test]
+    fn repeated_reannouncement_keeps_the_arena_bounded() {
+        let mut t = table();
+        for round in 0..200u32 {
+            // Alternate short and long lists so both the in-place and the
+            // append path run.
+            let len = if round % 2 == 0 { 3 } else { 9 };
+            t.set_neighbor_list(NodeId(1), (0..len).map(|k| NodeId(round + k)));
+            assert_eq!(
+                t.neighbor_list_of(NodeId(1)).map(<[NodeId]>::len),
+                Some(len as usize)
+            );
+        }
+        let live = 9 + 2; // R_1 (last round: 9 ids) + R_2
+        assert!(
+            t.second.len() <= 2 * live + 9,
+            "arena grew to {}",
+            t.second.len()
+        );
+        assert_eq!(
+            t.neighbor_list_of(NodeId(2)),
+            Some(&[NodeId(0), NodeId(1)][..])
+        );
+        assert_eq!(t.storage_bytes(), 2 * 5 + live * 4);
+    }
+
+    #[test]
+    fn monitor_marks_live_in_the_slots() {
+        let mut t = table();
+        t.mark_suspected(NodeId(9)); // unknown: nothing to mark
+        assert!(!t.is_neighbor(NodeId(9)));
+        t.mark_suspected(NodeId(2));
+        assert!(t.flags(NodeId(2)).is_some_and(|f| f & SUSPECTED != 0));
+        assert!(
+            !t.is_revoked(NodeId(2)),
+            "a suspicion alone does not revoke"
+        );
+        // Accusing an unknown id revokes it, like `revoke`.
+        t.accuse(NodeId(8), Micros(100));
+        assert!(t.is_accused(NodeId(8)) && t.is_revoked(NodeId(8)));
+        assert!(!t.realert_due(NodeId(8), Micros(150), 100));
+        assert!(t.realert_due(NodeId(8), Micros(200), 100));
+        assert!(
+            !t.realert_due(NodeId(8), Micros(250), 100),
+            "round reopened at 200"
+        );
+        assert!(
+            !t.realert_due(NodeId(1), Micros(1_000), 100),
+            "never accused"
+        );
     }
 
     #[test]

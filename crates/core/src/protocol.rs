@@ -18,7 +18,7 @@ use crate::config::{Config, InvalidConfig};
 use crate::discovery::Discovery;
 use crate::keys::{KeyStore, Mac};
 use crate::monitor::{LocalMonitor, MonitorEvent, PacketObs};
-use crate::neighbor::NeighborTable;
+use crate::neighbor::{NeighborStatus, NeighborTable};
 use crate::types::{Micros, Misbehavior, NodeId};
 
 /// Why a packet was refused at admission.
@@ -199,11 +199,10 @@ impl Liteworp {
     /// Admission check for a packet announced as transmitted by `sender`
     /// with previous hop `claimed_prev`.
     pub fn admit(&self, sender: NodeId, claimed_prev: Option<NodeId>) -> Admission {
-        if self.table.is_revoked(sender) {
-            return Admission::Reject(RejectReason::Revoked);
-        }
-        if !self.table.is_active_neighbor(sender) {
-            return Admission::Reject(RejectReason::NotNeighbor);
+        match self.table.status(sender) {
+            Some(NeighborStatus::Active) => {}
+            Some(NeighborStatus::Revoked) => return Admission::Reject(RejectReason::Revoked),
+            None => return Admission::Reject(RejectReason::NotNeighbor),
         }
         if let Some(prev) = claimed_prev {
             if prev != sender && prev != self.id() {
@@ -295,18 +294,20 @@ impl Liteworp {
         let plausible_guard = self
             .table
             .neighbor_list_of(suspect)
-            .is_some_and(|l| l.contains(&guard));
+            .is_some_and(|l| l.binary_search(&guard).is_ok());
         if !plausible_guard {
             return AlertDisposition::Rejected;
         }
         match self.alerts.record(suspect, guard) {
             AlertOutcome::Isolate => {
                 self.table.revoke(suspect);
-                self.monitor.note_external_suspicion(suspect);
+                self.monitor
+                    .note_external_suspicion(&mut self.table, suspect);
                 AlertDisposition::Isolated
             }
             AlertOutcome::Counted { .. } => {
-                self.monitor.note_external_suspicion(suspect);
+                self.monitor
+                    .note_external_suspicion(&mut self.table, suspect);
                 AlertDisposition::Counted
             }
             AlertOutcome::Duplicate | AlertOutcome::AlreadyIsolated => AlertDisposition::Ignored,

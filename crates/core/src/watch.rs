@@ -15,10 +15,10 @@
 //! suppression makes "did not rebroadcast" legitimate for a flood.
 
 use crate::types::{Micros, NodeId, PacketSig};
+use std::collections::VecDeque;
 
-/// One watched transmission — the row view of the buffer's column
-/// storage, materialized on demand by [`WatchBuffer::entries`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One watched transmission, as stored in the buffer's ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchEntry {
     /// The node that transmitted the packet (the link's sending end).
     pub prev: NodeId,
@@ -39,6 +39,16 @@ impl WatchEntry {
     pub fn satisfied(&self) -> bool {
         self.satisfied
     }
+}
+
+/// A 32-bit digest of the `(prev, sig)` pair the buffer is searched by.
+/// Equal pairs share a fingerprint; unequal ones rarely do, and when they
+/// do it costs only a look at the row.
+fn fingerprint(prev: NodeId, sig: &PacketSig) -> u32 {
+    let ids = (u64::from(prev.0) << 32 | u64::from(sig.origin.0))
+        ^ (u64::from(sig.target.0) << 40 | sig.kind as u64);
+    let h = (ids ^ sig.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    (h >> 32) as u32
 }
 
 /// A bounded buffer of watched transmissions.
@@ -63,25 +73,25 @@ impl WatchEntry {
 /// // Nothing left to expire.
 /// assert!(buf.expire(Micros(600_000)).is_empty());
 /// ```
-/// Internally the buffer is a struct-of-arrays arena: one flat column per
-/// entry field, all indexed together, with live rows occupying
-/// `start..len` of every column. Guards scan the buffer on every overheard
-/// frame, so the dup-check and confirm scans touch only the dense columns
-/// they compare against (`prev`/`sig`/`expected`) instead of striding over
-/// whole row structs. Eviction bumps `start` (O(1)); expiry compacts in
-/// place preserving order — exactly the `VecDeque<WatchEntry>` semantics
-/// this layout replaced, which the unit tests below pin.
+///
+/// Internally the rows sit in a ring, oldest first, beside one dense
+/// column holding a 32-bit fingerprint of each row's `(prev, sig)`.
+/// Guards search the buffer on every overheard frame; the duplicate
+/// check and [`WatchBuffer::confirm_forward`] scan only that column (a
+/// few cache lines at the standing fill) and read a row only when its
+/// fingerprint matches. Eviction pops the front. Under the monitor every
+/// deadline is `now + δ`, so deadlines never decrease along the ring and
+/// [`WatchBuffer::expire`] pops the expired prefix; a buffer fed
+/// decreasing deadlines falls back to an order-preserving compaction.
 #[derive(Debug, Clone)]
 pub struct WatchBuffer {
     capacity: usize,
-    /// First live row; rows before it were evicted and await compaction.
-    start: usize,
-    prev: Vec<NodeId>,
-    sig: Vec<PacketSig>,
-    expected: Vec<Option<NodeId>>,
-    deadline: Vec<Micros>,
-    armed_at: Vec<Micros>,
-    satisfied: Vec<bool>,
+    /// Live rows, oldest first.
+    rows: VecDeque<WatchEntry>,
+    /// `fingerprint(prev, sig)` of `rows[i]` at index `i`.
+    fingerprints: VecDeque<u32>,
+    /// Whether deadlines are non-decreasing from front to back.
+    deadlines_ordered: bool,
     evictions: u64,
 }
 
@@ -95,65 +105,62 @@ impl WatchBuffer {
         assert!(capacity > 0, "watch buffer needs capacity");
         WatchBuffer {
             capacity,
-            start: 0,
-            prev: Vec::new(),
-            sig: Vec::new(),
-            expected: Vec::new(),
-            deadline: Vec::new(),
-            armed_at: Vec::new(),
-            satisfied: Vec::new(),
+            rows: VecDeque::new(),
+            fingerprints: VecDeque::new(),
+            deadlines_ordered: true,
             evictions: 0,
         }
     }
 
-    /// Copies row `from` into row `to` across every column.
-    fn copy_row(&mut self, from: usize, to: usize) {
-        if from == to {
-            return;
+    /// Calls `hit` with the index of every row whose fingerprint is `fp`,
+    /// oldest first, until it returns `true`; returns whether it did.
+    ///
+    /// Compares eight fingerprints at a time into a bit mask (a branch-free
+    /// loop the compiler turns into vector compares) and visits only the
+    /// set bits.
+    fn scan(fingerprints: &VecDeque<u32>, fp: u32, mut hit: impl FnMut(usize) -> bool) -> bool {
+        let (front, back) = fingerprints.as_slices();
+        for (base, part) in [(0, front), (front.len(), back)] {
+            let (blocks, rest) = part.as_chunks::<8>();
+            for (b, block) in blocks.iter().enumerate() {
+                let mut mask = 0u32;
+                for (j, &f) in block.iter().enumerate() {
+                    mask |= u32::from(f == fp) << j;
+                }
+                while mask != 0 {
+                    if hit(base + b * 8 + mask.trailing_zeros() as usize) {
+                        return true;
+                    }
+                    mask &= mask - 1;
+                }
+            }
+            let at = base + blocks.len() * 8;
+            for (j, &f) in rest.iter().enumerate() {
+                if f == fp && hit(at + j) {
+                    return true;
+                }
+            }
         }
-        self.prev[to] = self.prev[from];
-        self.sig[to] = self.sig[from];
-        self.expected[to] = self.expected[from];
-        self.deadline[to] = self.deadline[from];
-        self.armed_at[to] = self.armed_at[from];
-        self.satisfied[to] = self.satisfied[from];
+        false
     }
 
-    /// Truncates every column to `len` rows and resets the live offset.
-    fn truncate(&mut self, len: usize) {
-        self.prev.truncate(len);
-        self.sig.truncate(len);
-        self.expected.truncate(len);
-        self.deadline.truncate(len);
-        self.armed_at.truncate(len);
-        self.satisfied.truncate(len);
-        self.start = 0;
-    }
-
-    /// Reclaims the evicted prefix once it is at least as large as the
-    /// live region, keeping eviction amortized O(1).
-    fn maybe_compact(&mut self) {
-        if self.start > 0 && self.start * 2 >= self.prev.len() {
-            self.prev.drain(..self.start);
-            self.sig.drain(..self.start);
-            self.expected.drain(..self.start);
-            self.deadline.drain(..self.start);
-            self.armed_at.drain(..self.start);
-            self.satisfied.drain(..self.start);
-            self.start = 0;
+    /// Keeps the rows `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&WatchEntry) -> bool) {
+        let mut w = 0;
+        for i in 0..self.rows.len() {
+            if keep(&self.rows[i]) {
+                self.rows.swap(w, i);
+                self.fingerprints.swap(w, i);
+                w += 1;
+            }
         }
+        self.rows.truncate(w);
+        self.fingerprints.truncate(w);
     }
 
-    /// The live rows as materialized [`WatchEntry`] values, oldest first.
+    /// The live rows, oldest first.
     pub fn entries(&self) -> impl Iterator<Item = WatchEntry> + '_ {
-        (self.start..self.prev.len()).map(|i| WatchEntry {
-            prev: self.prev[i],
-            sig: self.sig[i],
-            expected_forwarder: self.expected[i],
-            deadline: self.deadline[i],
-            armed_at: self.armed_at[i],
-            satisfied: self.satisfied[i],
-        })
+        self.rows.iter().copied()
     }
 
     /// Records an overheard transmission of `sig` by `prev`.
@@ -184,24 +191,32 @@ impl WatchBuffer {
         deadline: Micros,
         armed_at: Micros,
     ) {
-        let dup = (self.start..self.prev.len()).any(|i| {
-            self.prev[i] == prev && self.sig[i] == sig && self.expected[i] == expected_forwarder
+        let fp = fingerprint(prev, &sig);
+        let dup = Self::scan(&self.fingerprints, fp, |i| {
+            let row = &self.rows[i];
+            row.prev == prev && row.sig == sig && row.expected_forwarder == expected_forwarder
         });
         if dup {
             return;
         }
-        if self.len() == self.capacity {
-            // Evict the oldest live row; its storage is reclaimed lazily.
-            self.start += 1;
+        if self.rows.len() == self.capacity {
+            self.rows.pop_front();
+            self.fingerprints.pop_front();
             self.evictions += 1;
         }
-        self.maybe_compact();
-        self.prev.push(prev);
-        self.sig.push(sig);
-        self.expected.push(expected_forwarder);
-        self.deadline.push(deadline);
-        self.armed_at.push(armed_at);
-        self.satisfied.push(false);
+        self.deadlines_ordered = self
+            .rows
+            .back()
+            .is_none_or(|last| self.deadlines_ordered && last.deadline <= deadline);
+        self.rows.push_back(WatchEntry {
+            prev,
+            sig,
+            expected_forwarder,
+            deadline,
+            armed_at,
+            satisfied: false,
+        });
+        self.fingerprints.push_back(fp);
     }
 
     /// Checks a forward of `sig` by `forwarder` claiming previous hop
@@ -219,35 +234,47 @@ impl WatchBuffer {
         sig: &PacketSig,
         forwarder: NodeId,
     ) -> bool {
+        let fp = fingerprint(claimed_prev, sig);
         let mut found = false;
-        for i in self.start..self.prev.len() {
-            if self.prev[i] == claimed_prev && self.sig[i] == *sig {
+        Self::scan(&self.fingerprints, fp, |i| {
+            let row = &mut self.rows[i];
+            if row.prev == claimed_prev && row.sig == *sig {
                 found = true;
-                if self.expected[i] == Some(forwarder) {
-                    self.satisfied[i] = true;
+                if row.expected_forwarder == Some(forwarder) {
+                    row.satisfied = true;
                 }
             }
-        }
+            false
+        });
         found
     }
 
     /// Removes entries past their deadline; returns one accusation per
     /// unicast entry whose expected forwarder never forwarded: the
-    /// `(accused, sig, armed_at)` triples.
+    /// `(accused, sig, armed_at)` triples, oldest entry first.
     pub fn expire(&mut self, now: Micros) -> Vec<(NodeId, PacketSig, Micros)> {
         let mut accusations = Vec::new();
-        let mut w = 0;
-        for i in self.start..self.prev.len() {
-            if self.deadline[i] > now {
-                self.copy_row(i, w);
-                w += 1;
-            } else if let Some(a) = self.expected[i] {
-                if !self.satisfied[i] {
-                    accusations.push((a, self.sig[i], self.armed_at[i]));
-                }
+        let mut accuse = |row: &WatchEntry| {
+            if let (Some(a), false) = (row.expected_forwarder, row.satisfied) {
+                accusations.push((a, row.sig, row.armed_at));
             }
+        };
+        if self.deadlines_ordered {
+            while self.rows.front().is_some_and(|row| row.deadline <= now) {
+                if let Some(row) = self.rows.pop_front() {
+                    accuse(&row);
+                }
+                self.fingerprints.pop_front();
+            }
+        } else {
+            self.retain(|row| {
+                let live = row.deadline > now;
+                if !live {
+                    accuse(row);
+                }
+                live
+            });
         }
-        self.truncate(w);
         accusations
     }
 
@@ -255,9 +282,9 @@ impl WatchBuffer {
     /// — used when the forwarder broadcast a route error: failing to
     /// forward for lack of a route is not a drop.
     pub fn absolve(&mut self, forwarder: NodeId, sig: &PacketSig) {
-        for i in self.start..self.prev.len() {
-            if self.expected[i] == Some(forwarder) && self.sig[i] == *sig {
-                self.satisfied[i] = true;
+        for row in &mut self.rows {
+            if row.expected_forwarder == Some(forwarder) && row.sig == *sig {
+                row.satisfied = true;
             }
         }
     }
@@ -267,24 +294,17 @@ impl WatchBuffer {
     /// rightly refusing its packets must not be charged with drops).
     /// Broadcast entries are kept — they still validate honest forwards.
     pub fn cancel_expectations_from(&mut self, prev: NodeId) {
-        let mut w = 0;
-        for i in self.start..self.prev.len() {
-            if self.prev[i] != prev || self.expected[i].is_none() {
-                self.copy_row(i, w);
-                w += 1;
-            }
-        }
-        self.truncate(w);
+        self.retain(|row| row.prev != prev || row.expected_forwarder.is_none());
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.prev.len() - self.start
+        self.rows.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows.is_empty()
     }
 
     /// Entries evicted due to capacity pressure over the buffer's life.
@@ -425,10 +445,30 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_deadlines_expire_exactly_the_due_rows() {
+        let mut buf = WatchBuffer::new(8);
+        for (seq, deadline) in [(1, 300), (2, 100), (3, 200), (4, 400)] {
+            buf.note_transmission(NodeId(2), sig(seq), Some(NodeId(3)), Micros(deadline));
+        }
+        // Row 1 is not due but sits in front of due rows: they must go,
+        // oldest first, and the survivors keep their order.
+        assert_eq!(
+            buf.expire(Micros(250)),
+            vec![
+                (NodeId(3), sig(2), Micros(0)),
+                (NodeId(3), sig(3), Micros(0)),
+            ]
+        );
+        let left: Vec<u64> = buf.entries().map(|e| e.sig.seq).collect();
+        assert_eq!(left, vec![1, 4]);
+        assert_eq!(buf.expire(Micros(400)).len(), 2);
+        assert!(buf.is_empty());
+    }
+
+    #[test]
     fn sustained_eviction_churn_keeps_fifo_order() {
-        // Push far past capacity so the lazy-compaction path runs many
-        // times; the buffer must always hold the newest `capacity` rows in
-        // arrival order, like the VecDeque it replaced.
+        // Push far past capacity: the buffer must always hold the newest
+        // `capacity` rows in arrival order.
         let mut buf = WatchBuffer::new(3);
         for n in 0..50u64 {
             buf.note_transmission(NodeId(2), sig(n), Some(NodeId(3)), Micros(1_000 + n));

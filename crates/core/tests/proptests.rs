@@ -292,3 +292,251 @@ fn accusation_counts_cover_threshold() {
         assert!(kd == 0 || (kd - 1) * vd < ct);
     }
 }
+
+// ----------------------------------------------------------------------
+// Model-based: random operation sequences against straightforward
+// reference models of the documented semantics.
+// ----------------------------------------------------------------------
+
+/// Reference watch buffer: a plain vector of rows, oldest first, every
+/// operation a linear scan.
+#[derive(Default)]
+struct WatchModel {
+    rows: Vec<(NodeId, PacketSig, Option<NodeId>, Micros, Micros, bool)>,
+    evictions: u64,
+}
+
+impl WatchModel {
+    fn note(
+        &mut self,
+        cap: usize,
+        prev: NodeId,
+        sig: PacketSig,
+        exp: Option<NodeId>,
+        deadline: Micros,
+        armed: Micros,
+    ) {
+        if self
+            .rows
+            .iter()
+            .any(|r| r.0 == prev && r.1 == sig && r.2 == exp)
+        {
+            return;
+        }
+        if self.rows.len() == cap {
+            self.rows.remove(0);
+            self.evictions += 1;
+        }
+        self.rows.push((prev, sig, exp, deadline, armed, false));
+    }
+
+    fn confirm(&mut self, prev: NodeId, sig: &PacketSig, fwd: NodeId) -> bool {
+        let mut found = false;
+        for r in &mut self.rows {
+            if r.0 == prev && r.1 == *sig {
+                found = true;
+                if r.2 == Some(fwd) {
+                    r.5 = true;
+                }
+            }
+        }
+        found
+    }
+
+    fn expire(&mut self, now: Micros) -> Vec<(NodeId, PacketSig, Micros)> {
+        let accused = self
+            .rows
+            .iter()
+            .filter(|r| r.3 <= now && !r.5)
+            .filter_map(|r| r.2.map(|a| (a, r.1, r.4)))
+            .collect();
+        self.rows.retain(|r| r.3 > now);
+        accused
+    }
+}
+
+/// A small signature pool, so duplicates and repeated lookups are common.
+fn pool_sig(rng: &mut Pcg32) -> PacketSig {
+    PacketSig {
+        kind: if rng.gen_bool(0.5) {
+            PacketKind::RouteRequest
+        } else {
+            PacketKind::RouteReply
+        },
+        origin: NodeId(rng.gen_range(0u32..3)),
+        target: NodeId(rng.gen_range(0u32..3)),
+        seq: rng.gen_range(0u64..4),
+    }
+}
+
+#[test]
+fn watch_buffer_matches_the_vec_model() {
+    let mut rng = Pcg32::seed_from_u64(0x7761_746d);
+    for case in 0..CASES * 4 {
+        let cap = rng.gen_range(1usize..12);
+        // Half the cases arm every entry at `now + δ` like the monitor;
+        // the rest mix in arbitrary deadlines.
+        let monotone = case % 2 == 0;
+        let mut buf = WatchBuffer::new(cap);
+        let mut model = WatchModel::default();
+        let mut now = 0u64;
+        let node = |rng: &mut Pcg32| NodeId(rng.gen_range(0u32..5));
+        for _ in 0..200 {
+            now += rng.gen_range(0u64..20);
+            match rng.gen_range(0u32..10) {
+                0..=3 => {
+                    let (prev, sig) = (node(&mut rng), pool_sig(&mut rng));
+                    let exp = rng.gen_bool(0.7).then(|| node(&mut rng));
+                    let deadline = if monotone || rng.gen_bool(0.5) {
+                        Micros(now + 50)
+                    } else {
+                        Micros(now + rng.gen_range(0u64..100))
+                    };
+                    buf.note_transmission_at(prev, sig, exp, deadline, Micros(now));
+                    model.note(cap, prev, sig, exp, deadline, Micros(now));
+                }
+                4..=5 => {
+                    let (prev, sig, fwd) = (node(&mut rng), pool_sig(&mut rng), node(&mut rng));
+                    assert_eq!(
+                        buf.confirm_forward(prev, &sig, fwd),
+                        model.confirm(prev, &sig, fwd)
+                    );
+                }
+                6..=7 => assert_eq!(buf.expire(Micros(now)), model.expire(Micros(now))),
+                8 => {
+                    let (fwd, sig) = (node(&mut rng), pool_sig(&mut rng));
+                    buf.absolve(fwd, &sig);
+                    for r in &mut model.rows {
+                        if r.2 == Some(fwd) && r.1 == sig {
+                            r.5 = true;
+                        }
+                    }
+                }
+                _ => {
+                    let prev = node(&mut rng);
+                    buf.cancel_expectations_from(prev);
+                    model.rows.retain(|r| r.0 != prev || r.2.is_none());
+                }
+            }
+            let rows: Vec<_> = buf
+                .entries()
+                .map(|e| {
+                    let (prev, sig, exp) = (e.prev, e.sig, e.expected_forwarder);
+                    (prev, sig, exp, e.deadline, e.armed_at, e.satisfied())
+                })
+                .collect();
+            assert_eq!(rows, model.rows, "case {case}");
+            assert_eq!(buf.len(), model.rows.len());
+            assert_eq!(buf.evictions(), model.evictions);
+        }
+        assert_eq!(buf.expire(Micros(u64::MAX)), model.expire(Micros(u64::MAX)));
+        assert!(buf.is_empty());
+    }
+}
+
+#[test]
+fn neighbor_table_matches_the_btree_model() {
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut rng = Pcg32::seed_from_u64(0x6e74_6d64);
+    let me = NodeId(0);
+    for case in 0..CASES {
+        let mut t = NeighborTable::new(me);
+        let mut first: BTreeMap<NodeId, bool> = BTreeMap::new(); // id -> revoked
+        let mut second: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+        let node = |rng: &mut Pcg32| NodeId(rng.gen_range(0u32..12));
+        for _ in 0..120 {
+            match rng.gen_range(0u32..4) {
+                0 => {
+                    let n = NodeId(rng.gen_range(1u32..12));
+                    t.add_neighbor(n);
+                    first.entry(n).or_insert(false);
+                }
+                1 | 2 => {
+                    // Unsorted, with repeats; often a re-announcement of a
+                    // different length.
+                    let b = node(&mut rng);
+                    let len = rng.gen_range(0usize..10);
+                    let list: Vec<NodeId> = (0..len).map(|_| node(&mut rng)).collect();
+                    let stored = t.set_neighbor_list(b, list.iter().copied());
+                    assert_eq!(stored, first.contains_key(&b));
+                    if stored {
+                        second.insert(b, list.into_iter().collect());
+                    }
+                }
+                _ => {
+                    // Unknown ids (the owner included) are recorded too.
+                    let n = node(&mut rng);
+                    t.revoke(n);
+                    first.insert(n, true);
+                }
+            }
+            for n in (0..12).map(NodeId) {
+                assert_eq!(t.is_neighbor(n), first.contains_key(&n), "case {case}");
+                assert_eq!(t.is_revoked(n), first.get(&n) == Some(&true));
+                assert_eq!(t.is_active_neighbor(n), first.get(&n) == Some(&false));
+                let list = t.neighbor_list_of(n).map(<[NodeId]>::to_vec);
+                let model_list = second.get(&n).map(|s| s.iter().copied().collect());
+                assert_eq!(list, model_list);
+                for p in (0..12).map(NodeId) {
+                    let plausible = first.get(&n) == Some(&false)
+                        && (p == me || second.get(&n).is_some_and(|s| s.contains(&p)));
+                    assert_eq!(t.link_plausible(p, n), plausible);
+                    let guard = p != n
+                        && (p == me || first.contains_key(&p))
+                        && (n == me || first.contains_key(&n));
+                    assert_eq!(t.is_guard_of(p, n), guard);
+                }
+            }
+            let active: Vec<NodeId> = first.iter().filter(|(_, &r)| !r).map(|(&n, _)| n).collect();
+            assert_eq!(t.active_neighbors().collect::<Vec<_>>(), active);
+            assert_eq!(t.len(), first.len());
+            let ids: usize = second.values().map(BTreeSet::len).sum();
+            assert_eq!(t.storage_bytes(), first.len() * 5 + ids * 4);
+        }
+    }
+}
+
+#[test]
+fn malc_running_sum_matches_a_full_recompute() {
+    use std::collections::BTreeMap;
+    let mut rng = Pcg32::seed_from_u64(0x6d61_6c73);
+    for case in 0..CASES {
+        let window = if case % 4 == 0 {
+            0
+        } else {
+            rng.gen_range(1u64..200)
+        };
+        let mut t = MalcTable::new(window);
+        let mut logs: BTreeMap<NodeId, Vec<(u64, u32)>> = BTreeMap::new();
+        let mut now = 0u64;
+        for _ in 0..200 {
+            now += rng.gen_range(0u64..30);
+            let node = NodeId(rng.gen_range(0u32..4));
+            if rng.gen_bool(0.05) {
+                t.clear(node);
+                logs.remove(&node);
+                continue;
+            }
+            let weight = rng.gen_range(1u32..5);
+            let log = logs.entry(node).or_default();
+            log.push((now, weight));
+            let cutoff = now.saturating_sub(window);
+            if window > 0 {
+                log.retain(|&(t, _)| t >= cutoff);
+            }
+            let full: u32 = log.iter().map(|&(_, w)| w).sum();
+            assert_eq!(t.record(node, weight, Micros(now)), full, "case {case}");
+            for probe in [now, now + window / 2, now + window + 1] {
+                let cutoff = probe.saturating_sub(window);
+                for (&n, log) in &logs {
+                    let full: u32 = log
+                        .iter()
+                        .filter(|&&(t, _)| window == 0 || t >= cutoff)
+                        .map(|&(_, w)| w)
+                        .sum();
+                    assert_eq!(t.value(n, Micros(probe)), full, "case {case}");
+                }
+            }
+        }
+    }
+}

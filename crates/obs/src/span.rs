@@ -53,6 +53,13 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { live: false };
     }
+    open(name)
+}
+
+/// The enabled half of [`span`], kept out of line so the inlined
+/// disabled path stays one load and one branch.
+#[inline(never)]
+fn open(name: &'static str) -> SpanGuard {
     STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
         let (id, path) = match stack.last_mut() {
@@ -89,26 +96,33 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
-        if !self.live {
-            return;
+        if self.live {
+            close();
         }
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let Some(frame) = stack.pop() else {
-                return;
-            };
-            let inclusive_us = clock::now_micros().saturating_sub(frame.start_us);
-            let self_us = inclusive_us.saturating_sub(frame.child_us);
-            profile::record(&frame.path, self_us);
-            registry::record_span_us(frame.name, inclusive_us);
-            match stack.last_mut() {
-                Some(parent) => parent.child_us += inclusive_us,
-                // Root closed: publish this thread's profile buffer.
-                None => profile::flush_thread(),
-            }
-        });
     }
+}
+
+/// Pops and records the innermost open span: the out-of-line half of
+/// dropping a live [`SpanGuard`].
+#[inline(never)]
+fn close() {
+    STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let Some(frame) = stack.pop() else {
+            return;
+        };
+        let inclusive_us = clock::now_micros().saturating_sub(frame.start_us);
+        let self_us = inclusive_us.saturating_sub(frame.child_us);
+        profile::record(&frame.path, self_us);
+        registry::record_span_us(frame.name, inclusive_us);
+        match stack.last_mut() {
+            Some(parent) => parent.child_us += inclusive_us,
+            // Root closed: publish this thread's profile buffer.
+            None => profile::flush_thread(),
+        }
+    });
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@ use liteworp_netsim::field::{Field, NodeId as SimNodeId};
 /// Preloads `lw`'s neighbor tables as if node `me` had completed secure
 /// discovery on `field`: all nodes in range become first-hop neighbors,
 /// and each neighbor's own range set is stored as second-hop knowledge.
+/// `Field`'s rows are ascending, so each is appended to the table's arena
+/// as is, and every column is sized exactly up front.
 ///
 /// # Example
 ///
@@ -40,6 +42,11 @@ use liteworp_netsim::field::{Field, NodeId as SimNodeId};
 pub fn preload_liteworp(lw: &mut Liteworp, me: SimNodeId, field: &Field) {
     let table = lw.table_mut();
     let neighbors = field.in_range_of(me);
+    let second_hop = neighbors
+        .iter()
+        .map(|&nb| field.in_range_of(nb).len())
+        .sum();
+    table.reserve(neighbors.len(), second_hop);
     for &nb in neighbors {
         table.add_neighbor(core_id(nb));
     }

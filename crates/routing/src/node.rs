@@ -656,7 +656,7 @@ impl ProtocolNode {
             }
             if table
                 .neighbor_list_of(relay)
-                .is_some_and(|l| l.contains(&recipient))
+                .is_some_and(|l| l.binary_search(&recipient).is_ok())
             {
                 return relay;
             }
