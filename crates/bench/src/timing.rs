@@ -24,17 +24,19 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
 
 /// Benchmark two fast operations against each other, interleaved in one
 /// process: one batch size of ~2 ms for both (the larger calibration),
-/// then `pairs` rounds of one batch of `a` followed by one batch of `b`.
-/// Each record reports its operation's best batch in ns/iter; `b`'s also
-/// carries `pair_ratio`, the median over the rounds of `b`'s batch time
-/// over `a`'s.
+/// then `pairs` rounds of one batch of each, `a` first in even rounds and
+/// `b` first in odd ones. Each record reports its operation's best batch
+/// in ns/iter; `b`'s also carries `pair_ratio`, the median over the
+/// rounds of `b`'s batch time over `a`'s.
 ///
 /// The two batches of a round run back to back, so a host-speed swing
 /// almost always lands on both, and the median of the per-round ratios
 /// holds steady where the ratio of two best batches does not: on a
 /// shared 2-vCPU VM whose speed flips between two levels every few tens
 /// of milliseconds, timing one workload against itself read
-/// 0.91–1.03 as a ratio of bests and 0.99–1.01 as `pair_ratio`.
+/// 0.91–1.03 as a ratio of bests and 0.99–1.01 as `pair_ratio`. The
+/// alternating order cancels whatever running second gains or loses
+/// (frequency ramp, cache state the first batch leaves).
 pub fn bench_pair<A, B>(
     (name_a, mut a): (&str, impl FnMut() -> A),
     (name_b, mut b): (&str, impl FnMut() -> B),
@@ -42,7 +44,15 @@ pub fn bench_pair<A, B>(
 ) {
     let iters = calibrate(&mut a, 2).max(calibrate(&mut b, 2));
     let mut rounds: Vec<(f64, f64)> = (0..pairs)
-        .map(|_| (time_batch(iters, &mut a), time_batch(iters, &mut b)))
+        .map(|round| {
+            if round % 2 == 0 {
+                let ta = time_batch(iters, &mut a);
+                (ta, time_batch(iters, &mut b))
+            } else {
+                let tb = time_batch(iters, &mut b);
+                (time_batch(iters, &mut a), tb)
+            }
+        })
         .collect();
     let best_a = rounds.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
     let best_b = rounds.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);

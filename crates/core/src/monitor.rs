@@ -197,10 +197,9 @@ impl LocalMonitor {
         now: Micros,
     ) -> Vec<MonitorEvent> {
         let mut events = Vec::new();
-        let me = table.owner();
-        // The sender's slot flags (`None`: not a known neighbor), read once
-        // and refreshed only if this frame gets it accused.
-        let mut sender = table.flags(obs.sender);
+        // The sender as a link end (`None`: a stranger), looked up once
+        // and again only if this frame gets it accused.
+        let mut sender = table.link_end(obs.sender);
 
         // 0. Re-alert: an accused node still transmitting means some of
         // its neighbors have not isolated it yet (or it simply refuses to
@@ -219,23 +218,21 @@ impl LocalMonitor {
         // when we guard the link prev -> sender (we know both ends), the
         // sender is not accused yet and prev is not under suspicion.
         if let Some(prev) = obs.claimed_prev {
-            if prev != obs.sender && (obs.sender == me || sender.is_some()) {
-                let prev_flags = table.flags(prev);
-                if (prev == me || prev_flags.is_some())
-                    && sender.is_none_or(|f| f & ACCUSED == 0)
-                    && prev_flags.is_none_or(|f| f & SUSPECTED == 0)
-                    && !self.watch.confirm_forward(prev, &obs.sig, obs.sender)
-                    && !self.in_collision_grace(now)
-                {
-                    self.punish(
-                        table,
-                        obs.sender,
-                        Misbehavior::Fabrication,
-                        now,
-                        &mut events,
-                    );
-                    sender = table.flags(obs.sender);
-                }
+            let guarded =
+                NeighborTable::guarded_link((prev, table.link_end(prev)), (obs.sender, sender));
+            if guarded.is_some_and(|(prev_f, sender_f)| {
+                sender_f & ACCUSED == 0 && prev_f & SUSPECTED == 0
+            }) && !self.watch.confirm_forward(prev, &obs.sig, obs.sender)
+                && !self.in_collision_grace(now)
+            {
+                self.punish(
+                    table,
+                    obs.sender,
+                    Misbehavior::Fabrication,
+                    now,
+                    &mut events,
+                );
+                sender = table.link_end(obs.sender);
             }
         }
 
@@ -248,10 +245,11 @@ impl LocalMonitor {
                 // No expectation is armed for transmissions of revoked,
                 // accused or suspected nodes — receivers rightly discard
                 // those.
-                let sender_watchable = sender.map_or(obs.sender == me, |f| {
-                    f & (REVOKED | ACCUSED | SUSPECTED) == 0
-                });
-                if sender_watchable && dst != obs.sender && (dst == me || table.is_neighbor(dst)) {
+                let guarded =
+                    NeighborTable::guarded_link((obs.sender, sender), (dst, table.link_end(dst)));
+                if guarded
+                    .is_some_and(|(sender_f, _)| sender_f & (REVOKED | ACCUSED | SUSPECTED) == 0)
+                {
                     self.watch
                         .note_transmission_at(obs.sender, obs.sig, Some(dst), deadline, now);
                 }
@@ -262,9 +260,7 @@ impl LocalMonitor {
             None => {
                 // Broadcast (flood): record for fabrication checking when
                 // the sender is someone we can monitor.
-                if obs.sig.kind == PacketKind::RouteRequest
-                    && (obs.sender == me || sender.is_some())
-                {
+                if obs.sig.kind == PacketKind::RouteRequest && sender.is_some() {
                     self.watch
                         .note_transmission_at(obs.sender, obs.sig, None, deadline, now);
                 }

@@ -360,12 +360,29 @@ impl NeighborTable {
     /// outgoing links), and the link itself must exist per the announced
     /// lists.
     pub fn is_guard_of(&self, prev: NodeId, via: NodeId) -> bool {
+        Self::guarded_link((prev, self.link_end(prev)), (via, self.link_end(via))).is_some()
+    }
+
+    /// `n` as one end of a link this node may guard: its status byte, `0`
+    /// for the owner when it has no slot (a revocation may have recorded
+    /// one), `None` for a stranger.
+    pub(crate) fn link_end(&self, n: NodeId) -> Option<u8> {
+        self.flags(n).or((n == self.me).then_some(0))
+    }
+
+    /// The guard rule of [`NeighborTable::is_guard_of`] over two ends
+    /// already looked up with [`NeighborTable::link_end`], so a caller
+    /// judging several links of one frame looks each id up once: the
+    /// status bytes of `prev` and `via` when the link is guarded, else
+    /// `None`.
+    pub(crate) fn guarded_link(
+        (prev, prev_end): (NodeId, Option<u8>),
+        (via, via_end): (NodeId, Option<u8>),
+    ) -> Option<(u8, u8)> {
         if prev == via {
-            return false;
+            return None;
         }
-        let knows_prev = prev == self.me || self.is_neighbor(prev);
-        let knows_via = via == self.me || self.is_neighbor(via);
-        knows_prev && knows_via
+        Some((prev_end?, via_end?))
     }
 
     /// Approximate storage footprint in bytes, matching the Section 5.2

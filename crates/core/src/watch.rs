@@ -79,10 +79,10 @@ fn fingerprint(prev: NodeId, sig: &PacketSig) -> u32 {
 /// Guards search the buffer on every overheard frame; the duplicate
 /// check and [`WatchBuffer::confirm_forward`] scan only that column (a
 /// few cache lines at the standing fill) and read a row only when its
-/// fingerprint matches. Eviction pops the front. Under the monitor every
-/// deadline is `now + δ`, so deadlines never decrease along the ring and
-/// [`WatchBuffer::expire`] pops the expired prefix; a buffer fed
-/// decreasing deadlines falls back to an order-preserving compaction.
+/// fingerprint matches. Eviction pops the front. Deadlines must not
+/// decrease from one insert to the next (under the monitor every deadline
+/// is `now + δ` on a monotone clock), so the rows stay sorted by deadline
+/// and [`WatchBuffer::expire`] pops the expired prefix.
 #[derive(Debug, Clone)]
 pub struct WatchBuffer {
     capacity: usize,
@@ -90,8 +90,6 @@ pub struct WatchBuffer {
     rows: VecDeque<WatchEntry>,
     /// `fingerprint(prev, sig)` of `rows[i]` at index `i`.
     fingerprints: VecDeque<u32>,
-    /// Whether deadlines are non-decreasing from front to back.
-    deadlines_ordered: bool,
     evictions: u64,
 }
 
@@ -107,7 +105,6 @@ impl WatchBuffer {
             capacity,
             rows: VecDeque::new(),
             fingerprints: VecDeque::new(),
-            deadlines_ordered: true,
             evictions: 0,
         }
     }
@@ -171,6 +168,11 @@ impl WatchBuffer {
     ///
     /// Duplicate `(prev, sig)` entries are ignored so retransmissions do
     /// not double-arm drop detection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deadline` is earlier than the newest held entry's:
+    /// deadlines must not decrease from one insert to the next.
     pub fn note_transmission(
         &mut self,
         prev: NodeId,
@@ -183,6 +185,10 @@ impl WatchBuffer {
 
     /// Like [`WatchBuffer::note_transmission`], recording when the entry
     /// was armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deadline` is earlier than the newest held entry's.
     pub fn note_transmission_at(
         &mut self,
         prev: NodeId,
@@ -191,6 +197,12 @@ impl WatchBuffer {
         deadline: Micros,
         armed_at: Micros,
     ) {
+        assert!(
+            self.rows
+                .back()
+                .is_none_or(|last| last.deadline <= deadline),
+            "watch deadlines must not decrease"
+        );
         let fp = fingerprint(prev, &sig);
         let dup = Self::scan(&self.fingerprints, fp, |i| {
             let row = &self.rows[i];
@@ -204,10 +216,6 @@ impl WatchBuffer {
             self.fingerprints.pop_front();
             self.evictions += 1;
         }
-        self.deadlines_ordered = self
-            .rows
-            .back()
-            .is_none_or(|last| self.deadlines_ordered && last.deadline <= deadline);
         self.rows.push_back(WatchEntry {
             prev,
             sig,
@@ -254,26 +262,12 @@ impl WatchBuffer {
     /// `(accused, sig, armed_at)` triples, oldest entry first.
     pub fn expire(&mut self, now: Micros) -> Vec<(NodeId, PacketSig, Micros)> {
         let mut accusations = Vec::new();
-        let mut accuse = |row: &WatchEntry| {
+        // Deadlines are sorted along the ring: the expired rows are a prefix.
+        while let Some(row) = self.rows.pop_front_if(|row| row.deadline <= now) {
+            self.fingerprints.pop_front();
             if let (Some(a), false) = (row.expected_forwarder, row.satisfied) {
                 accusations.push((a, row.sig, row.armed_at));
             }
-        };
-        if self.deadlines_ordered {
-            while self.rows.front().is_some_and(|row| row.deadline <= now) {
-                if let Some(row) = self.rows.pop_front() {
-                    accuse(&row);
-                }
-                self.fingerprints.pop_front();
-            }
-        } else {
-            self.retain(|row| {
-                let live = row.deadline > now;
-                if !live {
-                    accuse(row);
-                }
-                live
-            });
         }
         accusations
     }
@@ -445,24 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_deadlines_expire_exactly_the_due_rows() {
-        let mut buf = WatchBuffer::new(8);
-        for (seq, deadline) in [(1, 300), (2, 100), (3, 200), (4, 400)] {
-            buf.note_transmission(NodeId(2), sig(seq), Some(NodeId(3)), Micros(deadline));
-        }
-        // Row 1 is not due but sits in front of due rows: they must go,
-        // oldest first, and the survivors keep their order.
-        assert_eq!(
-            buf.expire(Micros(250)),
-            vec![
-                (NodeId(3), sig(2), Micros(0)),
-                (NodeId(3), sig(3), Micros(0)),
-            ]
-        );
-        let left: Vec<u64> = buf.entries().map(|e| e.sig.seq).collect();
-        assert_eq!(left, vec![1, 4]);
-        assert_eq!(buf.expire(Micros(400)).len(), 2);
-        assert!(buf.is_empty());
+    #[should_panic(expected = "must not decrease")]
+    fn decreasing_deadline_rejected() {
+        let mut buf = WatchBuffer::new(4);
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(300));
+        buf.note_transmission(NodeId(2), sig(2), Some(NodeId(3)), Micros(100));
     }
 
     #[test]

@@ -374,12 +374,13 @@ fn watch_buffer_matches_the_vec_model() {
     let mut rng = Pcg32::seed_from_u64(0x7761_746d);
     for case in 0..CASES * 4 {
         let cap = rng.gen_range(1usize..12);
-        // Half the cases arm every entry at `now + δ` like the monitor;
-        // the rest mix in arbitrary deadlines.
-        let monotone = case % 2 == 0;
+        // Half the cases arm every entry at `now + δ` like the monitor; the
+        // rest draw each deadline at random, never below the last one.
+        let fixed_delta = case % 2 == 0;
         let mut buf = WatchBuffer::new(cap);
         let mut model = WatchModel::default();
         let mut now = 0u64;
+        let mut last_deadline = 0u64;
         let node = |rng: &mut Pcg32| NodeId(rng.gen_range(0u32..5));
         for _ in 0..200 {
             now += rng.gen_range(0u64..20);
@@ -387,11 +388,13 @@ fn watch_buffer_matches_the_vec_model() {
                 0..=3 => {
                     let (prev, sig) = (node(&mut rng), pool_sig(&mut rng));
                     let exp = rng.gen_bool(0.7).then(|| node(&mut rng));
-                    let deadline = if monotone || rng.gen_bool(0.5) {
-                        Micros(now + 50)
+                    let delta = if fixed_delta {
+                        50
                     } else {
-                        Micros(now + rng.gen_range(0u64..100))
+                        rng.gen_range(0u64..100)
                     };
+                    last_deadline = last_deadline.max(now + delta);
+                    let deadline = Micros(last_deadline);
                     buf.note_transmission_at(prev, sig, exp, deadline, Micros(now));
                     model.note(cap, prev, sig, exp, deadline, Micros(now));
                 }

@@ -15,8 +15,9 @@
 #      span-instrumented malc workload within 5% of the uninstrumented
 #      one (the disabled-plane cost contract). The suite times the two
 #      interleaved in one process (`timing::bench_pair`: batches A, B,
-#      A, B, ...) and records the median of the per-round B/A ratios
-#      as `pair_ratio`, so a host-speed swing hits both sides alike.
+#      then B, A, ...) and records the median of the per-round B/A
+#      ratios as `pair_ratio`, so a host-speed swing hits both sides
+#      alike and neither side always runs first.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
