@@ -232,11 +232,14 @@ fn bench_event_loop() {
     // from a handful of distinct values so most orderings fall through to
     // the (time, seq) tie-break, with steady-state push/pop churn layered
     // on top — the simulator's inner-loop shape.
-    for pending in [1_024usize, 16_384] {
+    let tie_heavy_times = |pending: usize| -> Vec<SimTime> {
         let mut rng = Pcg32::seed_from_u64(0x5eed);
-        let times: Vec<SimTime> = (0..pending)
+        (0..pending)
             .map(|_| SimTime::from_micros(rng.gen_range(0u64..16)))
-            .collect();
+            .collect()
+    };
+    for pending in [1_024usize, 16_384] {
+        let times = tie_heavy_times(pending);
         bench(&format!("event_loop/churn_{pending}"), || {
             let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
@@ -249,6 +252,22 @@ fn bench_event_loop() {
             acc
         });
     }
+    // The same churn with a payload the size of the simulator's event
+    // (128 bytes: a transmission end carries its whole frame).
+    let times = tie_heavy_times(1_024);
+    bench("event_loop/churn_frame_1024", || {
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            let mut frame = [0u64; 16];
+            frame[0] = i as u64;
+            q.push(t, frame);
+        }
+        let mut acc = 0u64;
+        while let Some((t, frame)) = q.pop() {
+            acc = acc.wrapping_add(t.as_micros()).wrapping_add(frame[0]);
+        }
+        acc
+    });
 }
 
 fn bench_special_functions() {

@@ -128,7 +128,6 @@ pub enum Effect {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Liteworp {
-    config: Config,
     keys: KeyStore,
     table: NeighborTable,
     monitor: LocalMonitor,
@@ -152,14 +151,14 @@ impl Liteworp {
     /// Creates the instance, returning [`InvalidConfig`] instead of
     /// panicking when the configuration is inconsistent.
     pub fn try_new(config: Config, keys: KeyStore) -> Result<Self, InvalidConfig> {
-        let monitor = LocalMonitor::try_new(config.clone())?;
+        let monitor = LocalMonitor::try_new(config)?;
+        let alerts = AlertBuffer::new(monitor.config().confidence_index);
         let me = keys.owner();
         Ok(Liteworp {
             monitor,
-            alerts: AlertBuffer::new(config.confidence_index),
+            alerts,
             table: NeighborTable::new(me),
             discovery: Discovery::new(keys),
-            config,
             keys,
         })
     }
@@ -169,9 +168,9 @@ impl Liteworp {
         self.keys.owner()
     }
 
-    /// The configuration in force.
+    /// The configuration in force (the monitor holds the one copy).
     pub fn config(&self) -> &Config {
-        &self.config
+        self.monitor.config()
     }
 
     /// Neighbor knowledge (read).

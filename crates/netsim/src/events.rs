@@ -6,31 +6,37 @@
 //! through to heap-internal (unstable) ordering. This is the total order
 //! the pre-index simulator enforced with its inline `Scheduled` struct,
 //! extracted so it can be property-tested on its own.
+//!
+//! The heap holds 24-byte `(time, seq, slot)` keys; the events themselves
+//! sit still in a slab of `Option<E>` slots (vacated slots are reused
+//! through a free list). A sift moves keys only, so its cost does not grow
+//! with the event type — the simulator's events carry whole frames.
 
 use crate::time::SimTime;
 use std::collections::BinaryHeap;
 
-struct Entry<E> {
+/// A heap entry: when, in which push order, and where the event sits.
+struct Key {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl Eq for Key {}
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Inverted so the std max-heap pops the earliest (time, seq) first.
         other
@@ -59,7 +65,11 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Key>,
+    /// Event storage; `Some` exactly at the slots the heap's keys name.
+    slab: Vec<Option<E>>,
+    /// Vacated slab slots, reused last-in first-out.
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -74,6 +84,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -83,7 +95,18 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                assert!(self.slab.len() < u32::MAX as usize, "event slab is full");
+                self.slab.push(Some(event));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Key { time, seq, slot });
     }
 
     /// The timestamp of the next event without removing it.
@@ -93,7 +116,11 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest `(time, event)` pair.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        let key = self.heap.pop()?;
+        let event = self.slab[key.slot as usize].take();
+        assert!(event.is_some(), "heap key names an empty slot");
+        self.free.push(key.slot);
+        event.map(|e| (key.time, e))
     }
 
     /// Number of pending events.
@@ -110,6 +137,27 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn heap_keys_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    #[test]
+    fn popped_slots_are_reused() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(1);
+        for i in 0..4u32 {
+            q.push(t, i);
+        }
+        assert_eq!(q.pop(), Some((t, 0)));
+        assert_eq!(q.pop(), Some((t, 1)));
+        q.push(t, 4);
+        q.push(t, 5);
+        assert_eq!(q.slab.len(), 4, "two freed slots took the two pushes");
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![2, 3, 4, 5]);
+    }
 
     #[test]
     fn orders_by_time_then_push_order() {

@@ -13,10 +13,9 @@
 //!   transmission's interference disc covers it.
 
 use crate::field::{NodeId, Position};
-use crate::grid::Buckets;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One transmission on the air (or recently completed).
 #[derive(Debug, Clone, Copy)]
@@ -76,13 +75,12 @@ impl Interference {
 /// Tracks transmissions long enough to answer collision queries.
 ///
 /// Live records sit in a ring indexed by their monotonic `seq` (O(1)
-/// lookup), with a min-heap by end time for amortized pruning and — when
-/// constructed via [`Medium::with_geometry`] — a spatial `Buckets` grid
-/// over record origins (carrier sense and the collision gather). Every
-/// spatial query still applies the exact disc predicate the pre-index code
-/// used, so answers are set-identical to a linear scan; `busy_until` (a max)
-/// and [`Interference::collides`] (an any) are order-independent
-/// aggregations on top.
+/// lookup), with a min-heap by end time for amortized pruning. Queries
+/// scan the ring: pruning keeps it to the records that can still overlap
+/// an in-flight frame, a dozen or so even in a 10⁵-node field, so a scan
+/// is cheaper than any spatial index over them. `busy_until` (a max) and
+/// [`Interference::collides`] (an any) are order-independent
+/// aggregations over the records.
 #[derive(Debug, Default)]
 pub struct Medium {
     /// Live (and recently ended) transmissions: slot `i` holds seq
@@ -95,14 +93,6 @@ pub struct Medium {
     first_seq: u64,
     /// Min-heap of `(end, seq)` driving [`Medium::prune`].
     by_end: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Spatial index over record origins; `None` means queries fall back to
-    /// scanning all live records (geometry-free construction via
-    /// [`Medium::new`], used by unit tests).
-    buckets: Option<Buckets<u64>>,
-    /// Multiset of live interference radii (`range * factor`, stored as
-    /// `f64` bits — positive finite, so bit order = numeric order). The
-    /// maximum bounds the candidate-cell ring for spatial queries.
-    reaches: BTreeMap<u64, usize>,
     max_airtime: SimDuration,
     interference_factor: f64,
 }
@@ -110,9 +100,6 @@ pub struct Medium {
 impl Medium {
     /// Creates a medium with the given interference-range factor
     /// (see [`crate::radio::RadioConfig::interference_factor`]).
-    ///
-    /// Spatial queries scan all live records; prefer
-    /// [`Medium::with_geometry`] when the deployment geometry is known.
     ///
     /// # Panics
     ///
@@ -128,32 +115,9 @@ impl Medium {
         }
     }
 
-    /// Creates a medium whose transmissions are spatially indexed over a
-    /// `side`-by-`side` field with grid cells of `cell` meters (normally
-    /// the nominal radio range). Query results are identical to
-    /// [`Medium::new`]; only the work per query changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interference_factor < 1.0`, or `side`/`cell` is not
-    /// positive.
-    pub fn with_geometry(interference_factor: f64, side: f64, cell: f64) -> Self {
-        let mut m = Medium::new(interference_factor);
-        m.buckets = Some(Buckets::new(side, cell));
-        m
-    }
-
     /// The interference disc radius of a record.
     fn reach(&self, record: &TxRecord) -> f64 {
         record.range * self.interference_factor
-    }
-
-    /// The largest live interference radius, if anything is on the air.
-    fn max_reach(&self) -> Option<f64> {
-        self.reaches
-            .keys()
-            .next_back()
-            .map(|&bits| f64::from_bits(bits))
     }
 
     /// Registers a transmission that is starting now. Seqs are expected
@@ -180,11 +144,6 @@ impl Medium {
         if airtime > self.max_airtime {
             self.max_airtime = airtime;
         }
-        if let Some(b) = &mut self.buckets {
-            b.insert(record.origin, record.seq);
-        }
-        let reach_bits = self.reach(&record).to_bits();
-        *self.reaches.entry(reach_bits).or_insert(0) += 1;
         self.by_end.push(Reverse((record.end, record.seq)));
         self.ring.push_back(Some(record));
     }
@@ -195,27 +154,11 @@ impl Medium {
         self.ring.get(slot as usize)?.as_ref()
     }
 
-    /// Visits every live record whose origin could lie within `radius` of
-    /// `pos`: a superset of the true matches (callers apply the exact
-    /// predicate). Uses the spatial index when present; otherwise scans
-    /// all records in seq order.
-    fn for_each_near(&self, pos: Position, radius: f64, mut f: impl FnMut(&TxRecord)) {
-        match &self.buckets {
-            Some(b) => b.for_each_candidate(pos, radius, |seq| {
-                if let Some(r) = self.get(seq) {
-                    f(r);
-                }
-            }),
-            None => self.ring.iter().flatten().for_each(f),
-        }
-    }
-
     /// Carrier sense: if the channel is busy at `pos` at time `at`, returns
     /// the time the last currently-audible transmission ends.
     pub fn busy_until(&self, pos: Position, at: SimTime) -> Option<SimTime> {
-        let max_reach = self.max_reach()?;
         let mut latest: Option<SimTime> = None;
-        self.for_each_near(pos, max_reach, |r| {
+        for r in self.ring.iter().flatten() {
             if r.start <= at
                 && r.end > at
                 && pos.distance_to(&r.origin) <= self.reach(r)
@@ -223,22 +166,15 @@ impl Medium {
             {
                 latest = Some(r.end);
             }
-        });
+        }
         latest
     }
 
     /// Gathers, into `out`, every other live transmission that overlaps
-    /// transmission `seq` in time and could destroy it at some receiver
-    /// within `seq`'s range. Each receiver then asks
-    /// [`Interference::collides`], so the medium is searched once per
+    /// transmission `seq` in time: the ones that could destroy it at some
+    /// receiver. Each receiver then asks [`Interference::collides`], which
+    /// applies the disc predicate, so the medium is searched once per
     /// frame instead of once per receiver.
-    ///
-    /// On an indexed medium the search is a disc around `seq`'s origin of
-    /// radius `range + max live reach + one cell` (the cell absorbs
-    /// floating-point slack in the triangle inequality). That covers every
-    /// interferer of a receiver within `range`, and — because a node's
-    /// records originate where the node stands — every transmission of
-    /// such a receiver, for the half-duplex check.
     ///
     /// # Panics
     ///
@@ -249,9 +185,7 @@ impl Medium {
             .get(seq)
             // lint: allow(P002) invariant: gathered only for live transmissions
             .expect("collision gather for unknown transmission");
-        let cell = self.buckets.as_ref().map_or(0.0, Buckets::cell);
-        let radius = subject.range + self.max_reach().unwrap_or(0.0) + cell;
-        self.for_each_near(subject.origin, radius, |r| {
+        for r in self.ring.iter().flatten() {
             if r.seq != seq && r.overlaps(subject.start, subject.end) {
                 out.others.push(Interferer {
                     transmitter: r.transmitter,
@@ -259,7 +193,7 @@ impl Medium {
                     reach: self.reach(r),
                 });
             }
-        });
+        }
     }
 
     /// Discards records that can no longer affect any collision query.
@@ -277,19 +211,7 @@ impl Medium {
             }
             self.by_end.pop();
             let slot = (seq - self.first_seq) as usize;
-            let Some(r) = self.ring[slot].take() else {
-                continue;
-            };
-            if let Some(b) = &mut self.buckets {
-                b.remove(r.origin, seq);
-            }
-            let reach_bits = self.reach(&r).to_bits();
-            if let Some(count) = self.reaches.get_mut(&reach_bits) {
-                *count -= 1;
-                if *count == 0 {
-                    self.reaches.remove(&reach_bits);
-                }
-            }
+            self.ring[slot] = None;
         }
         while let Some(None) = self.ring.front() {
             self.ring.pop_front();

@@ -158,9 +158,7 @@ impl<P: Clone + 'static> Simulator<P> {
             field.range(),
             radio.range_m
         );
-        // Cell size = nominal range: the medium's spatial index answers
-        // carrier-sense / interference queries from adjacent cells only.
-        let medium = Medium::with_geometry(radio.interference_factor, field.side(), field.range());
+        let medium = Medium::new(radio.interference_factor);
         Simulator {
             field,
             radio,

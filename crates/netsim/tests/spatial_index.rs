@@ -1,10 +1,11 @@
 //! Differential property tests for the spatial index, the precomputed
-//! adjacency, the collision gather and the event queue: every indexed or
-//! precomputed answer must be *set-identical* to the brute-force scan it
-//! replaced, over randomized PCG32 deployments — including the awkward
-//! geometries (coincident nodes, cell-boundary nodes, out-of-field probes,
-//! fields smaller than one grid cell, empty fields) where an off-by-one in
-//! cell arithmetic would hide at paper scale.
+//! adjacency, the medium (collision gather, carrier sense, pruning) and
+//! the event queue: every indexed or precomputed answer must be
+//! *set-identical* to the brute-force scan it replaced, over randomized
+//! PCG32 deployments — including the awkward geometries (coincident
+//! nodes, cell-boundary nodes, out-of-field probes, fields smaller than
+//! one grid cell, empty fields) where an off-by-one in cell arithmetic
+//! would hide at paper scale.
 //!
 //! Driven by the in-repo deterministic PCG32 generator, so any failure
 //! reproduces exactly from the printed case parameters.
@@ -13,7 +14,8 @@ use liteworp_netsim::events::EventQueue;
 use liteworp_netsim::field::{Field, NodeId, Position};
 use liteworp_netsim::medium::{Interference, Medium, TxRecord};
 use liteworp_netsim::rng::{Pcg32, Rng};
-use liteworp_netsim::time::SimTime;
+use liteworp_netsim::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 const CASES: u64 = 48;
 
@@ -125,64 +127,39 @@ fn empty_field_answers_empty() {
 }
 
 // ----------------------------------------------------------------------
-// Medium: indexed vs geometry-free answers on the same history.
+// Medium: gather, carrier sense and pruning vs brute force.
 // ----------------------------------------------------------------------
 
-#[test]
-fn indexed_medium_matches_unindexed_medium() {
-    let mut rng = Pcg32::seed_from_u64(0x6d65_6403);
-    for case in 0..CASES {
-        let side = rng.gen_range(50.0f64..300.0);
-        let range = rng.gen_range(10.0f64..60.0);
-        let factor = rng.gen_range(1.0f64..2.0);
-        let mut plain = Medium::new(factor);
-        let mut indexed = Medium::with_geometry(factor, side, range);
-        let txs = rng.gen_range(1usize..20);
-        for seq in 0..txs as u64 {
-            let start = rng.gen_range(0u64..5_000);
-            let record = |rng: &mut Pcg32| TxRecord {
-                seq,
-                transmitter: NodeId(rng.gen_range(0u32..8)),
-                origin: Position::new(rng.gen_range(0.0f64..side), rng.gen_range(0.0f64..side)),
-                start: SimTime::from_micros(start),
-                end: SimTime::from_micros(start + rng.gen_range(1u64..2_000)),
-                // Occasional high-power transmission reaching past one
-                // grid cell ring.
-                range: range
-                    * if rng.gen_range(0u32..5) == 0 {
-                        4.0
-                    } else {
-                        1.0
-                    },
-            };
-            let mut probe_rng = rng.clone();
-            plain.begin(record(&mut rng));
-            indexed.begin(record(&mut probe_rng));
-        }
-        for _ in 0..32 {
-            let pos = Position::new(
-                rng.gen_range(-20.0f64..side + 20.0),
-                rng.gen_range(-20.0f64..side + 20.0),
-            );
-            let at = SimTime::from_micros(rng.gen_range(0u64..8_000));
-            assert_eq!(
-                plain.busy_until(pos, at),
-                indexed.busy_until(pos, at),
-                "case {case}: busy_until at ({}, {})",
-                pos.x,
-                pos.y
-            );
-        }
-        // Pruning must leave both sides agreeing as well.
-        let now = SimTime::from_micros(rng.gen_range(0u64..10_000));
-        plain.prune(now);
-        indexed.prune(now);
-        assert_eq!(
-            plain.record_count(),
-            indexed.record_count(),
-            "case {case}: prune"
-        );
-    }
+/// Whether `subject` is lost at receiver `rx` at `pos`, by brute force
+/// over every record.
+fn brute_collides(
+    records: &[TxRecord],
+    subject: &TxRecord,
+    rx: NodeId,
+    pos: Position,
+    factor: f64,
+) -> bool {
+    records.iter().any(|o| {
+        o.seq != subject.seq
+            && o.start < subject.end
+            && o.end > subject.start
+            && (o.transmitter == rx || pos.distance_to(&o.origin) <= o.range * factor)
+    })
+}
+
+/// What carrier sense at `pos` should report at `at`, by brute force
+/// over every record.
+fn brute_busy_until(
+    records: &[TxRecord],
+    pos: Position,
+    at: SimTime,
+    factor: f64,
+) -> Option<SimTime> {
+    records
+        .iter()
+        .filter(|r| r.start <= at && r.end > at && pos.distance_to(&r.origin) <= r.range * factor)
+        .map(|r| r.end)
+        .max()
 }
 
 #[test]
@@ -219,36 +196,133 @@ fn per_transmission_verdicts_match_brute_force_scan() {
             })
             .collect();
         for factor in [1.0, 2.0] {
-            let mut plain = Medium::new(factor);
-            let mut indexed = Medium::with_geometry(factor, side, range);
+            let mut medium = Medium::new(factor);
             for r in &records {
-                plain.begin(*r);
-                indexed.begin(*r);
+                medium.begin(*r);
             }
-            let (mut from_plain, mut from_indexed) =
-                (Interference::default(), Interference::default());
+            let mut gathered = Interference::default();
             for subject in &records {
-                plain.gather(subject.seq, &mut from_plain);
-                indexed.gather(subject.seq, &mut from_indexed);
+                medium.gather(subject.seq, &mut gathered);
                 for rx in field.nodes_within(subject.origin, subject.range) {
                     if rx == subject.transmitter {
                         continue;
                     }
                     let pos = positions[rx.index()];
-                    let brute = records.iter().any(|o| {
-                        o.seq != subject.seq
-                            && o.start < subject.end
-                            && o.end > subject.start
-                            && (o.transmitter == rx
-                                || pos.distance_to(&o.origin) <= o.range * factor)
-                    });
-                    let what = format!(
+                    assert_eq!(
+                        gathered.collides(rx, pos),
+                        brute_collides(&records, subject, rx, pos, factor),
                         "case {case}: factor={factor} seq={} rx={rx} n={n} side={side} range={range}",
                         subject.seq
                     );
-                    assert_eq!(from_plain.collides(rx, pos), brute, "unindexed {what}");
-                    assert_eq!(from_indexed.collides(rx, pos), brute, "indexed {what}");
                 }
+            }
+        }
+    }
+}
+
+/// Gather verdicts, carrier sense and pruning against brute force, with a
+/// handful of live records (even cases) and with many more live records
+/// than a query's grid window would have cells (odd cases). Records come
+/// from field nodes at their own positions, as in the simulator.
+#[test]
+fn medium_answers_match_brute_force_with_few_and_many_live_records() {
+    let mut rng = Pcg32::seed_from_u64(0x6d65_6405);
+    for case in 0..CASES {
+        let n = rng.gen_range(2usize..80);
+        let side = rng.gen_range(10.0f64..300.0);
+        let range = rng.gen_range(5.0f64..80.0);
+        let positions = arb_positions(&mut rng, n, side, range);
+        let field = Field::from_positions(side, range, positions.clone());
+        let cells_per_axis = ((side / range).ceil() as u64).max(1);
+        let live = if case % 2 == 0 {
+            rng.gen_range(1u64..4)
+        } else {
+            cells_per_axis * cells_per_axis + 1 + rng.gen_range(0u64..40)
+        };
+        let records: Vec<TxRecord> = (0..live)
+            .map(|seq| {
+                let node = rng.gen_range(0u32..n as u32);
+                let start = 10_000 + rng.gen_range(0u64..4_000);
+                let power = if rng.gen_range(0u32..5) == 0 {
+                    rng.gen_range(2.0f64..4.0)
+                } else {
+                    1.0
+                };
+                TxRecord {
+                    seq,
+                    transmitter: NodeId(node),
+                    origin: positions[node as usize],
+                    start: SimTime::from_micros(start),
+                    end: SimTime::from_micros(start + rng.gen_range(1u64..1_500)),
+                    range: range * power,
+                }
+            })
+            .collect();
+        for factor in [1.0, 2.0] {
+            let mut medium = Medium::new(factor);
+            for r in &records {
+                medium.begin(*r);
+            }
+            let mut gathered = Interference::default();
+            for subject in &records {
+                medium.gather(subject.seq, &mut gathered);
+                for rx in field.nodes_within(subject.origin, subject.range) {
+                    if rx == subject.transmitter {
+                        continue;
+                    }
+                    let pos = positions[rx.index()];
+                    assert_eq!(
+                        gathered.collides(rx, pos),
+                        brute_collides(&records, subject, rx, pos, factor),
+                        "case {case}: gather, factor={factor} seq={} rx={rx} live={live} \
+                         side={side} range={range}",
+                        subject.seq
+                    );
+                }
+            }
+            // Random probes, plus each record's own start and end at its
+            // origin (the boundaries of its busy interval).
+            let probes = (0..32)
+                .map(|_| {
+                    let pos = Position::new(
+                        rng.gen_range(-20.0f64..side + 20.0),
+                        rng.gen_range(-20.0f64..side + 20.0),
+                    );
+                    (pos, SimTime::from_micros(rng.gen_range(9_000u64..16_000)))
+                })
+                .chain(
+                    records
+                        .iter()
+                        .flat_map(|r| [(r.origin, r.start), (r.origin, r.end)]),
+                )
+                .collect::<Vec<_>>();
+            for (pos, at) in probes {
+                assert_eq!(
+                    medium.busy_until(pos, at),
+                    brute_busy_until(&records, pos, at, factor),
+                    "case {case}: busy_until at ({}, {}) t={at:?} live={live} factor={factor}",
+                    pos.x,
+                    pos.y
+                );
+            }
+            // Pruning keeps exactly the records that can still overlap a
+            // frame in flight: those ending after `now - max_airtime - 1µs`.
+            // The first prune leaves one record's end 1µs past the cutoff.
+            let max_airtime = records
+                .iter()
+                .map(|r| r.end.saturating_since(r.start))
+                .max()
+                .unwrap_or_default();
+            let keep = max_airtime + SimDuration::from_micros(1);
+            let edge = records[rng.gen_range(0usize..records.len())].end + max_airtime;
+            for now in [edge, SimTime::from_micros(rng.gen_range(20_000u64..24_000))] {
+                let cutoff = SimTime::ZERO + now.saturating_since(SimTime::ZERO + keep);
+                medium.prune(now);
+                assert_eq!(
+                    medium.record_count(),
+                    records.iter().filter(|r| r.end > cutoff).count(),
+                    "case {case}: prune at {now:?} live={live} factor={factor}"
+                );
             }
         }
     }
@@ -304,5 +378,46 @@ fn event_queue_matches_stable_reference_model() {
             assert_eq!(q.pop(), Some((t, v)), "case {case}: drain");
         }
         assert_eq!(q.pop(), None, "case {case}: empty after drain");
+    }
+}
+
+/// The queue against a reference that sorts by `(time, push index)`,
+/// driven in bursts: a run of pushes, then a run of pops, so slots freed
+/// by one burst's pops are refilled by the next burst's pushes. Times come
+/// from a window of eight microseconds that creeps forward, so most keys
+/// tie on time; payloads are heap-allocated and name their push, so an
+/// event stored in or read from the wrong slot shows.
+#[test]
+fn event_queue_reuses_slots_in_push_order() {
+    let mut rng = Pcg32::seed_from_u64(0x6576_6502);
+    for case in 0..CASES {
+        let mut q = EventQueue::new();
+        let mut model: BTreeMap<(SimTime, u64), String> = BTreeMap::new();
+        let mut pushed = 0u64;
+        let mut floor = 0u64;
+        for _ in 0..rng.gen_range(4usize..40) {
+            for _ in 0..rng.gen_range(0usize..48) {
+                let t = SimTime::from_micros(floor + rng.gen_range(0u64..8));
+                q.push(t, format!("event {pushed}"));
+                model.insert((t, pushed), format!("event {pushed}"));
+                pushed += 1;
+            }
+            for _ in 0..rng.gen_range(0usize..48) {
+                let expect = model.pop_first().map(|((t, _), v)| (t, v));
+                assert_eq!(
+                    q.next_time(),
+                    expect.as_ref().map(|(t, _)| *t),
+                    "case {case}"
+                );
+                assert_eq!(q.pop(), expect, "case {case}");
+            }
+            assert_eq!(q.len(), model.len(), "case {case}");
+            floor += rng.gen_range(0u64..4);
+        }
+        while let Some(((t, _), v)) = model.pop_first() {
+            assert_eq!(q.pop(), Some((t, v)), "case {case}: drain");
+        }
+        assert!(q.is_empty(), "case {case}: empty after drain");
+        assert_eq!(q.pop(), None, "case {case}");
     }
 }

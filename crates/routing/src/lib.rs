@@ -8,6 +8,8 @@
 //!   alerts), all carrying *announced* identities.
 //! * [`node`] — [`node::ProtocolNode`], the honest node logic; its
 //!   processing methods are public so the attack crate can wrap it.
+//! * [`flood`] — [`flood::FloodTable`], a node's seen route-request
+//!   floods and their reverse hops, one probe per received copy.
 //! * [`params`] — the Table 2 knobs (route timeout, traffic rates, route
 //!   selection policy, discovery mode).
 //! * [`bootstrap`] — oracle preloading of neighbor tables from geometry.
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod bootstrap;
+pub mod flood;
 pub mod node;
 pub mod packet;
 pub mod params;

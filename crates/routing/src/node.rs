@@ -17,6 +17,7 @@
 //! * isolates nodes on γ distinct guard alerts and purges routes through
 //!   them.
 
+use crate::flood::FloodTable;
 use crate::packet::Packet;
 use crate::params::{DiscoveryMode, NodeParams, RouteSelection};
 use crate::stats::{NodeStats, RouteRecord};
@@ -91,9 +92,9 @@ pub struct ProtocolNode {
     /// time) schedule no periodic events at all.
     expire_armed: bool,
     seq: u64,
-    seen_reqs: BTreeSet<(NodeId, u64)>,
-    replied: BTreeSet<(NodeId, u64)>,
-    reverse: BTreeMap<(NodeId, u64), NodeId>,
+    /// Every route-request flood seen (own ones included), with the hop
+    /// each first arrived from.
+    floods: FloodTable,
     routes: BTreeMap<NodeId, RouteEntry>,
     pending_data: BTreeMap<NodeId, VecDeque<u64>>,
     discovering: BTreeSet<NodeId>,
@@ -121,9 +122,7 @@ impl ProtocolNode {
             monitoring: true,
             expire_armed: false,
             seq: 0,
-            seen_reqs: BTreeSet::new(),
-            replied: BTreeSet::new(),
-            reverse: BTreeMap::new(),
+            floods: FloodTable::new(me),
             routes: BTreeMap::new(),
             pending_data: BTreeMap::new(),
             discovering: BTreeSet::new(),
@@ -189,7 +188,7 @@ impl ProtocolNode {
 
     /// The reverse-path next hop recorded for discovery `(src, seq)`.
     pub fn reverse_hop(&self, src: NodeId, seq: u64) -> Option<NodeId> {
-        self.reverse.get(&(src, seq)).copied()
+        self.floods.reverse_hop(src, seq)
     }
 
     // ------------------------------------------------------------------
@@ -692,32 +691,28 @@ impl ProtocolNode {
         sender: NodeId,
         hops: u8,
     ) {
-        let key = (sig.origin, sig.seq);
-        if self.seen_reqs.contains(&key) {
+        if !self.floods.insert(sig.origin, sig.seq, sender) {
             return;
         }
-        self.seen_reqs.insert(key);
-        self.reverse.insert(key, sender);
         if sig.target == self.me {
-            // Destination: generate the reply (first request copy only).
-            if self.replied.insert(key) {
-                let reply_sig = PacketSig {
-                    kind: PacketKind::RouteReply,
-                    origin: self.me,
-                    target: sig.origin,
-                    seq: sig.seq,
-                };
-                let pkt = Packet::RouteReply {
-                    sig: reply_sig,
-                    sender: self.me,
-                    prev: None,
-                    next: sender,
-                    hops: hops.saturating_add(1),
-                    relays: vec![self.me],
-                };
-                let jitter = self.params.rep_forward_jitter;
-                self.send_control_jittered(ctx, Dest::Unicast(sim_id(sender)), pkt, jitter);
-            }
+            // Destination: reply to the first copy (later ones stopped
+            // at the seen check above).
+            let reply_sig = PacketSig {
+                kind: PacketKind::RouteReply,
+                origin: self.me,
+                target: sig.origin,
+                seq: sig.seq,
+            };
+            let pkt = Packet::RouteReply {
+                sig: reply_sig,
+                sender: self.me,
+                prev: None,
+                next: sender,
+                hops: hops.saturating_add(1),
+                relays: vec![self.me],
+            };
+            let jitter = self.params.rep_forward_jitter;
+            self.send_control_jittered(ctx, Dest::Unicast(sim_id(sender)), pkt, jitter);
             return;
         }
         // TTL-scoped discovery: a rebroadcast that would exceed the TTL
@@ -759,9 +754,8 @@ impl ProtocolNode {
             return;
         }
         // Forward along the reverse path toward S.
-        let key = (sig.target, sig.seq);
-        let Some(next) = self.reverse.get(&key).copied() else {
-            return; // reverse entry lost (e.g. evicted); drop silently
+        let Some(next) = self.floods.reverse_hop(sig.target, sig.seq) else {
+            return; // no reverse entry (we never saw the request); drop silently
         };
         relays.push(self.me);
         let pkt = Packet::RouteReply {
@@ -969,7 +963,7 @@ impl ProtocolNode {
             target: dest,
             seq: self.seq,
         };
-        self.seen_reqs.insert((self.me, self.seq));
+        self.floods.insert(self.me, self.seq, self.me);
         let pkt = Packet::RouteRequest {
             sig,
             sender: self.me,

@@ -6,9 +6,11 @@ use liteworp_netsim::field::{Field, NodeId as SimId, Position};
 use liteworp_netsim::prelude::{RadioConfig, SimDuration, SimTime, Simulator};
 use liteworp_netsim::rng::{Pcg32, Rng};
 use liteworp_routing::bootstrap::preload_liteworp;
+use liteworp_routing::flood::FloodTable;
 use liteworp_routing::node::ProtocolNode;
 use liteworp_routing::params::NodeParams;
 use liteworp_routing::Packet;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 const CASES: u64 = 12;
 
@@ -109,5 +111,62 @@ fn data_accounting_is_conserved() {
             .map(|i| node(&sim, i).stats().data_originated)
             .sum();
         assert_eq!(per_node_sent, sent);
+    }
+}
+
+/// The flood table against a `BTreeMap` model of the seen-set and reverse
+/// pointers it replaced: random floods from a few origins (the owner's own
+/// among them) with clustered seqs, so probe runs collide, and enough keys
+/// to cross several doublings. Every insert's verdict (new or already
+/// seen) must match the model's; at the end every key ever drawn must be
+/// known with the model's reverse hop, and keys never drawn unknown.
+#[test]
+fn flood_table_matches_a_btreemap_model() {
+    let mut rng = Pcg32::seed_from_u64(0x666c_6f01);
+    for case in 0..CASES {
+        let owner = CoreId(rng.gen_range(0u32..8));
+        let mut table = FloodTable::new(owner);
+        // `None` marks an own flood: it has no reverse hop.
+        let mut model: BTreeMap<(CoreId, u64), Option<CoreId>> = BTreeMap::new();
+        // Up to ~2000 distinct keys: past 16 → 32 → … → 4096 slots.
+        let ops = rng.gen_range(200usize..3000);
+        for _ in 0..ops {
+            let origin = CoreId(rng.gen_range(0u32..8));
+            let seq = rng.gen_range(0u64..400);
+            let hop = CoreId(rng.gen_range(0u32..40));
+            let expect_new = !model.contains_key(&(origin, seq));
+            if expect_new {
+                model.insert((origin, seq), (origin != owner).then_some(hop));
+            }
+            let got_new = if origin == owner {
+                table.insert(owner, seq, owner)
+            } else {
+                table.insert(origin, seq, hop)
+            };
+            assert_eq!(got_new, expect_new, "case {case}: insert ({origin}, {seq})");
+        }
+        for (&(origin, seq), &hop) in &model {
+            assert_eq!(
+                table.reverse_hop(origin, seq),
+                hop,
+                "case {case}: reverse_hop({origin}, {seq})"
+            );
+        }
+        for _ in 0..200 {
+            let (origin, seq) = (CoreId(rng.gen_range(0u32..12)), rng.gen_range(0u64..600));
+            if let Entry::Vacant(unknown) = model.entry((origin, seq)) {
+                assert_eq!(table.reverse_hop(origin, seq), None, "case {case}: unknown");
+                assert!(
+                    table.insert(origin, seq, CoreId(1)),
+                    "case {case}: unknown ({origin}, {seq}) reads as seen"
+                );
+                unknown.insert((origin != owner).then_some(CoreId(1)));
+            }
+        }
+        // Re-inserting every known key is refused and changes nothing.
+        for (&(origin, seq), &hop) in &model {
+            assert!(!table.insert(origin, seq, CoreId(39)), "case {case}");
+            assert_eq!(table.reverse_hop(origin, seq), hop, "case {case}");
+        }
     }
 }

@@ -345,3 +345,146 @@ fn reverse_pointers_and_next_hops_are_queryable() {
     assert_eq!(n0.reverse_hop(CoreId(3), 1), None);
     assert!(n0.route_relays(CoreId(3)).is_none());
 }
+
+/// A destination that hears several copies of one route request (one per
+/// relay of a diamond) replies exactly once, to the copy it heard first.
+#[test]
+fn destination_replies_once_per_request() {
+    use liteworp_netsim::prelude::{Context, Frame, NodeLogic};
+    use std::any::Any;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    // Source 0, relays 1 and 2 (in range of each other, so carrier sense
+    // keeps their rebroadcasts apart), destination 3 out of the source's
+    // range, and a passive listener 4 that hears every node but 0.
+    let positions = vec![
+        Position::new(0.0, 20.0),
+        Position::new(20.0, 30.0),
+        Position::new(20.0, 10.0),
+        Position::new(40.0, 20.0),
+        Position::new(45.0, 25.0),
+    ];
+
+    type Key = (CoreId, u64);
+
+    /// Request copies addressed to the destination, by request, with the
+    /// relays they came from.
+    struct Destination {
+        inner: ProtocolNode,
+        copies: BTreeMap<Key, BTreeSet<CoreId>>,
+    }
+    impl NodeLogic<Packet> for Destination {
+        fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
+            self.inner.handle_start(ctx);
+        }
+        fn on_frame(&mut self, ctx: &mut Context<'_, Packet>, frame: &Frame<Packet>) {
+            if let Packet::RouteRequest { sig, sender, .. } = &frame.payload {
+                if sig.target == self.inner.id() {
+                    self.copies
+                        .entry((sig.origin, sig.seq))
+                        .or_default()
+                        .insert(*sender);
+                }
+            }
+            self.inner.handle_frame(ctx, frame);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Packet>, token: u64) {
+            self.inner.handle_timer(ctx, token);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The link-layer next hops of every reply the destination sent, by
+    /// request. A link-layer retry repeats a next hop; a second reply to
+    /// another copy names the other relay.
+    #[derive(Default)]
+    struct Listener {
+        replies: BTreeMap<Key, BTreeSet<CoreId>>,
+    }
+    impl NodeLogic<Packet> for Listener {
+        fn on_frame(&mut self, _ctx: &mut Context<'_, Packet>, frame: &Frame<Packet>) {
+            if let Packet::RouteReply {
+                sig, sender, next, ..
+            } = &frame.payload
+            {
+                if *sender == CoreId(3) {
+                    self.replies
+                        .entry((sig.target, sig.seq))
+                        .or_default()
+                        .insert(*next);
+                }
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    let mut multi_copy_requests = 0;
+    for seed in 0..4 {
+        let field = Field::from_positions(100.0, 30.0, positions.clone());
+        let quiet = NodeParams {
+            total_nodes: 5,
+            data_interval_mean: None,
+            ..NodeParams::default()
+        };
+        let source = NodeParams {
+            data_interval_mean: Some(SimDuration::from_secs_f64(0.5)),
+            traffic_warmup: SimDuration::from_secs(1),
+            dest_pool: Some(vec![CoreId(3)]),
+            ..quiet.clone()
+        };
+        let mut sim = Simulator::new(field, RadioConfig::default(), seed);
+        for i in 0..4u32 {
+            let params = if i == 0 {
+                source.clone()
+            } else {
+                quiet.clone()
+            };
+            let mut node = ProtocolNode::new(CoreId(i), params);
+            preload_liteworp(
+                node.liteworp_mut().expect("protected"),
+                SimId(i),
+                sim.field(),
+            );
+            if i == 3 {
+                sim.push_node(Box::new(Destination {
+                    inner: node,
+                    copies: BTreeMap::new(),
+                }));
+            } else {
+                sim.push_node(Box::new(node));
+            }
+        }
+        sim.push_node(Box::new(Listener::default()));
+        sim.run_until(SimTime::from_secs_f64(60.0));
+
+        let dest: &Destination = sim.logic(SimId(3)).as_any().downcast_ref().expect("dest");
+        let listener: &Listener = sim
+            .logic(SimId(4))
+            .as_any()
+            .downcast_ref()
+            .expect("listener");
+        assert!(
+            !dest.copies.is_empty(),
+            "seed {seed}: no request reached the destination"
+        );
+        for (key, relays) in &dest.copies {
+            let replies = listener.replies.get(key).map_or(0, BTreeSet::len);
+            assert_eq!(replies, 1, "seed {seed}: request {key:?} via {relays:?}");
+            multi_copy_requests += usize::from(relays.len() > 1);
+        }
+    }
+    assert!(
+        multi_copy_requests > 0,
+        "no request reached the destination twice"
+    );
+}
