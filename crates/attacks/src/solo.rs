@@ -2,7 +2,7 @@
 //! relay (mode 4), and protocol deviation / rushing (mode 5).
 
 use liteworp::types::NodeId;
-use liteworp_netsim::prelude::{Context, Dest, Frame, FrameSpec, NodeLogic, SimTime};
+use liteworp_netsim::prelude::{Context, Dest, Frame, FrameSpec, NodeLogic, SimCounter, SimTime};
 use liteworp_routing::node::ProtocolNode;
 use liteworp_routing::packet::Packet;
 use std::any::Any;
@@ -77,7 +77,7 @@ impl NodeLogic<Packet> for HighPowerNode {
                     hops: hops.saturating_add(1),
                 };
                 let bytes = out.wire_bytes();
-                ctx.metrics().incr("highpower_requests");
+                ctx.metrics().incr(SimCounter::HighpowerRequests);
                 ctx.send(
                     FrameSpec::new(Dest::Broadcast, out, bytes).with_high_power(self.power_mult),
                 );
@@ -159,7 +159,7 @@ impl NodeLogic<Packet> for RelayNode {
         match &frame.payload {
             Packet::RouteRequest { .. } | Packet::RouteReply { .. } | Packet::Data { .. } => {
                 self.relayed += 1;
-                ctx.metrics().incr("relay_retransmissions");
+                ctx.metrics().incr(SimCounter::RelayRetransmissions);
                 let pkt = frame.payload.clone();
                 let bytes = pkt.wire_bytes();
                 ctx.send(FrameSpec::new(frame.dest, pkt, bytes));
@@ -249,7 +249,7 @@ impl NodeLogic<Packet> for RushingNode {
                         hops: hops.saturating_add(1),
                     };
                     let bytes = out.wire_bytes();
-                    ctx.metrics().incr("rushed_requests");
+                    ctx.metrics().incr(SimCounter::RushedRequests);
                     ctx.send(FrameSpec::new(Dest::Broadcast, out, bytes).rushed());
                 }
                 // Stay protocol-consistent: the honest core still records
@@ -261,7 +261,7 @@ impl NodeLogic<Packet> for RushingNode {
             Packet::Data { target, next, .. }
                 if self.drop_data && *next == self.inner.id() && *target != self.inner.id() =>
             {
-                ctx.metrics().incr("rushing_dropped");
+                ctx.metrics().incr(SimCounter::RushingDropped);
             }
             _ => self.inner.handle_frame(ctx, frame),
         }

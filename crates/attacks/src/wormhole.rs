@@ -23,7 +23,9 @@
 //! is precisely the detection path of Section 4.2.3.
 
 use liteworp::types::NodeId;
-use liteworp_netsim::prelude::{Context, Dest, Frame, FrameSpec, NodeLogic, SimDuration, SimTime};
+use liteworp_netsim::prelude::{
+    Context, Dest, Frame, FrameSpec, NodeLogic, SimCounter, SimDuration, SimTime,
+};
 use liteworp_netsim::rng::Rng;
 use liteworp_routing::node::{core_id, sim_id, ProtocolNode};
 use liteworp_routing::packet::Packet;
@@ -173,7 +175,7 @@ impl WormholeNode {
         }
         self.tunneled.insert(key);
         for &colluder in &self.attack.colluders.clone() {
-            ctx.metrics().incr("wormhole_tunneled_requests");
+            ctx.metrics().incr(SimCounter::WormholeTunneledRequests);
             ctx.tunnel(sim_id(colluder), pkt.clone(), self.attack.tunnel_latency);
         }
     }
@@ -197,7 +199,7 @@ impl WormholeNode {
                     hops: hops.saturating_add(1),
                 };
                 let bytes = out.wire_bytes();
-                ctx.metrics().incr("wormhole_forged_requests");
+                ctx.metrics().incr(SimCounter::WormholeForgedRequests);
                 ctx.send(FrameSpec::new(Dest::Broadcast, out, bytes));
             }
             Packet::RouteReply {
@@ -228,7 +230,7 @@ impl WormholeNode {
                     relays,
                 };
                 let bytes = out.wire_bytes();
-                ctx.metrics().incr("wormhole_forged_replies");
+                ctx.metrics().incr(SimCounter::WormholeForgedReplies);
                 ctx.send(FrameSpec::new(Dest::Unicast(sim_id(next)), out, bytes));
             }
             _ => {}
@@ -265,7 +267,7 @@ impl NodeLogic<Packet> for WormholeNode {
                     // Reply to one of our forged rebroadcasts: send it
                     // through the tunnel back to the colluder near S.
                     let colluder = self.forged_rebroadcasts[&key];
-                    ctx.metrics().incr("wormhole_tunneled_replies");
+                    ctx.metrics().incr(SimCounter::WormholeTunneledReplies);
                     ctx.tunnel(
                         sim_id(colluder),
                         frame.payload.clone(),
@@ -288,7 +290,7 @@ impl NodeLogic<Packet> for WormholeNode {
                     && *target != self.inner.id()
                     && !self.attack.colluders.is_empty()
                 {
-                    ctx.metrics().incr("wormhole_dropped");
+                    ctx.metrics().incr(SimCounter::WormholeDropped);
                 } else {
                     self.inner.handle_frame(ctx, frame);
                 }

@@ -22,8 +22,8 @@ use crate::cli::Flags;
 use crate::scenario::{Scenario, ScenarioRun};
 use liteworp_netsim::prelude::TraceKind;
 use liteworp_obs as obs;
+use liteworp_obs::Histogram;
 use liteworp_runner::{Json, Manifest};
-use liteworp_telemetry::Histogram;
 use std::path::{Path, PathBuf};
 
 /// Where (and whether) to write the run's observations, parsed from the

@@ -24,7 +24,7 @@
 //!   or tear its request-WAL tail, sampled from a seed and validated.
 //!   The shard front (`liteworp-served --front`) must drain to
 //!   byte-identical digests under any sampled plan.
-//! * [`oracle`] — replays a [`liteworp_telemetry::EventLog`] and asserts
+//! * [`oracle`] — replays a [`liteworp_obs::EventLog`] and asserts
 //!   the protocol invariants (alert quorum, `MalC` provenance, watch
 //!   bound, absorbing isolation, honest immunity). See the module docs
 //!   for the precise statement of each.

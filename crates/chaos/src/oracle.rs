@@ -32,8 +32,8 @@
 //! so it can machine-check any run the simulator can produce.
 
 use liteworp::config::Config;
+use liteworp_obs::{EventKind, EventLog, MalcReason};
 use liteworp_runner::json::Json;
-use liteworp_telemetry::{EventKind, EventLog, MalcReason};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which invariant a [`Violation`] breaks.
@@ -376,7 +376,7 @@ pub fn check(log: &EventLog, cfg: &OracleConfig) -> (Vec<Violation>, ReplayStats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liteworp_telemetry::Event;
+    use liteworp_obs::Event;
 
     fn cfg(immunity: Immunity) -> OracleConfig {
         OracleConfig::from_protocol(&Config::default(), &[7], immunity)

@@ -277,7 +277,7 @@ pub fn telemetry_rules(file: &SourceFile, lexed: &Lexed) -> Vec<Diagnostic> {
             }
         }
         _ => problems.push(
-            "could not locate EventKind / KIND_COUNT / KIND_NAMES — the telemetry \
+            "could not locate EventKind / KIND_COUNT / KIND_NAMES — the event \
              exhaustiveness contract moved; update the S002 checker"
                 .to_string(),
         ),

@@ -16,9 +16,9 @@ use crate::lexer::Lexed;
 use crate::rules;
 use std::path::{Path, PathBuf};
 
-/// The telemetry file carrying the `EventKind` exhaustiveness contract
+/// The event module carrying the `EventKind` exhaustiveness contract
 /// (S002). Workspace-relative.
-pub const TELEMETRY_EVENT_FILE: &str = "crates/telemetry/src/event.rs";
+pub const TELEMETRY_EVENT_FILE: &str = "crates/obs/src/event.rs";
 
 /// The obs name registry every `obs::span(…)`/`obs::counter(…)` literal
 /// must appear in (S003). Workspace-relative.
@@ -54,14 +54,27 @@ pub fn check_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> 
         .and_then(|(f, (lexed, _))| rules::parse_obs_names(&f.src, &lexed.tokens));
     // Phase 2: every rule family, per file.
     let mut diags: Vec<Diagnostic> = Vec::new();
+    let mut saw_event_file = false;
     for (file, (lexed, ast)) in files.iter().zip(&parsed) {
         diags.extend(crate::check_file_with(file, lexed, ast, &graph));
         if let Some(names) = &obs_names {
             diags.extend(rules::obs_name_rules(file, lexed, names));
         }
         if file.path == TELEMETRY_EVENT_FILE {
+            saw_event_file = true;
             diags.extend(rules::telemetry_rules(file, lexed));
         }
+    }
+    if !saw_event_file {
+        diags.push(Diagnostic {
+            rule: "S002",
+            path: TELEMETRY_EVENT_FILE.to_string(),
+            line: 1,
+            col: 1,
+            message: "could not locate EventKind / KIND_COUNT / KIND_NAMES — the event \
+                      module moved; update the S002 checker"
+                .to_string(),
+        });
     }
     if obs_names.is_none() {
         diags.push(Diagnostic {

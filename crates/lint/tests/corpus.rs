@@ -116,6 +116,35 @@ fn s002_telemetry_exhaustiveness() {
     assert!(diags.is_empty(), "{diags:?}");
 }
 
+/// S002 runs only on the file at `scan::TELEMETRY_EVENT_FILE`; a tree
+/// without that file must say so instead of passing S002 silently.
+#[test]
+fn s002_reports_a_missing_event_file() {
+    let root = std::env::temp_dir().join(format!("liteworp-lint-s002-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let src = root.join("crates/obs/src");
+    std::fs::create_dir_all(&src).expect("create temp tree");
+    std::fs::write(src.join("lib.rs"), "#![forbid(unsafe_code)]\n").expect("write lib.rs");
+    std::fs::write(
+        src.join("names.rs"),
+        "pub const SPAN_NAMES: &[&str] = &[];\npub const METRIC_NAMES: &[&str] = &[];\n",
+    )
+    .expect("write names.rs");
+
+    let (diags, _) = liteworp_lint::check_workspace(&root).expect("scan");
+    let s002: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "S002").collect();
+    assert_eq!(s002.len(), 1, "{diags:?}");
+    assert_eq!(s002[0].path, liteworp_lint::scan::TELEMETRY_EVENT_FILE);
+    assert!(s002[0].message.contains("could not locate"), "{s002:?}");
+
+    let clean = fixture("S002_clean.rs", false);
+    let event = root.join(liteworp_lint::scan::TELEMETRY_EVENT_FILE);
+    std::fs::write(event, clean.src).expect("write event.rs");
+    let (diags, _) = liteworp_lint::check_workspace(&root).expect("scan");
+    std::fs::remove_dir_all(&root).expect("remove temp tree");
+    assert!(diags.iter().all(|d| d.rule != "S002"), "{diags:?}");
+}
+
 /// S003 cross-checks `obs::` call-site literals against the obs name
 /// registry. The corpus fixtures run against a synthetic registry so the
 /// test does not chase the real names.rs contents.

@@ -2,22 +2,25 @@
 
 use crate::field::NodeId;
 use crate::time::SimTime;
-use liteworp_telemetry::{Event, EventKind, EventLog};
-use std::collections::BTreeMap;
+use liteworp_obs::names::SIM_COUNTER_NAMES;
+pub use liteworp_obs::SimCounter;
+use liteworp_obs::{Event, EventKind, EventLog};
+use std::fmt;
 
 /// Counters accumulated over a simulation run.
 ///
-/// The radio layer maintains the built-in fields; protocols add their own
-/// named counters through [`Metrics::incr`] / [`Metrics::add`].
+/// The radio layer maintains the built-in fields; protocols bump the
+/// named [`SimCounter`]s through [`Metrics::incr`] / [`Metrics::add`].
+/// Each simulator owns its counters, so parallel runs never share one.
 ///
 /// # Example
 ///
 /// ```
-/// use liteworp_netsim::metrics::Metrics;
+/// use liteworp_netsim::metrics::{Metrics, SimCounter};
 ///
 /// let mut m = Metrics::default();
-/// m.incr("routes_established");
-/// m.add("routes_established", 2);
+/// m.incr(SimCounter::RoutesEstablished);
+/// m.add(SimCounter::RoutesEstablished, 2);
 /// assert_eq!(m.get("routes_established"), 3);
 /// assert_eq!(m.get("never_touched"), 0);
 /// ```
@@ -35,28 +38,54 @@ pub struct Metrics {
     pub tunnel_messages: u64,
     /// MAC deferrals due to a busy channel.
     pub mac_deferrals: u64,
-    custom: BTreeMap<&'static str, u64>,
+    custom: Custom,
+}
+
+/// One `u64` per [`SimCounter`]. `Debug` prints only the nonzero ones, as
+/// a name-ordered `{"name": n, …}` map: pinned counter digests hash a
+/// `Metrics`' `{:?}` text, so that text must not change.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct Custom([u64; SimCounter::COUNT]);
+
+impl Custom {
+    fn nonzero(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        SIM_COUNTER_NAMES
+            .iter()
+            .zip(self.0)
+            .filter(|&(_, v)| v > 0)
+            .map(|(&k, v)| (k, v))
+    }
+}
+
+impl fmt::Debug for Custom {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.nonzero()).finish()
+    }
 }
 
 impl Metrics {
     /// Increments a named counter by one.
-    pub fn incr(&mut self, key: &'static str) {
-        self.add(key, 1);
+    #[inline]
+    pub fn incr(&mut self, counter: SimCounter) {
+        self.add(counter, 1);
     }
 
     /// Adds `n` to a named counter.
-    pub fn add(&mut self, key: &'static str, n: u64) {
-        *self.custom.entry(key).or_insert(0) += n;
+    #[inline]
+    pub fn add(&mut self, counter: SimCounter, n: u64) {
+        self.custom.0[counter.index()] += n;
     }
 
-    /// Reads a named counter (zero if never written).
+    /// Reads a named counter by name (zero if never written or unknown).
     pub fn get(&self, key: &str) -> u64 {
-        self.custom.get(key).copied().unwrap_or(0)
+        SIM_COUNTER_NAMES
+            .binary_search(&key)
+            .map_or(0, |i| self.custom.0[i])
     }
 
-    /// Iterates over all named counters in key order.
+    /// Iterates over the nonzero named counters in name order.
     pub fn iter_custom(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.custom.iter().map(|(&k, &v)| (k, v))
+        self.custom.nonzero()
     }
 
     /// Fraction of frame receptions destroyed by collisions — the empirical
@@ -87,7 +116,7 @@ pub struct Isolation {
 
 /// The typed protocol event trace of one run.
 ///
-/// A thin simulator-facing wrapper over [`liteworp_telemetry::EventLog`]:
+/// A thin simulator-facing wrapper over [`liteworp_obs::EventLog`]:
 /// it stamps events with [`SimTime`] / [`NodeId`] at the edge and offers
 /// decoded queries for the events experiments read most (suspicions,
 /// isolations). Protocols record rare, analysis-relevant events here
@@ -161,14 +190,67 @@ mod tests {
     #[test]
     fn custom_counters() {
         let mut m = Metrics::default();
-        m.incr("a");
-        m.incr("a");
-        m.add("b", 5);
-        assert_eq!(m.get("a"), 2);
-        assert_eq!(m.get("b"), 5);
-        assert_eq!(m.get("c"), 0);
+        m.incr(SimCounter::WatchExpiries);
+        m.incr(SimCounter::WatchExpiries);
+        m.add(SimCounter::AlertsSent, 5);
+        assert_eq!(m.get("watch_expiries"), 2);
+        assert_eq!(m.get("alerts_sent"), 5);
+        assert_eq!(m.get("isolations"), 0);
         let all: Vec<_> = m.iter_custom().collect();
-        assert_eq!(all, vec![("a", 2), ("b", 5)]);
+        assert_eq!(all, vec![("alerts_sent", 5), ("watch_expiries", 2)]);
+    }
+
+    /// Pinned counter digests hash the `{:?}` text: these strings are what
+    /// a derived `Debug` over a `BTreeMap<&str, u64>` of the nonzero
+    /// counters prints.
+    #[test]
+    fn debug_text_matches_the_derived_map_form() {
+        let mut m = Metrics {
+            frames_sent: 11,
+            frames_delivered: 22,
+            frames_collided: 3,
+            frames_lost_noise: 0,
+            tunnel_messages: 4,
+            mac_deferrals: 5,
+            ..Metrics::default()
+        };
+        m.add(SimCounter::WormholeDropped, 7);
+        m.add(SimCounter::AlertsSent, 3);
+        m.incr(SimCounter::RouteRequests);
+        m.incr(SimCounter::RoutesEstablished);
+        m.add(SimCounter::DataSent, 40);
+        assert_eq!(
+            format!("{m:?}"),
+            "Metrics { frames_sent: 11, frames_delivered: 22, frames_collided: 3, \
+             frames_lost_noise: 0, tunnel_messages: 4, mac_deferrals: 5, \
+             custom: {\"alerts_sent\": 3, \"data_sent\": 40, \"route_requests\": 1, \
+             \"routes_established\": 1, \"wormhole_dropped\": 7} }"
+        );
+        let order: Vec<&str> = m.iter_custom().map(|(k, _)| k).collect();
+        assert_eq!(
+            order,
+            [
+                "alerts_sent",
+                "data_sent",
+                "route_requests",
+                "routes_established",
+                "wormhole_dropped"
+            ]
+        );
+        assert_eq!(m.get("no_such_counter"), 0);
+        assert_eq!(
+            format!("{m:#?}"),
+            "Metrics {\n    frames_sent: 11,\n    frames_delivered: 22,\n    \
+             frames_collided: 3,\n    frames_lost_noise: 0,\n    tunnel_messages: 4,\n    \
+             mac_deferrals: 5,\n    custom: {\n        \"alerts_sent\": 3,\n        \
+             \"data_sent\": 40,\n        \"route_requests\": 1,\n        \
+             \"routes_established\": 1,\n        \"wormhole_dropped\": 7,\n    },\n}"
+        );
+        assert_eq!(
+            format!("{:?}", Metrics::default()),
+            "Metrics { frames_sent: 0, frames_delivered: 0, frames_collided: 0, \
+             frames_lost_noise: 0, tunnel_messages: 0, mac_deferrals: 0, custom: {} }"
+        );
     }
 
     #[test]

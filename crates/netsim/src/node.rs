@@ -12,8 +12,8 @@ use crate::field::NodeId;
 use crate::frame::{Frame, FrameSpec};
 use crate::metrics::{Metrics, Trace};
 use crate::time::{SimDuration, SimTime};
+use liteworp_obs::EventKind as TraceKind;
 use liteworp_runner::rng::Pcg32;
-use liteworp_telemetry::EventKind as TraceKind;
 use std::any::Any;
 
 /// An effect requested by node logic, applied by the simulator.
@@ -196,13 +196,13 @@ mod tests {
         ctx.send(FrameSpec::new(Dest::Broadcast, 7u32, 16));
         ctx.set_timer(SimDuration::from_secs(1), 99);
         ctx.tunnel(NodeId(5), 8, SimDuration::ZERO);
-        ctx.metrics().incr("x");
+        ctx.metrics().incr(crate::metrics::SimCounter::DataSent);
         ctx.trace(TraceKind::HelloSent);
         assert_eq!(actions.len(), 3);
         assert!(matches!(actions[0], Action::Send(_)));
         assert!(matches!(actions[1], Action::Timer { token: 99, .. }));
         assert!(matches!(actions[2], Action::Tunnel { to: NodeId(5), .. }));
-        assert_eq!(metrics.get("x"), 1);
+        assert_eq!(metrics.get("data_sent"), 1);
         assert_eq!(trace.events().count(), 1);
         assert_eq!(trace.events().next().unwrap().node, 3);
     }

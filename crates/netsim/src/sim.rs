@@ -51,7 +51,7 @@ use crate::fault::{FaultHook, Reception};
 use crate::field::{Field, NodeId};
 use crate::frame::{Frame, FrameSpec};
 use crate::medium::{Interference, Medium, TxRecord};
-use crate::metrics::{Metrics, Trace};
+use crate::metrics::{Metrics, SimCounter, Trace};
 use crate::node::{Action, Context, NodeLogic};
 use crate::radio::RadioConfig;
 use crate::time::{SimDuration, SimTime};
@@ -251,11 +251,6 @@ impl<P: Clone + 'static> Simulator<P> {
         self.logic[node.index()].as_ref()
     }
 
-    /// Mutable access to a node's logic.
-    pub fn logic_mut(&mut self, node: NodeId) -> &mut dyn NodeLogic<P> {
-        self.logic[node.index()].as_mut()
-    }
-
     /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
         self.logic.len()
@@ -347,7 +342,7 @@ impl<P: Clone + 'static> Simulator<P> {
                 return;
             }
             if drop_rx {
-                self.metrics.incr("fault_rx_while_down");
+                self.metrics.incr(SimCounter::FaultRxWhileDown);
                 return;
             }
         }
@@ -367,7 +362,7 @@ impl<P: Clone + 'static> Simulator<P> {
                 self.trace.record(
                     self.now,
                     to,
-                    liteworp_telemetry::EventKind::TunnelRelay {
+                    liteworp_obs::EventKind::TunnelRelay {
                         from: from.0,
                         to: to.0,
                     },
@@ -573,7 +568,7 @@ impl<P: Clone + 'static> Simulator<P> {
                 .as_deref()
                 .is_some_and(|h| h.down_until(self.now, receiver).is_some());
             if receiver_down {
-                self.metrics.incr("fault_rx_while_down");
+                self.metrics.incr(SimCounter::FaultRxWhileDown);
                 continue;
             }
             if interference.collides(receiver, rpos) {
@@ -594,18 +589,18 @@ impl<P: Clone + 'static> Simulator<P> {
                 Reception::Drop => {
                     // Silent loss: no ACK for a unicast destination, so the
                     // link-layer retry path runs exactly as for noise.
-                    self.metrics.incr("fault_frames_dropped");
+                    self.metrics.incr(SimCounter::FaultFramesDropped);
                     continue;
                 }
                 Reception::Corrupt => {
                     // Checksum failure: observed as a collision.
-                    self.metrics.incr("fault_frames_corrupted");
+                    self.metrics.incr(SimCounter::FaultFramesCorrupted);
                     self.metrics.frames_collided += 1;
                     self.with_logic(receiver, |logic, ctx| logic.on_collision(ctx));
                     continue;
                 }
                 Reception::Duplicate => {
-                    self.metrics.incr("fault_frames_duplicated");
+                    self.metrics.incr(SimCounter::FaultFramesDuplicated);
                     self.metrics.frames_delivered += 2;
                     if frame.dest == crate::frame::Dest::Unicast(receiver) {
                         link_dst_got_it = true;
@@ -617,7 +612,7 @@ impl<P: Clone + 'static> Simulator<P> {
                 Reception::Delay(jitter) => {
                     // The frame will still arrive, so the link-layer ACK
                     // counts now; delivery happens after the jitter.
-                    self.metrics.incr("fault_frames_delayed");
+                    self.metrics.incr(SimCounter::FaultFramesDelayed);
                     if frame.dest == crate::frame::Dest::Unicast(receiver) {
                         link_dst_got_it = true;
                     }
@@ -647,7 +642,7 @@ impl<P: Clone + 'static> Simulator<P> {
         // receiver missed it, up to the configured retry budget.
         if !link_dst_got_it {
             if retries_used < self.radio.unicast_retries {
-                self.metrics.incr("unicast_retries");
+                self.metrics.incr(SimCounter::UnicastRetries);
                 let spec = FrameSpec {
                     dest: frame.dest,
                     payload: frame.payload.clone(),
@@ -660,7 +655,7 @@ impl<P: Clone + 'static> Simulator<P> {
                     retries_used: retries_used + 1,
                 });
             } else {
-                self.metrics.incr("unicast_exhausted");
+                self.metrics.incr(SimCounter::UnicastExhausted);
             }
         }
         // Keep the transmitter's queue draining.
@@ -674,12 +669,12 @@ impl<P: Clone + 'static> Simulator<P> {
 pub mod prelude {
     pub use crate::field::{Field, NodeId, Position};
     pub use crate::frame::{Dest, Frame, FrameSpec, TxPower};
-    pub use crate::metrics::{Isolation, Metrics, Trace};
+    pub use crate::metrics::{Isolation, Metrics, SimCounter, Trace};
     pub use crate::node::{Action, Context, NodeLogic};
     pub use crate::radio::RadioConfig;
     pub use crate::sim::Simulator;
     pub use crate::time::{SimDuration, SimTime};
-    pub use liteworp_telemetry::{Event, EventKind as TraceKind, MalcReason};
+    pub use liteworp_obs::{Event, EventKind as TraceKind, MalcReason};
 }
 
 #[cfg(test)]

@@ -25,15 +25,6 @@ impl MalcReason {
             MalcReason::Drop => "drop",
         }
     }
-
-    /// Parses the JSON name back.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "fabrication" => Some(MalcReason::Fabrication),
-            "drop" => Some(MalcReason::Drop),
-            _ => None,
-        }
-    }
 }
 
 /// What happened. Field conventions: `suspect`/`peer`/`dest` are node
@@ -217,56 +208,6 @@ impl Event {
         }
         Json::Obj(pairs)
     }
-
-    /// Parses an event back from its [`Event::to_json`] shape.
-    pub fn from_json(json: &Json) -> Option<Self> {
-        let u32_of = |k: &str| json.get(k)?.as_u64().map(|v| v as u32);
-        let kind = match json.get("event")?.as_str()? {
-            "hello_sent" => EventKind::HelloSent,
-            "neighbor_added" => EventKind::NeighborAdded {
-                peer: u32_of("peer")?,
-            },
-            "watch_buffer_expired" => EventKind::WatchBufferExpired {
-                expired: u32_of("expired")?,
-            },
-            "malc_increment" => EventKind::MalcIncrement {
-                suspect: u32_of("suspect")?,
-                delta: u32_of("delta")?,
-                malc: u32_of("malc")?,
-                reason: MalcReason::from_name(json.get("reason")?.as_str()?)?,
-            },
-            "alert_sent" => EventKind::AlertSent {
-                suspect: u32_of("suspect")?,
-                recipient: u32_of("recipient")?,
-            },
-            "alert_received" => EventKind::AlertReceived {
-                guard: u32_of("guard")?,
-                suspect: u32_of("suspect")?,
-                accepted: json.get("accepted")?.as_bool()?,
-            },
-            "suspected" => EventKind::Suspected {
-                suspect: u32_of("suspect")?,
-            },
-            "isolated" => EventKind::Isolated {
-                suspect: u32_of("suspect")?,
-                by_alerts: json.get("by_alerts")?.as_bool()?,
-            },
-            "tunnel_relay" => EventKind::TunnelRelay {
-                from: u32_of("from")?,
-                to: u32_of("to")?,
-            },
-            "route_established" => EventKind::RouteEstablished {
-                dest: u32_of("dest")?,
-                hops: u32_of("hops")?,
-            },
-            _ => return None,
-        };
-        Some(Event {
-            time_us: json.get("t_us")?.as_u64()?,
-            node: json.get("node")?.as_u64()? as u32,
-            kind,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -312,13 +253,50 @@ mod tests {
             .collect()
     }
 
+    /// Pins the `trace.jsonl` record shape to the README's trace-format
+    /// table: every kind carries `t_us`, `node`, `event`, then exactly
+    /// its own fields, in this order.
     #[test]
-    fn every_kind_round_trips_through_json() {
+    fn every_kind_serializes_the_documented_fields() {
+        let expected: [&[&str]; KIND_COUNT] = [
+            &[],
+            &["peer"],
+            &["expired"],
+            &["suspect", "delta", "malc", "reason"],
+            &["suspect", "recipient"],
+            &["guard", "suspect", "accepted"],
+            &["suspect"],
+            &["suspect", "by_alerts"],
+            &["from", "to"],
+            &["dest", "hops"],
+        ];
         for event in samples() {
-            let json = event.to_json();
-            let parsed = Json::parse(&json.dump()).unwrap();
-            assert_eq!(Event::from_json(&parsed), Some(event), "{}", json.dump());
+            let json = Json::parse(&event.to_json().dump()).unwrap();
+            let Json::Obj(pairs) = &json else {
+                panic!("not an object: {}", json.dump());
+            };
+            let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+            let own = expected[event.kind.index()];
+            assert_eq!(keys[..3], ["t_us", "node", "event"], "{}", json.dump());
+            assert_eq!(keys[3..], *own, "{}", json.dump());
+            assert_eq!(json.get("t_us").and_then(Json::as_u64), Some(event.time_us));
+            assert_eq!(
+                json.get("node").and_then(Json::as_u64),
+                Some(event.node as u64)
+            );
+            assert_eq!(
+                json.get("event").and_then(Json::as_str),
+                Some(event.kind.name())
+            );
         }
+        let malc = samples()[3].to_json();
+        assert_eq!(malc.get("reason").and_then(Json::as_str), Some("drop"));
+        assert_eq!(malc.get("malc").and_then(Json::as_u64), Some(14));
+        let isolated = samples()[7].to_json();
+        assert_eq!(
+            isolated.get("by_alerts").and_then(Json::as_bool),
+            Some(true)
+        );
     }
 
     #[test]
@@ -331,11 +309,5 @@ mod tests {
             assert_eq!(event.kind.name(), KIND_NAMES[idx]);
         }
         assert!(seen.iter().all(|&s| s), "all indices covered");
-    }
-
-    #[test]
-    fn unknown_event_name_is_rejected() {
-        let json = Json::parse(r#"{"t_us":1,"node":0,"event":"nope"}"#).unwrap();
-        assert_eq!(Event::from_json(&json), None);
     }
 }

@@ -1,4 +1,4 @@
-//! Log2-bucket histograms: fixed memory, mergeable, JSON-serializable.
+//! Log2-bucket histograms: fixed memory, JSON-serializable.
 //!
 //! This module owns the bucket layout. [`Histogram`] is the plain value;
 //! [`AtomicHistogram`] is its lock-free recorder for samples shared
@@ -16,13 +16,12 @@ const BUCKETS: usize = 65;
 /// Quantiles are bucket-resolved (reported as the containing bucket's
 /// upper bound, clamped to the observed maximum), which is exact enough
 /// for latency distributions spanning orders of magnitude while keeping
-/// the type `Copy`-free, fixed-size, and trivially mergeable across
-/// per-seed runs.
+/// the type fixed-size.
 ///
 /// # Example
 ///
 /// ```
-/// use liteworp_telemetry::Histogram;
+/// use liteworp_obs::Histogram;
 ///
 /// let mut h = Histogram::default();
 /// for v in [1, 2, 3, 100] {
@@ -97,11 +96,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Mean sample value, if any were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
     /// Bucket-resolved quantile `q` in `[0, 1]`: the upper bound of the
     /// bucket containing the `ceil(q·count)`-th smallest sample, clamped
     /// to the exactly tracked `[min, max]`. The extreme ranks are exact:
@@ -137,17 +131,6 @@ impl Histogram {
     /// 95th percentile (bucket-resolved).
     pub fn p95(&self) -> Option<u64> {
         self.quantile(0.95)
-    }
-
-    /// Folds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Serializes to a JSON object with summary fields and the non-empty
@@ -282,7 +265,6 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.p50(), None);
-        assert_eq!(h.mean(), None);
     }
 
     #[test]
@@ -326,28 +308,6 @@ mod tests {
         g.record(1000);
         assert_eq!(g.quantile(0.0), Some(900));
         assert_eq!(g.p95(), Some(1000));
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut whole = Histogram::default();
-        for v in [0u64, 1, 5, 9, 1000] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [3u64, 70_000] {
-            b.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.sum(), whole.sum());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        assert_eq!(a.p50(), whole.p50());
-        assert_eq!(a.p95(), whole.p95());
     }
 
     #[test]

@@ -1,38 +1,42 @@
-//! `liteworp-obs`: the runtime observability plane.
+//! `liteworp-obs`: observability for the LITEWORP reproduction, of the
+//! *protocol* in sim-time and of the *runtime* in wall-clock. Everything
+//! recorded here is output-only and every wall-clock read goes through
+//! [`clock`] (the lint gate's registered D001 boundary for this crate),
+//! so instrumented runs stay bit-identical to uninstrumented ones.
 //!
-//! The `liteworp-telemetry` crate observes *protocol* events in
-//! sim-time; this crate observes the *runtime* — pool, cache, daemon,
-//! and the simulate hot path — in wall-clock. It deliberately never
-//! feeds simulation state: every clock read goes through [`clock`] (the
-//! lint gate's registered D001 wall-clock boundary for this crate), and
-//! everything recorded here is output-only, so instrumented runs stay
-//! bit-identical to uninstrumented ones.
-//!
-//! Three planes, one crate:
-//!
+//! * **Events** ([`Event`], [`EventLog`]) — a typed, sim-time-stamped
+//!   record of every analysis-relevant protocol occurrence (hellos,
+//!   neighbor additions, watch expiries, `MalC` increments, alerts,
+//!   suspicions, isolations, tunnel relays, routes), kept in a bounded
+//!   ring whose per-kind counts stay exact after eviction, and written
+//!   as one flat JSON object per line (JSONL).
+//! * **Simulator counters** ([`SimCounter`]) — the names of the per-run
+//!   counters protocols bump through `netsim::Metrics`, declared once in
+//!   [`names`] so a misspelled counter does not compile.
 //! * **Spans** ([`mod@span`]) — hierarchical wall-clock scopes with
 //!   deterministic identifiers, gated by a single process-global switch:
 //!   with the plane disabled a span costs one relaxed atomic load and a
 //!   branch (proved by the `obs/span_disabled` microbench).
 //! * **Metrics registry** ([`registry`]) — named counters, gauges, and
-//!   log2 histograms behind cheap atomic handles. A histogram handle
-//!   wraps `liteworp_telemetry::AtomicHistogram`, so a snapshot holds
-//!   plain `liteworp_telemetry::Histogram`s. Handles are *not* gated: a
-//!   counter is a relaxed `fetch_add` whether or not the span plane is
-//!   enabled, so the served daemon's `stats` op always has live figures.
+//!   [`AtomicHistogram`]s behind cheap atomic handles, not gated by the
+//!   span switch, so the served daemon's `stats` op always has live
+//!   figures.
 //! * **Folded-stack profiler** ([`profile`]) — span closings aggregate
 //!   into flamegraph-compatible `frame;frame;frame self_us` lines,
-//!   written to `DIR/profile.folded` by the experiment binaries'
-//!   `--observe DIR` flag.
+//!   written to `DIR/profile.folded` by `--observe DIR`.
 //!
-//! Every metric and span name used with a literal at an
-//! `obs::counter(…)` / `obs::span(…)` call site must be listed in
-//! [`names`] — lint rule S003 enforces the registry.
+//! Both halves share one log2-bucket [`Histogram`]. Every metric and span
+//! name used with a literal at an `obs::counter(…)` / `obs::span(…)` call
+//! site must be listed in [`names`] — lint rule S003 enforces the
+//! registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod event;
+pub mod hist;
+pub mod log;
 pub mod names;
 pub mod profile;
 pub mod registry;
@@ -40,6 +44,10 @@ pub mod span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+pub use event::{Event, EventKind, MalcReason};
+pub use hist::{AtomicHistogram, Histogram};
+pub use log::EventLog;
+pub use names::SimCounter;
 pub use registry::{counter, gauge, histogram, snapshot, Counter, Gauge, Hist, Snapshot};
 pub use span::{current_span_id, span, SpanGuard};
 

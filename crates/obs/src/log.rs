@@ -75,15 +75,11 @@ impl EventLog {
         self.counts[kind.index()]
     }
 
-    /// Exact per-kind totals as `(name, count)`, in kind-index order.
-    pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        KIND_NAMES.iter().zip(self.counts).map(|(&n, c)| (n, c))
-    }
-
     /// Per-kind totals as a JSON object (all kinds, zero or not, so two
     /// runs' counter objects always diff field-by-field).
     pub fn counts_json(&self) -> Json {
-        Json::object(self.counts().map(|(name, count)| (name, Json::from(count))))
+        let pairs = KIND_NAMES.iter().zip(self.counts);
+        Json::object(pairs.map(|(&name, count)| (name, Json::from(count))))
     }
 
     /// Serializes retained events as JSONL, one event per line, oldest
@@ -137,9 +133,13 @@ mod tests {
         let jsonl = log.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
-        for line in lines {
+        for (line, node) in lines.into_iter().zip(0u64..) {
             let parsed = Json::parse(line).unwrap();
-            assert!(Event::from_json(&parsed).is_some());
+            assert_eq!(
+                parsed.get("event").and_then(Json::as_str),
+                Some("hello_sent")
+            );
+            assert_eq!(parsed.get("node").and_then(Json::as_u64), Some(node));
         }
     }
 

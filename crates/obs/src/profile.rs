@@ -19,11 +19,8 @@
 //! Threads buffer locally and publish under the global lock only when a
 //! root span closes, so the hot path never contends.
 
-use liteworp_runner::cache::atomic_write;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 thread_local! {
@@ -87,11 +84,6 @@ pub fn folded() -> String {
 pub fn reset() {
     LOCAL.with(|local| local.borrow_mut().clear());
     lock().clear();
-}
-
-/// Writes [`folded`] output to `path` atomically (temp file + rename).
-pub fn write_folded(path: &Path) -> io::Result<()> {
-    atomic_write(path, folded().as_bytes())
 }
 
 /// Parses folded text back into `stack frames → self-time` pairs.

@@ -5,12 +5,10 @@
 //! relaxed `fetch_add` with no lock, so pool workers and daemon threads
 //! share one time series without coordination. The registry mutex is
 //! touched only at handle-creation and snapshot time. [`snapshot`]
-//! produces an order-stable [`Snapshot`] that merges associatively and
-//! commutatively across workers or daemons and round-trips through
-//! JSON.
+//! produces an order-stable [`Snapshot`] that round-trips through JSON.
 
+use crate::hist::{AtomicHistogram, Histogram};
 use liteworp_runner::Json;
-use liteworp_telemetry::{AtomicHistogram, Histogram};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -162,8 +160,8 @@ fn json_i64(json: &Json) -> Option<i64> {
     }
 }
 
-/// An order-stable, mergeable, JSON-serializable view of the registry at
-/// one instant.
+/// An order-stable, JSON-serializable view of the registry at one
+/// instant.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -198,22 +196,6 @@ pub fn snapshot() -> Snapshot {
 }
 
 impl Snapshot {
-    /// Folds `other` into `self`: counters and gauges add, histograms
-    /// merge bucket-wise. Addition is associative and commutative, so
-    /// merging worker or daemon snapshots in any order yields the same
-    /// result (the concurrent-merge determinism test pins this).
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
-    }
-
     /// Serializes as `{"counters":{…},"gauges":{…},"histograms":{…}}`.
     pub fn to_json(&self) -> Json {
         let obj = |pairs: Vec<(String, Json)>| Json::Obj(pairs);

@@ -17,6 +17,7 @@
 use crate::{clock, profile, registry};
 use liteworp_runner::cache::fnv64;
 use std::cell::RefCell;
+use std::marker::PhantomData;
 
 struct Frame {
     name: &'static str,
@@ -51,7 +52,7 @@ fn child_id(parent_id: u64, name: &str, index: u64) -> u64 {
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
-        return SpanGuard { live: false };
+        return SpanGuard(false, PhantomData);
     }
     open(name)
 }
@@ -79,7 +80,7 @@ fn open(name: &'static str) -> SpanGuard {
             child_count: 0,
         });
     });
-    SpanGuard { live: true }
+    SpanGuard(true, PhantomData)
 }
 
 /// The deterministic id of the current thread's innermost open span, or
@@ -89,16 +90,23 @@ pub fn current_span_id() -> Option<u64> {
 }
 
 /// Closes its span on drop. Not `Send`: a span belongs to the thread
-/// that opened it (the stack is thread-local).
+/// that opened it (the stack is thread-local), and a guard dropped on
+/// another thread would pop that thread's innermost frame instead.
+///
+/// ```compile_fail
+/// let guard = liteworp_obs::span("job");
+/// std::thread::spawn(move || drop(guard));
+/// ```
+///
+/// The fields are whether the span is live and a zero-sized marker that
+/// makes the guard `!Send` and `!Sync`.
 #[must_use = "a span measures the scope that holds its guard"]
-pub struct SpanGuard {
-    live: bool,
-}
+pub struct SpanGuard(bool, PhantomData<*const ()>);
 
 impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
-        if self.live {
+        if self.0 {
             close();
         }
     }

@@ -24,9 +24,10 @@ use crate::stats::{NodeStats, RouteRecord};
 use liteworp::discovery::{DiscoveryMsg, DiscoveryOut};
 use liteworp::monitor::PacketObs;
 use liteworp::prelude::{Admission, AlertDisposition, Config, Effect, KeyStore, Liteworp};
-use liteworp::types::{Micros, NodeId, PacketKind, PacketSig};
+use liteworp::types::{Micros, Misbehavior, NodeId, PacketKind, PacketSig};
 use liteworp_netsim::prelude::{
-    Context, Dest, Frame, FrameSpec, MalcReason, NodeLogic, SimDuration, SimTime, TraceKind,
+    Context, Dest, Frame, FrameSpec, MalcReason, NodeLogic, SimCounter, SimDuration, SimTime,
+    TraceKind,
 };
 use liteworp_netsim::rng::Rng;
 use liteworp_obs as obs;
@@ -296,7 +297,7 @@ impl ProtocolNode {
                     if self.params.relay_alerts && frame.dest == Dest::Unicast(sim_id(self.me)) {
                         if let Some(lw) = self.lw.as_ref() {
                             if lw.table().is_active_neighbor(*to) && *guard != self.me {
-                                ctx.metrics().incr("alerts_relayed");
+                                ctx.metrics().incr(SimCounter::AlertsRelayed);
                                 let pkt = frame.payload.clone();
                                 let bytes = pkt.wire_bytes();
                                 ctx.send(FrameSpec::new(Dest::Unicast(sim_id(*to)), pkt, bytes));
@@ -319,7 +320,7 @@ impl ProtocolNode {
                 match disposition {
                     AlertDisposition::Isolated => {
                         self.stats.alerts_accepted += 1;
-                        ctx.metrics().incr("isolations");
+                        ctx.metrics().incr(SimCounter::Isolations);
                         ctx.trace(TraceKind::Isolated {
                             suspect: suspect.0,
                             by_alerts: true,
@@ -579,7 +580,7 @@ impl ProtocolNode {
                     mac,
                 } => {
                     self.stats.alerts_sent += 1;
-                    ctx.metrics().incr("alerts_sent");
+                    ctx.metrics().incr(SimCounter::AlertsSent);
                     ctx.trace(TraceKind::AlertSent {
                         suspect: suspect.0,
                         recipient: recipient.0,
@@ -595,7 +596,7 @@ impl ProtocolNode {
                     ctx.send(FrameSpec::new(Dest::Unicast(sim_id(link)), pkt, bytes));
                 }
                 Effect::Isolated { suspect } => {
-                    ctx.metrics().incr("isolations");
+                    ctx.metrics().incr(SimCounter::Isolations);
                     ctx.trace(TraceKind::Isolated {
                         suspect: suspect.0,
                         by_alerts: false,
@@ -607,17 +608,18 @@ impl ProtocolNode {
                     kind,
                     malc,
                 } => {
-                    ctx.metrics().incr("suspicions");
-                    ctx.metrics().incr(match kind {
-                        liteworp::types::Misbehavior::Fabrication => "suspected_fabrication",
-                        liteworp::types::Misbehavior::Drop => "suspected_drop",
-                    });
-                    let (delta, reason) = match kind {
-                        liteworp::types::Misbehavior::Fabrication => {
-                            (fabrication_weight, MalcReason::Fabrication)
+                    let (counter, delta, reason) = match kind {
+                        Misbehavior::Fabrication => (
+                            SimCounter::SuspectedFabrication,
+                            fabrication_weight,
+                            MalcReason::Fabrication,
+                        ),
+                        Misbehavior::Drop => {
+                            (SimCounter::SuspectedDrop, drop_weight, MalcReason::Drop)
                         }
-                        liteworp::types::Misbehavior::Drop => (drop_weight, MalcReason::Drop),
                     };
+                    ctx.metrics().incr(SimCounter::Suspicions);
+                    ctx.metrics().incr(counter);
                     ctx.trace(TraceKind::MalcIncrement {
                         suspect: suspect.0,
                         delta,
@@ -627,7 +629,7 @@ impl ProtocolNode {
                     ctx.trace(TraceKind::Suspected { suspect: suspect.0 });
                 }
                 Effect::WatchExpired { expired } => {
-                    ctx.metrics().add("watch_expiries", expired as u64);
+                    ctx.metrics().add(SimCounter::WatchExpiries, expired as u64);
                     ctx.trace(TraceKind::WatchBufferExpired { expired });
                 }
             }
@@ -810,7 +812,7 @@ impl ProtocolNode {
         );
         if am_source {
             self.retry_attempts.remove(&dest);
-            ctx.metrics().incr("routes_established");
+            ctx.metrics().incr(SimCounter::RoutesEstablished);
             ctx.trace(TraceKind::RouteEstablished {
                 dest: dest.0,
                 hops: hops as u32,
@@ -845,7 +847,7 @@ impl ProtocolNode {
     ) {
         if target == self.me {
             self.stats.data_delivered += 1;
-            ctx.metrics().incr("data_delivered");
+            ctx.metrics().incr(SimCounter::DataDelivered);
             return;
         }
         let next = self
@@ -867,7 +869,7 @@ impl ProtocolNode {
             }
             None => {
                 self.stats.data_no_route += 1;
-                ctx.metrics().incr("data_no_route");
+                ctx.metrics().incr(SimCounter::DataNoRoute);
                 // With data-plane monitoring on, tell the neighborhood
                 // why we are not forwarding: guards waive our obligation
                 // and the upstream node purges its stale route through
@@ -905,7 +907,7 @@ impl ProtocolNode {
         self.seq += 1;
         let seq = self.seq;
         self.stats.data_originated += 1;
-        ctx.metrics().incr("data_sent");
+        ctx.metrics().incr(SimCounter::DataSent);
         if self.fresh_route(ctx.now(), dest).is_some() {
             let next = self.routes[&dest].next;
             let pkt = Packet::Data {
@@ -921,7 +923,7 @@ impl ProtocolNode {
             let q = self.pending_data.entry(dest).or_default();
             if q.len() >= self.params.pending_queue_cap {
                 q.pop_front();
-                ctx.metrics().incr("data_queue_overflow");
+                ctx.metrics().incr(SimCounter::DataQueueOverflow);
             }
             q.push_back(seq);
             self.start_discovery(ctx, dest);
@@ -955,7 +957,7 @@ impl ProtocolNode {
         }
         self.discovering.insert(dest);
         self.stats.discoveries += 1;
-        ctx.metrics().incr("route_requests");
+        ctx.metrics().incr(SimCounter::RouteRequests);
         self.seq += 1;
         let sig = PacketSig {
             kind: PacketKind::RouteRequest,

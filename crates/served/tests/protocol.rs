@@ -347,7 +347,7 @@ fn traced_requests_replay_telemetry_to_late_subscribers() {
         "a traced run must replay telemetry events"
     );
     // Each telemetry frame embeds one event of the instrumented run in
-    // the `liteworp-telemetry` flat JSON shape.
+    // the `liteworp-obs` flat JSON event shape.
     let event = telemetry[0].get("data").expect("event payload");
     assert!(event.get("t_us").and_then(Json::as_u64).is_some());
     assert!(event.get("event").and_then(Json::as_str).is_some());

@@ -1,9 +1,9 @@
-//! Property tests for `liteworp_telemetry::Histogram` under deterministic
-//! random workloads: merge is associative and commutative, and quantiles
-//! are monotone in `q` and bounded by the observed min/max.
+//! Property tests for `liteworp_obs::Histogram` under deterministic
+//! random workloads: quantiles are monotone in `q` and bounded by the
+//! observed min/max.
 
+use liteworp_obs::Histogram;
 use liteworp_runner::{Pcg32, Rng};
-use liteworp_telemetry::Histogram;
 
 /// A histogram of `n` samples drawn from a seeded mix of scales, so every
 /// power-of-two bucket range gets traffic.
@@ -14,54 +14,6 @@ fn random_hist(rng: &mut Pcg32, n: usize) -> Histogram {
         h.record(rng.gen_range(0u64..=(1u64 << magnitude)));
     }
     h
-}
-
-#[test]
-fn merge_is_commutative() {
-    let mut rng = Pcg32::seed_from_u64(81);
-    for trial in 0..50 {
-        let a = random_hist(&mut rng, 1 + trial % 200);
-        let b = random_hist(&mut rng, 1 + (trial * 7) % 200);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "trial {trial}: a.merge(b) != b.merge(a)");
-    }
-}
-
-#[test]
-fn merge_is_associative() {
-    let mut rng = Pcg32::seed_from_u64(82);
-    for trial in 0..50 {
-        let a = random_hist(&mut rng, 1 + trial % 150);
-        let b = random_hist(&mut rng, 1 + (trial * 3) % 150);
-        let c = random_hist(&mut rng, 1 + (trial * 11) % 150);
-        // (a ⊔ b) ⊔ c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a ⊔ (b ⊔ c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right, "trial {trial}: merge is not associative");
-    }
-}
-
-#[test]
-fn merge_with_empty_is_identity() {
-    let mut rng = Pcg32::seed_from_u64(83);
-    for trial in 0..20 {
-        let a = random_hist(&mut rng, 1 + trial * 13);
-        let mut merged = a.clone();
-        merged.merge(&Histogram::default());
-        assert_eq!(merged, a, "trial {trial}: merging empty changed state");
-        let mut from_empty = Histogram::default();
-        from_empty.merge(&a);
-        assert_eq!(from_empty, a, "trial {trial}: empty.merge(a) != a");
-    }
 }
 
 #[test]
