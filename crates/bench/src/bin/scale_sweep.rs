@@ -5,7 +5,9 @@
 //!
 //! Flags: --nodes N[,N...] (default 1000,10000,100000), --seeds N (6),
 //!        --duration S (150), --traffic-sources N (64),
-//!        --guard-links N (2000), --smoke (one 10 000-node seed),
+//!        --guard-links N (2000), --smoke (one 10 000-node seed; also
+//!        prints the process's peak resident set, `VmHWM`, to stderr
+//!        where `/proc/self/status` exists),
 //!        --jobs N, --no-cache, --cache-dir DIR, --observe DIR
 //!
 //! Supervision (see EXPERIMENTS.md): --max-retries N, --job-deadline
@@ -29,7 +31,8 @@ fn main() {
         guard_links: flags.get_usize("guard-links", 2_000),
         ..ScaleSweepConfig::default()
     };
-    if flags.get_bool("smoke") {
+    let smoke = flags.get_bool("smoke");
+    if smoke {
         // The CI smoke: a single 10 000-node wormhole run, still checked
         // against both closed forms and digest-pinned by the caller.
         cfg.node_counts = vec![10_000];
@@ -48,6 +51,10 @@ fn main() {
     eprintln!("running scale_sweep: {cfg:?}");
     let (rows, manifest) = run_with(&cfg, &ExecOptions::from_flags(&flags));
     eprintln!("{}", manifest.summary_line());
+    if let Some(kb) = smoke.then(peak_rss_kb).flatten() {
+        // scripts/scale_smoke.sh gates this line.
+        eprintln!("scale smoke: VmHWM {kb} kB");
+    }
     println!(
         "Scale sweep: closed forms vs simulation, N_B = {}, {} traffic sources, attack at 50 s\n",
         cfg.avg_neighbors, cfg.traffic_sources
@@ -102,4 +109,12 @@ fn main() {
     if !violations.is_empty() {
         std::process::exit(1);
     }
+}
+
+/// This process's peak resident set (`VmHWM`) in kB, where the OS
+/// reports it.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let value = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    value.trim().strip_suffix("kB")?.trim().parse().ok()
 }

@@ -13,13 +13,14 @@ use liteworp_attacks::solo::{HighPowerNode, RelayNode, RushingNode};
 use liteworp_attacks::wormhole::{ForgeStrategy, WormholeConfig, WormholeNode};
 use liteworp_netsim::field::{Field, NodeId as SimId};
 use liteworp_netsim::prelude::{RadioConfig, SimDuration, SimTime, Simulator};
-use liteworp_routing::bootstrap::preload_liteworp;
+use liteworp_routing::bootstrap::SharedAdjacency;
 use liteworp_routing::node::{core_id, ProtocolNode};
 use liteworp_routing::packet::Packet;
 use liteworp_routing::params::{DiscoveryMode, NodeParams, RouteSelection};
 use liteworp_routing::stats::RouteRecord;
 use liteworp_runner::rng::{Pcg32, Rng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Which attack the malicious nodes mount.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,7 +235,7 @@ impl Scenario {
             // lint: allow(P002) documented panic: no placement for this seed
             .expect("no colluder placement more than 2 hops apart found");
 
-        let params = NodeParams {
+        let source_params = NodeParams {
             total_nodes: self.nodes as u32,
             liteworp: self.protected.then(|| self.liteworp.clone()),
             key_seed: 0xBEEF ^ self.seed,
@@ -247,6 +248,13 @@ impl Scenario {
             rreq_ttl: self.discovery_ttl,
             ..NodeParams::default()
         };
+        // Every node but a source with its own destination pool shares one
+        // of these two.
+        let relay_params = Arc::new(NodeParams {
+            data_interval_mean: None,
+            ..source_params.clone()
+        });
+        let source_params = Arc::new(source_params);
 
         // The data-originating set: every node by default; with a source
         // cap, the id prefix plus the colluders' honest two-hop
@@ -270,13 +278,15 @@ impl Scenario {
         });
 
         let attack_start = SimTime::from_secs_f64(self.attack_start);
+        // One second-hop arena for every table (built only when tables
+        // are preloaded).
+        let adjacency = self.protected.then(|| SharedAdjacency::from_field(&field));
         let mut sim = Simulator::new(field, self.radio.clone(), self.seed.wrapping_mul(31) + 7);
         for i in 0..self.nodes {
             let id = CoreId(i as u32);
-            let mut node_params = params.clone();
             let is_source = sources.as_ref().is_none_or(|s| s.contains(&i));
-            if !is_source {
-                node_params.data_interval_mean = None;
+            let node_params = if !is_source {
+                Arc::clone(&relay_params)
             } else if let Some(h) = self.local_traffic_hops {
                 let pool: Vec<CoreId> = sim
                     .field()
@@ -286,16 +296,21 @@ impl Scenario {
                     .collect();
                 if pool.is_empty() {
                     // An isolated source has nobody to talk to.
-                    node_params.data_interval_mean = None;
+                    Arc::clone(&relay_params)
                 } else {
-                    node_params.dest_pool = Some(pool);
+                    Arc::new(NodeParams {
+                        dest_pool: Some(pool),
+                        ..NodeParams::clone(&source_params)
+                    })
                 }
-            }
+            } else {
+                Arc::clone(&source_params)
+            };
             let mut inner = ProtocolNode::new(id, node_params);
-            if self.protected {
-                // lint: allow(P002) invariant: guarded by self.protected just above
+            if let Some(adjacency) = &adjacency {
+                // lint: allow(P002) invariant: the adjacency exists only when protected
                 let lw = inner.liteworp_mut().expect("protection enabled");
-                preload_liteworp(lw, SimId(i as u32), sim.field());
+                adjacency.preload(lw, SimId(i as u32));
             }
             if malicious.contains(&id) {
                 match self.attack {

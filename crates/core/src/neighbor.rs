@@ -16,13 +16,22 @@
 //! 3. *Am I a guard of this link?* (neighbor of both endpoints).
 //!
 //! Every one of them is a binary search over one sorted id column, plus
-//! (for the second) one over a short sorted run of one shared arena, so
+//! (for the second) one over a short sorted run of a second-hop arena, so
 //! the state a guard touches per overheard frame sits in a few contiguous
 //! cache lines. Each neighbor's slot also carries the guard's standing
 //! judgment of it (accused, suspected by another guard, last alert
 //! round), which [`crate::monitor::LocalMonitor`] reads on every frame.
+//!
+//! A preloaded table does not copy its lists: every table of a deployment
+//! points into one shared, read-only arena (the deployment's adjacency,
+//! see [`NeighborTable::with_lists`]). The arena is copy-on-write: the
+//! first [`NeighborTable::set_neighbor_list`] gives the table a private
+//! arena, so no table ever writes an arena another table reads.
 
 use crate::types::{Micros, NodeId};
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Status of a first-hop neighbor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,13 +66,15 @@ struct Slot {
 
 /// A node's first- and second-hop neighbor knowledge.
 ///
-/// Stored as one per-node arena: the known ids in ascending order, a
-/// status byte per id (revoked, listed, and the monitor's flags), a slot
-/// per id (a `(start, len)` range and the last alert round), and one `Vec`
-/// holding every announced list, each run sorted and deduplicated.
-/// Ascending order everywhere matches the ordered-set iteration this
-/// layout replaced, so everything derived from it (alert recipients,
-/// announcements) keeps its order.
+/// Stored as flat columns: the known ids in ascending order, a status
+/// byte per id (revoked, listed, and the monitor's flags), a slot per id
+/// (a `(start, len)` range and the last alert round), and an arena
+/// holding every announced list as a run, each sorted and deduplicated.
+/// The arena is either shared read-only with the other tables of a
+/// preloaded deployment or the table's own, exactly as long as its live
+/// runs. Ascending order everywhere matches the ordered-set iteration
+/// this layout replaced, so everything derived from it (alert
+/// recipients, announcements) keeps its order.
 ///
 /// # Example
 ///
@@ -84,7 +95,7 @@ struct Slot {
 /// // We neighbor both 1 and 2, and 2 ∈ R_1, so we guard the link 2 -> 1.
 /// assert!(t.is_guard_of(NodeId(2), NodeId(1)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct NeighborTable {
     me: NodeId,
     /// Known first-hop ids (active and revoked), ascending.
@@ -94,11 +105,10 @@ pub struct NeighborTable {
     flags: Vec<u8>,
     /// `slots[i]` holds the rest of `ids[i]`'s state.
     slots: Vec<Slot>,
-    /// Every stored `R_b`, concatenated; runs no slot points at any more
-    /// (replaced lists) are reclaimed by [`NeighborTable::compact`].
-    second: Vec<NodeId>,
-    /// Arena ids outside every live run.
-    stale: usize,
+    /// The arena every listed slot's run points into. Never written:
+    /// [`NeighborTable::set_neighbor_list`] replaces it with a private
+    /// copy of the live runs, so one arena can back many tables.
+    second: Arc<[NodeId]>,
 }
 
 impl NeighborTable {
@@ -109,24 +119,82 @@ impl NeighborTable {
             ids: Vec::new(),
             flags: Vec::new(),
             slots: Vec::new(),
-            second: Vec::new(),
-            stale: 0,
+            // An empty `Arc` slice shares one static allocation.
+            second: Arc::default(),
+        }
+    }
+
+    /// Creates node `me`'s table with its neighborhood already known:
+    /// `neighbors` (ascending, distinct, without `me`) become active
+    /// first-hop neighbors, and the `k`-th range of `lists` is the run of
+    /// `arena` holding `neighbors[k]`'s announced list (ascending and
+    /// distinct). The runs are read in place, so every table built on one
+    /// arena shares it until its own first
+    /// [`NeighborTable::set_neighbor_list`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use liteworp::neighbor::NeighborTable;
+    /// use liteworp::types::NodeId;
+    /// use std::sync::Arc;
+    ///
+    /// // A path 0 - 1 - 2 as one adjacency arena: R_0 = [1],
+    /// // R_1 = [0, 2], R_2 = [1].
+    /// let arena: Arc<[NodeId]> = [1, 0, 2, 1].map(NodeId).into();
+    /// let t = NeighborTable::with_lists(NodeId(1), vec![NodeId(0), NodeId(2)], arena, [0..1, 3..4]);
+    /// assert!(!t.link_plausible(NodeId(0), NodeId(2)), "0 is not in R_2");
+    /// assert_eq!(t.neighbor_list_of(NodeId(2)), Some(&[NodeId(1)][..]));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `neighbors` is not strictly ascending or contains `me`,
+    /// if `lists` does not hold one range per neighbor, if a range falls
+    /// outside `arena`, or if `arena` exceeds `u32::MAX` ids (the width
+    /// of a slot's range).
+    pub fn with_lists<L>(me: NodeId, neighbors: Vec<NodeId>, arena: Arc<[NodeId]>, lists: L) -> Self
+    where
+        L: IntoIterator<Item = Range<usize>>,
+    {
+        assert!(
+            u32::try_from(arena.len()).is_ok(),
+            "second-hop arena exceeds u32 ranges"
+        );
+        assert!(
+            neighbors.windows(2).all(|w| w[0] < w[1]),
+            "neighbors must be strictly ascending"
+        );
+        assert!(
+            neighbors.binary_search(&me).is_err(),
+            "a node is not its own neighbor"
+        );
+        let mut slots = Vec::with_capacity(neighbors.len());
+        for run in lists {
+            assert!(
+                run.start <= run.end && run.end <= arena.len(),
+                "list outside the arena"
+            );
+            debug_assert!(arena[run.clone()].windows(2).all(|w| w[0] < w[1]));
+            slots.push(Slot {
+                start: run.start as u32,
+                len: run.len() as u32,
+                last_alert: Micros::default(),
+            });
+        }
+        assert_eq!(slots.len(), neighbors.len(), "one list per neighbor");
+        NeighborTable {
+            me,
+            flags: vec![LISTED; neighbors.len()],
+            ids: neighbors,
+            slots,
+            second: arena,
         }
     }
 
     /// The owning node.
     pub fn owner(&self) -> NodeId {
         self.me
-    }
-
-    /// Reserves room for `neighbors` more first-hop entries and
-    /// `second_hop` more stored second-hop ids, so a bulk load of known
-    /// size allocates each column exactly once.
-    pub fn reserve(&mut self, neighbors: usize, second_hop: usize) {
-        self.ids.reserve_exact(neighbors);
-        self.flags.reserve_exact(neighbors);
-        self.slots.reserve_exact(neighbors);
-        self.second.reserve_exact(second_hop);
     }
 
     /// The slot index of `n`, if known.
@@ -169,9 +237,10 @@ impl NeighborTable {
     /// per the protocol, a node only accepts list announcements from
     /// verified neighbors. The list may come unsorted and with repeats.
     ///
-    /// The ids are appended straight to the arena and sorted and
-    /// deduplicated there (an ascending list is only checked), so no
-    /// temporary buffer is allocated.
+    /// Copy-on-write: the arena may be shared with other tables, so every
+    /// call writes a fresh private arena, exactly as long as the table's
+    /// live runs: the other stored lists in slot order, then the new one,
+    /// sorted and deduplicated in place.
     ///
     /// Returns whether the list was stored.
     ///
@@ -187,49 +256,32 @@ impl NeighborTable {
         let Some(i) = self.find(b) else {
             return false;
         };
-        let start = self.second.len();
-        self.second.extend(list);
-        let run = &mut self.second[start..];
+        let kept: usize =
+            self.slots.iter().map(|s| s.len as usize).sum::<usize>() - self.slots[i].len as usize;
+        let mut second = Vec::with_capacity(kept);
+        for (k, slot) in self.slots.iter_mut().enumerate() {
+            if k != i {
+                // An unlisted slot's run is empty.
+                let run = slot.start as usize..slot.start as usize + slot.len as usize;
+                slot.start = second.len() as u32;
+                second.extend_from_slice(&self.second[run]);
+            }
+        }
+        let start = second.len();
+        second.extend(list);
+        let run = &mut second[start..];
         run.sort_unstable();
         let len = dedup_sorted(run);
-        self.second.truncate(start + len);
+        second.truncate(start + len);
         assert!(
-            u32::try_from(self.second.len()).is_ok(),
+            u32::try_from(second.len()).is_ok(),
             "second-hop arena exceeds u32 ranges"
         );
-        let slot = &mut self.slots[i];
-        let old = (self.flags[i] & LISTED != 0).then_some((slot.start as usize, slot.len as usize));
+        self.slots[i].start = start as u32;
+        self.slots[i].len = len as u32;
         self.flags[i] |= LISTED;
-        slot.len = len as u32;
-        match old {
-            Some((old_start, old_len)) if len <= old_len => {
-                // Fits where the replaced list was: move it there.
-                self.second.copy_within(start.., old_start);
-                self.second.truncate(start);
-                self.stale += old_len - len;
-            }
-            _ => {
-                slot.start = start as u32;
-                self.stale += old.map_or(0, |(_, old_len)| old_len);
-            }
-        }
-        if self.stale * 2 > self.second.len() {
-            self.compact();
-        }
+        self.second = second.into();
         true
-    }
-
-    /// Rewrites the arena with only the live runs, in slot order (an
-    /// unlisted slot's run is empty).
-    fn compact(&mut self) {
-        let mut second = Vec::with_capacity(self.second.len() - self.stale);
-        for slot in &mut self.slots {
-            let run = slot.start as usize..(slot.start + slot.len) as usize;
-            slot.start = second.len() as u32;
-            second.extend_from_slice(&self.second[run]);
-        }
-        self.second = second;
-        self.stale = 0;
     }
 
     /// The status of `n`, or `None` if it is not a known neighbor.
@@ -396,6 +448,35 @@ impl NeighborTable {
     }
 }
 
+/// Prints the table's own state: each known neighbor with its status
+/// byte, last alert round and stored list. The arena itself is never
+/// printed, since it may hold a whole deployment's adjacency.
+impl fmt::Debug for NeighborTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NeighborTable")
+            .field("me", &self.me)
+            .field("neighbors", &OwnRuns(self))
+            .finish()
+    }
+}
+
+/// A table's neighbors as a map: `id: (status byte, last alert, R_id)`.
+struct OwnRuns<'a>(&'a NeighborTable);
+
+impl fmt::Debug for OwnRuns<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = self.0;
+        f.debug_map()
+            .entries(
+                t.ids
+                    .iter()
+                    .enumerate()
+                    .map(|(i, id)| (id, (t.flags[i], t.slots[i].last_alert, t.list_at(i)))),
+            )
+            .finish()
+    }
+}
+
 /// Moves the distinct values of the sorted `run` to its front; returns
 /// how many there are.
 fn dedup_sorted(run: &mut [NodeId]) -> usize {
@@ -527,11 +608,11 @@ mod tests {
     }
 
     #[test]
-    fn repeated_reannouncement_keeps_the_arena_bounded() {
+    fn repeated_reannouncement_keeps_the_arena_exact() {
         let mut t = table();
         for round in 0..200u32 {
-            // Alternate short and long lists so both the in-place and the
-            // append path run.
+            // Alternate short and long lists: each call rewrites the
+            // arena to exactly the live runs either way.
             let len = if round % 2 == 0 { 3 } else { 9 };
             t.set_neighbor_list(NodeId(1), (0..len).map(|k| NodeId(round + k)));
             assert_eq!(
@@ -540,16 +621,75 @@ mod tests {
             );
         }
         let live = 9 + 2; // R_1 (last round: 9 ids) + R_2
-        assert!(
-            t.second.len() <= 2 * live + 9,
-            "arena grew to {}",
-            t.second.len()
-        );
+        assert_eq!(t.second.len(), live);
         assert_eq!(
             t.neighbor_list_of(NodeId(2)),
             Some(&[NodeId(0), NodeId(1)][..])
         );
         assert_eq!(t.storage_bytes(), 2 * 5 + live * 4);
+    }
+
+    #[test]
+    fn writes_to_one_table_leave_its_arena_siblings_alone() {
+        // A ring of 8 nodes, each in range of the two before and after it.
+        let n = 8u32;
+        let row = |i: u32| {
+            let mut r: Vec<NodeId> = [n - 2, n - 1, 1, 2].map(|d| NodeId((i + d) % n)).to_vec();
+            r.sort_unstable();
+            r
+        };
+        let arena: Arc<[NodeId]> = (0..n).flat_map(row).collect();
+        let run = |i: u32| i as usize * 4..i as usize * 4 + 4;
+        let tables: Vec<NeighborTable> = (0..n)
+            .map(|i| {
+                let mine = row(i);
+                let lists: Vec<Range<usize>> = mine.iter().map(|nb| run(nb.0)).collect();
+                NeighborTable::with_lists(NodeId(i), mine, Arc::clone(&arena), lists)
+            })
+            .collect();
+        let before: Vec<String> = tables.iter().map(|t| format!("{t:?}")).collect();
+        let pristine = arena.to_vec();
+        for target in 0..n as usize {
+            // Clones share the arena too.
+            let mut ts = tables.clone();
+            let t = &mut ts[target];
+            let nb = t.ids.clone();
+            t.revoke(nb[1]);
+            t.revoke(NodeId(50));
+            t.accuse(nb[2], Micros(5));
+            t.mark_suspected(nb[3]);
+            assert!(Arc::ptr_eq(&t.second, &arena), "flags and slots only");
+            assert!(t.set_neighbor_list(nb[0], [NodeId(99), NodeId(7)]));
+            // The writer moved to a private arena of exactly its live
+            // runs: three neighbors' lists of 4 ids and the new one.
+            assert!(!Arc::ptr_eq(&t.second, &arena));
+            assert_eq!(t.second.len(), 3 * 4 + 2);
+            assert_eq!(
+                t.neighbor_list_of(nb[0]),
+                Some(&[NodeId(7), NodeId(99)][..])
+            );
+            assert_eq!(t.neighbor_list_of(nb[1]), Some(&arena[run(nb[1].0)]));
+            assert_ne!(format!("{t:?}"), before[target]);
+            for (k, other) in ts.iter().enumerate() {
+                if k != target {
+                    assert_eq!(format!("{other:?}"), before[k], "table {k} changed");
+                }
+            }
+            assert_eq!(&arena[..], &pristine[..]);
+        }
+    }
+
+    #[test]
+    fn debug_prints_own_runs_only() {
+        // A wide arena the table uses two ids of.
+        let arena: Arc<[NodeId]> = (100..200).map(NodeId).collect();
+        let t = NeighborTable::with_lists(NodeId(0), vec![NodeId(1)], arena, std::iter::once(5..7));
+        let text = format!("{t:?}");
+        assert!(text.contains("[NodeId(105), NodeId(106)]"), "{text}");
+        assert!(
+            !text.contains("NodeId(104)") && !text.contains("NodeId(107)"),
+            "{text}"
+        );
     }
 
     #[test]

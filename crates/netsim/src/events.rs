@@ -10,7 +10,8 @@
 //! The heap holds 24-byte `(time, seq, slot)` keys; the events themselves
 //! sit still in a slab of `Option<E>` slots (vacated slots are reused
 //! through a free list). A sift moves keys only, so its cost does not grow
-//! with the event type — the simulator's events carry whole frames.
+//! with the event type. The slab keeps its peak size, so the simulator's
+//! own events stay at 16 bytes and leave frames outside the queue.
 
 use crate::time::SimTime;
 use std::collections::BinaryHeap;
@@ -141,6 +142,18 @@ mod tests {
     #[test]
     fn heap_keys_are_24_bytes() {
         assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    #[test]
+    fn simulator_event_slots_are_small() {
+        // The slab keeps its peak slot count for the whole run, so the
+        // simulator's events carry no frame inline, whatever its payload.
+        type Slot = Option<crate::sim::EventKind<[u8; 112]>>;
+        assert!(
+            std::mem::size_of::<Slot>() <= 16,
+            "{} bytes",
+            std::mem::size_of::<Slot>()
+        );
     }
 
     #[test]

@@ -254,6 +254,13 @@ impl Field {
         &self.neighbors[start..end]
     }
 
+    /// The whole adjacency list: every node's [`Field::in_range_of`] set
+    /// concatenated (rows in grid-cell order, so spatially close rows sit
+    /// close), and node `i`'s `(start, end)` range into it at index `i`.
+    pub fn adjacency(&self) -> (&[NodeId], &[(usize, usize)]) {
+        (&self.neighbors, &self.rows)
+    }
+
     /// All nodes whose position lies within `radius` meters of `center`
     /// (including any node exactly at `center`), in ascending id order.
     ///

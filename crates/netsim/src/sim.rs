@@ -58,28 +58,64 @@ use crate::time::{SimDuration, SimTime};
 use liteworp_runner::rng::{Pcg32, Rng};
 use std::collections::VecDeque;
 
-enum EventKind<P> {
+/// A scheduled event. Kept to 16 bytes: the queue's slab holds one slot
+/// per pending event, and 10⁵ `NodeStart`s at time zero size it for the
+/// whole run. What a frame carries waits elsewhere: in [`InFlight`] for a
+/// transmission's end, boxed on the rare tunnel and fault paths.
+pub(crate) enum EventKind<P> {
     NodeStart(NodeId),
     Timer {
         node: NodeId,
         token: u64,
     },
     TxAttempt(NodeId),
-    TxEnd {
-        seq: u64,
-        frame: Frame<P>,
-        retries_used: u8,
-    },
-    TunnelDeliver {
-        from: NodeId,
-        to: NodeId,
-        payload: P,
-    },
+    /// The end of transmission `seq`; its frame is in [`InFlight`].
+    TxEnd(u64),
+    TunnelDeliver(Box<Tunneled<P>>),
     /// A frame held back by a [`FaultHook`] jitter verdict, arriving late.
     FaultDeliver {
         to: NodeId,
-        frame: Frame<P>,
+        frame: Box<Frame<P>>,
     },
+}
+
+/// A payload crossing a wormhole tunnel.
+pub(crate) struct Tunneled<P> {
+    from: NodeId,
+    to: NodeId,
+    payload: P,
+}
+
+/// Frames on the air, by transmission seq: slot `i` holds seq
+/// `first_seq + i` (with its retry count) until its `TxEnd` takes it.
+/// Leading empty slots are popped, so the ring spans only the seqs
+/// between the oldest frame still on the air and the newest, about 16.
+struct InFlight<P> {
+    ring: VecDeque<Option<(Frame<P>, u8)>>,
+    first_seq: u64,
+}
+
+impl<P> InFlight<P> {
+    /// Holds the frame of transmission `seq`, the next seq after every
+    /// one held before (the simulator's seqs are dense).
+    fn push(&mut self, seq: u64, frame: Frame<P>, retries_used: u8) {
+        if self.ring.is_empty() {
+            self.first_seq = seq;
+        }
+        debug_assert_eq!(seq, self.first_seq + self.ring.len() as u64);
+        self.ring.push_back(Some((frame, retries_used)));
+    }
+
+    /// Removes and returns transmission `seq`'s frame and retry count.
+    fn take(&mut self, seq: u64) -> Option<(Frame<P>, u8)> {
+        let slot = seq.checked_sub(self.first_seq)?;
+        let taken = self.ring.get_mut(slot as usize)?.take();
+        while let Some(None) = self.ring.front() {
+            self.ring.pop_front();
+            self.first_seq += 1;
+        }
+        taken
+    }
 }
 
 struct MacFrame<P> {
@@ -125,6 +161,7 @@ pub struct Simulator<P> {
     logic: Vec<Box<dyn NodeLogic<P>>>,
     mac: MacArena<P>,
     queue: EventQueue<EventKind<P>>,
+    in_flight: InFlight<P>,
     next_tx_seq: u64,
     now: SimTime,
     medium: Medium,
@@ -165,6 +202,10 @@ impl<P: Clone + 'static> Simulator<P> {
             logic: Vec::new(),
             mac: MacArena::default(),
             queue: EventQueue::new(),
+            in_flight: InFlight {
+                ring: VecDeque::new(),
+                first_seq: 0,
+            },
             next_tx_seq: 0,
             now: SimTime::ZERO,
             medium,
@@ -330,10 +371,13 @@ impl<P: Clone + 'static> Simulator<P> {
                     EventKind::NodeStart(n)
                     | EventKind::Timer { node: n, .. }
                     | EventKind::TxAttempt(n) => (hook.down_until(self.now, *n), false),
-                    EventKind::TunnelDeliver { to, .. } | EventKind::FaultDeliver { to, .. } => {
+                    EventKind::TunnelDeliver(t) => {
+                        (None, hook.down_until(self.now, t.to).is_some())
+                    }
+                    EventKind::FaultDeliver { to, .. } => {
                         (None, hook.down_until(self.now, *to).is_some())
                     }
-                    EventKind::TxEnd { .. } => (None, false),
+                    EventKind::TxEnd(_) => (None, false),
                 }
             };
             if let Some(up) = defer_to {
@@ -352,12 +396,9 @@ impl<P: Clone + 'static> Simulator<P> {
                 self.with_logic(node, |logic, ctx| logic.on_timer(ctx, token))
             }
             EventKind::TxAttempt(node) => self.tx_attempt(node),
-            EventKind::TxEnd {
-                seq,
-                frame,
-                retries_used,
-            } => self.tx_end(seq, frame, retries_used),
-            EventKind::TunnelDeliver { from, to, payload } => {
+            EventKind::TxEnd(seq) => self.tx_end(seq),
+            EventKind::TunnelDeliver(tunneled) => {
+                let Tunneled { from, to, payload } = *tunneled;
                 self.metrics.tunnel_messages += 1;
                 self.trace.record(
                     self.now,
@@ -417,11 +458,11 @@ impl<P: Clone + 'static> Simulator<P> {
                     assert!(to.index() < self.logic.len(), "tunnel to unknown node");
                     self.push_event(
                         self.now + latency,
-                        EventKind::TunnelDeliver {
+                        EventKind::TunnelDeliver(Box::new(Tunneled {
                             from: node,
                             to,
                             payload,
-                        },
+                        })),
                     );
                 }
             }
@@ -518,24 +559,20 @@ impl<P: Clone + 'static> Simulator<P> {
         });
         self.metrics.frames_sent += 1;
         self.mac.transmitting_until[i] = Some(end);
-        self.push_event(
-            end,
-            EventKind::TxEnd {
-                seq,
-                frame,
-                retries_used,
-            },
-        );
+        self.in_flight.push(seq, frame, retries_used);
+        self.push_event(end, EventKind::TxEnd(seq));
     }
 
-    fn tx_end(&mut self, seq: u64, frame: Frame<P>, retries_used: u8) {
-        let tx = frame.transmitter;
-        self.mac.transmitting_until[tx.index()] = None;
-        let record = *self
+    fn tx_end(&mut self, seq: u64) {
+        let (record, (frame, retries_used)) = self
             .medium
             .get(seq)
-            // lint: allow(P002) invariant: transmissions outlive their TxEnd
+            .copied()
+            .zip(self.in_flight.take(seq))
+            // lint: allow(P002) invariant: a transmission's record and frame outlive its TxEnd
             .expect("TxEnd for pruned transmission");
+        let tx = frame.transmitter;
+        self.mac.transmitting_until[tx.index()] = None;
         // Deliver to every in-range node, in id order, applying the
         // per-receiver collision and noise model. A normal-power frame's
         // receivers are the transmitter's precomputed neighbors; any other
@@ -617,7 +654,7 @@ impl<P: Clone + 'static> Simulator<P> {
                         link_dst_got_it = true;
                     }
                     let at = self.now + jitter;
-                    let held = frame.clone();
+                    let held = Box::new(frame.clone());
                     self.push_event(
                         at,
                         EventKind::FaultDeliver {

@@ -10,9 +10,9 @@
 //! job;neighbor_discovery 922
 //! ```
 //!
-//! Because counts are self-times, summing a stack's own line with all
-//! lines it prefixes recovers the span's *inclusive* time (see
-//! [`inclusive_times`]), and a parent's inclusive time always bounds its
+//! Because counts are self-times, a span's *inclusive* time is the sum
+//! of the self times of every stack with its path as a prefix (its own
+//! line included), so a parent's inclusive time always bounds its
 //! children's — the invariant `scripts/obs_smoke.sh` asserts against a
 //! live run.
 //!
@@ -84,72 +84,4 @@ pub fn folded() -> String {
 pub fn reset() {
     LOCAL.with(|local| local.borrow_mut().clear());
     lock().clear();
-}
-
-/// Parses folded text back into `stack frames → self-time` pairs.
-/// Malformed lines (no count, empty stack) are skipped.
-pub fn parse_folded(text: &str) -> BTreeMap<Vec<String>, u64> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let Some((stack, count)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(count) = count.parse::<u64>() else {
-            continue;
-        };
-        if stack.is_empty() {
-            continue;
-        }
-        let frames: Vec<String> = stack.split(';').map(str::to_string).collect();
-        *out.entry(frames).or_insert(0) += count;
-    }
-    out
-}
-
-/// Recovers each stack's *inclusive* time from parsed self-times: every
-/// stack's count is credited to itself and all of its proper prefixes.
-/// This is the span tree with aggregate durations — the parent ≥ sum of
-/// children invariant holds by construction.
-pub fn inclusive_times(profile: &BTreeMap<Vec<String>, u64>) -> BTreeMap<Vec<String>, u64> {
-    let mut out: BTreeMap<Vec<String>, u64> = BTreeMap::new();
-    for (frames, us) in profile {
-        for depth in 1..=frames.len() {
-            *out.entry(frames[..depth].to_vec()).or_insert(0) += us;
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_and_inclusive_round_trip() {
-        let text =
-            "job 10\njob;event_loop 40\njob;event_loop;watch_buffer 5\njob;neighbor_discovery 2\n";
-        let parsed = parse_folded(text);
-        assert_eq!(parsed.len(), 4);
-        let inclusive = inclusive_times(&parsed);
-        assert_eq!(inclusive[&vec!["job".to_string()]], 57);
-        assert_eq!(
-            inclusive[&vec!["job".to_string(), "event_loop".to_string()]],
-            45
-        );
-        assert_eq!(
-            inclusive[&vec![
-                "job".to_string(),
-                "event_loop".to_string(),
-                "watch_buffer".to_string()
-            ]],
-            5
-        );
-    }
-
-    #[test]
-    fn malformed_lines_are_skipped() {
-        let parsed = parse_folded("nocount\n 12\nok 3\nbad notanum\n");
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[&vec!["ok".to_string()]], 3);
-    }
 }

@@ -3,6 +3,68 @@
 //! from the profiler's folded output alone.
 
 use liteworp_obs as obs;
+use std::collections::BTreeMap;
+
+/// Parses folded text back into `stack frames → self-time` pairs.
+/// Malformed lines (no count, empty stack) are skipped.
+fn parse_folded(text: &str) -> BTreeMap<Vec<String>, u64> {
+    let mut out = BTreeMap::new();
+    for line in text.lines() {
+        let Some((stack, count)) = line.rsplit_once(' ') else {
+            continue;
+        };
+        let Ok(count) = count.parse::<u64>() else {
+            continue;
+        };
+        if stack.is_empty() {
+            continue;
+        }
+        let frames: Vec<String> = stack.split(';').map(str::to_string).collect();
+        *out.entry(frames).or_insert(0) += count;
+    }
+    out
+}
+
+/// Recovers each stack's *inclusive* time from parsed self-times: every
+/// stack's count is credited to itself and all of its proper prefixes.
+fn inclusive_times(profile: &BTreeMap<Vec<String>, u64>) -> BTreeMap<Vec<String>, u64> {
+    let mut out: BTreeMap<Vec<String>, u64> = BTreeMap::new();
+    for (frames, us) in profile {
+        for depth in 1..=frames.len() {
+            *out.entry(frames[..depth].to_vec()).or_insert(0) += us;
+        }
+    }
+    out
+}
+
+#[test]
+fn parse_and_inclusive_round_trip() {
+    let text =
+        "job 10\njob;event_loop 40\njob;event_loop;watch_buffer 5\njob;neighbor_discovery 2\n";
+    let parsed = parse_folded(text);
+    assert_eq!(parsed.len(), 4);
+    let inclusive = inclusive_times(&parsed);
+    assert_eq!(inclusive[&vec!["job".to_string()]], 57);
+    assert_eq!(
+        inclusive[&vec!["job".to_string(), "event_loop".to_string()]],
+        45
+    );
+    assert_eq!(
+        inclusive[&vec![
+            "job".to_string(),
+            "event_loop".to_string(),
+            "watch_buffer".to_string()
+        ]],
+        5
+    );
+}
+
+#[test]
+fn malformed_lines_are_skipped() {
+    let parsed = parse_folded("nocount\n 12\nok 3\nbad notanum\n");
+    assert_eq!(parsed.len(), 1);
+    assert_eq!(parsed[&vec!["ok".to_string()]], 3);
+}
 
 /// Eight threads hammer one counter and one histogram; the snapshot must
 /// account for every update.
@@ -66,7 +128,7 @@ fn span_tree_reconstructs_from_folded_output() {
         }
     }
     let folded = obs::profile::folded();
-    let profile = obs::profile::parse_folded(&folded);
+    let profile = parse_folded(&folded);
     let stacks: Vec<&Vec<String>> = profile.keys().collect();
     assert!(
         stacks.iter().any(|s| s.as_slice() == ["request"]),
@@ -81,7 +143,7 @@ fn span_tree_reconstructs_from_folded_output() {
 
     // Inclusive times recovered by prefix summation are monotone down
     // the tree and reflect the sleeps the leaves did.
-    let inclusive = obs::profile::inclusive_times(&profile);
+    let inclusive = inclusive_times(&profile);
     let at = |path: &[&str]| -> u64 {
         let key: Vec<String> = path.iter().map(|s| s.to_string()).collect();
         *inclusive.get(&key).expect("inclusive path")

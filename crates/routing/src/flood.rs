@@ -160,6 +160,14 @@ mod tests {
     }
 
     #[test]
+    fn protocol_nodes_stay_small() {
+        // One per deployed node: parameters are shared and source-only
+        // state is boxed, so a node is mostly its LITEWORP instance.
+        let size = std::mem::size_of::<crate::node::ProtocolNode>();
+        assert!(size <= 600, "ProtocolNode grew to {size} bytes");
+    }
+
+    #[test]
     fn allocates_on_first_insert_and_doubles_at_three_quarters() {
         let mut t = FloodTable::new(NodeId(0));
         assert_eq!(t.slots.capacity(), 0);

@@ -33,6 +33,7 @@ use liteworp_netsim::rng::Rng;
 use liteworp_obs as obs;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Converts a core node id to the simulator's id type.
 pub fn sim_id(n: NodeId) -> liteworp_netsim::field::NodeId {
@@ -77,6 +78,20 @@ struct RouteEntry {
     relays: Vec<NodeId>,
 }
 
+/// What only a traffic source keeps. Most nodes of a large deployment
+/// never originate data, so a node allocates this on its first use.
+#[derive(Debug, Default)]
+struct SourceState {
+    /// Data waiting for a route, per destination.
+    pending_data: BTreeMap<NodeId, VecDeque<u64>>,
+    /// Destinations with a discovery in flight.
+    discovering: BTreeSet<NodeId>,
+    /// Consecutive failed discoveries per destination (retry backoff).
+    retry_attempts: BTreeMap<NodeId, u32>,
+    /// Routes established at this node as a source, in order.
+    route_log: Vec<RouteRecord>,
+}
+
 /// The honest protocol node.
 ///
 /// Implements [`NodeLogic<Packet>`]; the processing methods are `pub` so
@@ -84,7 +99,8 @@ struct RouteEntry {
 /// everything it does not subvert.
 pub struct ProtocolNode {
     me: NodeId,
-    params: NodeParams,
+    /// Shared by every node built with equal parameters.
+    params: Arc<NodeParams>,
     lw: Option<Liteworp>,
     monitoring: bool,
     /// Whether an EXPIRE timer is outstanding. The tick is armed lazily
@@ -97,21 +113,20 @@ pub struct ProtocolNode {
     /// each first arrived from.
     floods: FloodTable,
     routes: BTreeMap<NodeId, RouteEntry>,
-    pending_data: BTreeMap<NodeId, VecDeque<u64>>,
-    discovering: BTreeSet<NodeId>,
-    retry_attempts: BTreeMap<NodeId, u32>,
+    source: Option<Box<SourceState>>,
     pending_forwards: BTreeMap<u64, (Dest, Packet)>,
     next_forward_token: u64,
     current_dest: Option<NodeId>,
     stats: NodeStats,
-    route_log: Vec<RouteRecord>,
 }
 
 impl ProtocolNode {
     /// Creates a node. When `params.liteworp` is `Some`, a fresh LITEWORP
     /// instance is built (tables empty — use message discovery or
-    /// [`ProtocolNode::liteworp_mut`] to preload).
-    pub fn new(me: NodeId, params: NodeParams) -> Self {
+    /// [`ProtocolNode::liteworp_mut`] to preload). Nodes built from one
+    /// `Arc<NodeParams>` share it; a plain `NodeParams` works too.
+    pub fn new(me: NodeId, params: impl Into<Arc<NodeParams>>) -> Self {
+        let params = params.into();
         let lw = params
             .liteworp
             .as_ref()
@@ -125,14 +140,11 @@ impl ProtocolNode {
             seq: 0,
             floods: FloodTable::new(me),
             routes: BTreeMap::new(),
-            pending_data: BTreeMap::new(),
-            discovering: BTreeSet::new(),
-            retry_attempts: BTreeMap::new(),
+            source: None,
             pending_forwards: BTreeMap::new(),
             next_forward_token: 0,
             current_dest: None,
             stats: NodeStats::default(),
-            route_log: Vec::new(),
         }
     }
 
@@ -153,7 +165,12 @@ impl ProtocolNode {
 
     /// Routes established at this node as a source, in order.
     pub fn route_log(&self) -> &[RouteRecord] {
-        &self.route_log
+        self.source.as_ref().map_or(&[], |s| &s.route_log)
+    }
+
+    /// The traffic-source state, allocated on first use.
+    fn source_mut(&mut self) -> &mut SourceState {
+        self.source.get_or_insert_with(Box::default)
     }
 
     /// The embedded LITEWORP instance, if protection is enabled.
@@ -406,8 +423,12 @@ impl ProtocolNode {
             timer::REQ_RETRY => {
                 let dest = NodeId(timer::payload(token) as u32);
                 let has_route = self.fresh_route(ctx.now(), dest).is_some();
-                let has_pending = self.pending_data.get(&dest).is_some_and(|q| !q.is_empty());
-                self.discovering.remove(&dest);
+                let source = self.source_mut();
+                let has_pending = source
+                    .pending_data
+                    .get(&dest)
+                    .is_some_and(|q| !q.is_empty());
+                source.discovering.remove(&dest);
                 if !has_route && has_pending {
                     self.start_discovery(ctx, dest);
                 }
@@ -800,7 +821,9 @@ impl ProtocolNode {
         if !replace {
             return;
         }
-        self.discovering.remove(&dest);
+        if let Some(source) = self.source.as_mut() {
+            source.discovering.remove(&dest);
+        }
         self.routes.insert(
             dest,
             RouteEntry {
@@ -811,13 +834,13 @@ impl ProtocolNode {
             },
         );
         if am_source {
-            self.retry_attempts.remove(&dest);
+            self.source_mut().retry_attempts.remove(&dest);
             ctx.metrics().incr(SimCounter::RoutesEstablished);
             ctx.trace(TraceKind::RouteEstablished {
                 dest: dest.0,
                 hops: hops as u32,
             });
-            self.route_log.push(RouteRecord {
+            self.source_mut().route_log.push(RouteRecord {
                 time: now,
                 dest,
                 hops,
@@ -920,8 +943,9 @@ impl ProtocolNode {
             };
             self.send_data(ctx, next, pkt);
         } else {
-            let q = self.pending_data.entry(dest).or_default();
-            if q.len() >= self.params.pending_queue_cap {
+            let cap = self.params.pending_queue_cap;
+            let q = self.source_mut().pending_data.entry(dest).or_default();
+            if q.len() >= cap {
                 q.pop_front();
                 ctx.metrics().incr(SimCounter::DataQueueOverflow);
             }
@@ -931,11 +955,15 @@ impl ProtocolNode {
     }
 
     fn flush_pending(&mut self, ctx: &mut Context<'_, Packet>, dest: NodeId) {
-        let Some(queue) = self.pending_data.remove(&dest) else {
+        let Some(queue) = self
+            .source
+            .as_mut()
+            .and_then(|s| s.pending_data.remove(&dest))
+        else {
             return;
         };
         let Some(next) = self.fresh_route(ctx.now(), dest).map(|r| r.next) else {
-            self.pending_data.insert(dest, queue);
+            self.source_mut().pending_data.insert(dest, queue);
             return;
         };
         for seq in queue {
@@ -952,10 +980,9 @@ impl ProtocolNode {
     }
 
     fn start_discovery(&mut self, ctx: &mut Context<'_, Packet>, dest: NodeId) {
-        if self.discovering.contains(&dest) {
+        if !self.source_mut().discovering.insert(dest) {
             return;
         }
-        self.discovering.insert(dest);
         self.stats.discoveries += 1;
         ctx.metrics().incr(SimCounter::RouteRequests);
         self.seq += 1;
@@ -976,11 +1003,9 @@ impl ProtocolNode {
         // Exponential backoff across consecutive failed discoveries for
         // the same destination keeps a partitioned or congested network
         // from locking itself into a flood storm.
-        let attempt = self.retry_attempts.entry(dest).or_insert(0);
-        let backoff = self
-            .params
-            .request_retry
-            .mul_f64(f64::from(1 << (*attempt).min(4)));
+        let retry = self.params.request_retry;
+        let attempt = self.source_mut().retry_attempts.entry(dest).or_insert(0);
+        let backoff = retry.mul_f64(f64::from(1 << (*attempt).min(4)));
         *attempt = attempt.saturating_add(1);
         ctx.set_timer(backoff, timer::encode(timer::REQ_RETRY, dest.0 as u64));
     }
@@ -1080,6 +1105,15 @@ mod tests {
             },
         );
         assert!(baseline.liteworp().is_none());
+    }
+
+    #[test]
+    fn nodes_built_from_one_parameter_set_share_it() {
+        let params = Arc::new(NodeParams::default());
+        let a = ProtocolNode::new(NodeId(0), Arc::clone(&params));
+        let b = ProtocolNode::new(NodeId(1), Arc::clone(&params));
+        assert_eq!(Arc::strong_count(&params), 3);
+        assert!(std::ptr::eq(a.params(), b.params()));
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property-based tests of the routing layer over random small
 //! topologies, driven by the in-repo deterministic PCG32 generator.
 
+use liteworp::config::Config;
+use liteworp::keys::KeyStore;
 use liteworp::types::NodeId as CoreId;
+use liteworp::Liteworp;
 use liteworp_netsim::field::{Field, NodeId as SimId, Position};
 use liteworp_netsim::prelude::{RadioConfig, SimDuration, SimTime, Simulator};
 use liteworp_netsim::rng::{Pcg32, Rng};
-use liteworp_routing::bootstrap::preload_liteworp;
+use liteworp_routing::bootstrap::{preload_liteworp, SharedAdjacency};
 use liteworp_routing::flood::FloodTable;
 use liteworp_routing::node::ProtocolNode;
 use liteworp_routing::params::NodeParams;
@@ -167,6 +170,63 @@ fn flood_table_matches_a_btreemap_model() {
         for (&(origin, seq), &hop) in &model {
             assert!(!table.insert(origin, seq, CoreId(39)), "case {case}");
             assert_eq!(table.reverse_hop(origin, seq), hop, "case {case}");
+        }
+    }
+}
+
+/// The three ways a node gets its two-hop tables answer every query
+/// alike: a view into the deployment's shared adjacency,
+/// `preload_liteworp`'s private arena, and discovery's `add_neighbor` plus
+/// `set_neighbor_list` (lists announced out of order, shuffled, with a
+/// repeat). Fields alternate sparse and dense, and each has two isolated
+/// stragglers.
+#[test]
+fn shared_private_and_discovered_tables_agree() {
+    let mut rng = Pcg32::seed_from_u64(0x7274_6505);
+    for case in 0..CASES {
+        let n = if case % 2 == 0 { 12 } else { 48 };
+        let mut positions: Vec<Position> = (0..n)
+            .map(|_| Position::new(rng.gen_range(0.0f64..120.0), rng.gen_range(0.0f64..120.0)))
+            .collect();
+        // Out of everyone's range, and of each other's.
+        positions.push(Position::new(300.0, 300.0));
+        positions.push(Position::new(300.0, 220.0));
+        let field = Field::from_positions(300.0, 30.0, positions);
+        let shared = SharedAdjacency::from_field(&field);
+        let ids: Vec<CoreId> = (0..=field.len() as u32).map(CoreId).collect();
+        for i in 0..field.len() as u32 {
+            let fresh = || Liteworp::new(Config::default(), KeyStore::new(7, CoreId(i)));
+            let mut viewed = fresh();
+            shared.preload(&mut viewed, SimId(i));
+            let mut copied = fresh();
+            preload_liteworp(&mut copied, SimId(i), &field);
+            let mut discovered = fresh();
+            let in_range = field.in_range_of(SimId(i));
+            for &nb in in_range {
+                discovered.table_mut().add_neighbor(CoreId(nb.0));
+            }
+            for &nb in in_range.iter().rev() {
+                let mut list: Vec<CoreId> =
+                    field.in_range_of(nb).iter().map(|x| CoreId(x.0)).collect();
+                rng.shuffle(&mut list);
+                list.extend(list.first().copied());
+                discovered.table_mut().set_neighbor_list(CoreId(nb.0), list);
+            }
+            let a = viewed.table();
+            for other in [&copied, &discovered] {
+                let b = other.table();
+                assert_eq!(viewed.storage_bytes(), other.storage_bytes(), "node {i}");
+                assert!(a.active_neighbors().eq(b.active_neighbors()), "node {i}");
+                for &x in &ids {
+                    assert_eq!(a.is_neighbor(x), b.is_neighbor(x));
+                    assert_eq!(a.is_active_neighbor(x), b.is_active_neighbor(x));
+                    assert_eq!(a.neighbor_list_of(x), b.neighbor_list_of(x));
+                    for &y in &ids {
+                        assert_eq!(a.link_plausible(x, y), b.link_plausible(x, y));
+                        assert_eq!(a.is_guard_of(x, y), b.is_guard_of(x, y));
+                    }
+                }
+            }
         }
     }
 }
