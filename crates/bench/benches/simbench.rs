@@ -3,7 +3,7 @@
 //! without LITEWORP, across network sizes. Std-only `harness = false`
 //! binary; see `liteworp_bench::timing`.
 
-use liteworp_bench::timing::{bench_heavy, black_box};
+use liteworp_bench::timing::{bench_heavy, bench_heavy_ratio, black_box};
 use liteworp_bench::Scenario;
 use liteworp_netsim::prelude::*;
 use liteworp_netsim::rng::{Pcg32, Rng};
@@ -31,6 +31,35 @@ fn bench_simulation_throughput() {
             });
         }
     }
+}
+
+fn bench_guard_overhead() {
+    // LITEWORP's cost on identical traffic: with no attacker the guard
+    // changes nothing on the air, so the protected and unprotected runs
+    // send and deliver the same frames (asserted every round) and the
+    // ratio is the guard's own work.
+    let run = |protected| {
+        move || {
+            let mut run = Scenario {
+                nodes: 100,
+                malicious: 0,
+                protected,
+                seed: 77,
+                ..Scenario::default()
+            }
+            .build();
+            run.run_until_secs(60.0);
+            let m = run.sim().metrics();
+            (m.frames_sent, m.frames_delivered)
+        }
+    };
+    bench_heavy_ratio(
+        "guard_overhead/100",
+        9,
+        ("delivered_frame", |&(_, delivered): &(u64, u64)| delivered),
+        run(false),
+        run(true),
+    );
 }
 
 fn bench_scenario_build() {
@@ -116,6 +145,7 @@ fn bench_reception_fanout() {
 
 fn main() {
     bench_reception_fanout();
+    bench_guard_overhead();
     bench_simulation_throughput();
     bench_scenario_build();
     bench_route_flood();

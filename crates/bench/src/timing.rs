@@ -117,13 +117,7 @@ fn fast_record<const N: usize>(
 /// Benchmark a slow operation: run it `samples` times and report the
 /// mean and minimum wall-clock per run in milliseconds.
 pub fn bench_heavy<T>(name: &str, samples: u32, mut f: impl FnMut() -> T) {
-    let mut times = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        // lint: allow(D001) this module *is* the wall-clock profiling seam
-        let start = Instant::now();
-        black_box(f());
-        times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
+    let times: Vec<f64> = (0..samples).map(|_| timed(&mut f).1 * 1e3).collect();
     let mean = times.iter().sum::<f64>() / times.len().max(1) as f64;
     let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
     println!("{name:<44} mean {mean:>10.1} ms   min {min:>10.1} ms  ({samples} samples)");
@@ -135,6 +129,71 @@ pub fn bench_heavy<T>(name: &str, samples: u32, mut f: impl FnMut() -> T) {
             ("value", Json::from(mean)),
             ("min", Json::from(min)),
             ("samples", Json::from(samples as u64)),
+        ]),
+    );
+}
+
+/// One run of `f`: its output and wall time in seconds.
+fn timed<T>(f: &mut impl FnMut() -> T) -> (T, f64) {
+    // lint: allow(D001) this module *is* the wall-clock profiling seam
+    let start = Instant::now();
+    let out = black_box(f());
+    (out, start.elapsed().as_secs_f64())
+}
+
+/// Benchmark a slow operation against a baseline that must produce the
+/// same output, interleaved in one process: `pairs` rounds of one run of
+/// each, `base` first in even rounds and `test` first in odd ones. Every
+/// round asserts equal outputs, so the two sides can never be measuring
+/// different work. The record's `value` is the median over the rounds of
+/// `test`'s wall time over `base`'s (unit `ratio`); it also carries both
+/// sides' best run in ms and `ns_added_per_<per>`, the median over the
+/// rounds of the extra time divided by `units` of the output (e.g. frames
+/// delivered).
+pub fn bench_heavy_ratio<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    pairs: usize,
+    (per, units): (&str, impl Fn(&T) -> u64),
+    mut base: impl FnMut() -> T,
+    mut test: impl FnMut() -> T,
+) {
+    let mut rounds: Vec<(f64, f64, u64)> = (0..pairs)
+        .map(|round| {
+            let ((a, ta), (b, tb)) = if round % 2 == 0 {
+                let a = timed(&mut base);
+                (a, timed(&mut test))
+            } else {
+                let b = timed(&mut test);
+                (timed(&mut base), b)
+            };
+            assert_eq!(a, b, "{name}: the two sides did different work");
+            (ta, tb, units(&a).max(1))
+        })
+        .collect();
+    let best = |side: fn(&(f64, f64, u64)) -> f64| {
+        rounds.iter().map(side).fold(f64::INFINITY, f64::min) * 1e3
+    };
+    let (best_base, best_test) = (best(|r| r.0), best(|r| r.1));
+    let median = |rounds: &mut Vec<(f64, f64, u64)>, key: fn(&(f64, f64, u64)) -> f64| {
+        rounds.sort_by(|x, y| key(x).total_cmp(&key(y)));
+        rounds.get(pairs / 2).map_or(f64::NAN, key)
+    };
+    let ratio = median(&mut rounds, |r| r.1 / r.0);
+    let added = median(&mut rounds, |r| (r.1 - r.0) * 1e9 / r.2 as f64);
+    println!(
+        "{name:<44} {ratio:>14.3} x  ({best_base:.1} -> {best_test:.1} ms best, \
+         {added:.0} ns added per {per}, median of {pairs} pairs)"
+    );
+    write_record(
+        name,
+        Json::object([
+            ("name", Json::from(name)),
+            ("unit", Json::from("ratio")),
+            ("value", Json::from(ratio)),
+            ("base_ms", Json::from(best_base)),
+            ("test_ms", Json::from(best_test)),
+            (&*format!("ns_added_per_{per}"), Json::from(added)),
+            ("samples", Json::from(pairs as u64)),
         ]),
     );
 }

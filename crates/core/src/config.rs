@@ -149,6 +149,21 @@ impl Config {
     }
 }
 
+/// Where a guard reads its [`Config`]: one value that many nodes can
+/// share. A deployment of 10⁵ guards with equal parameters keeps one
+/// copy behind one `Arc`, not one per node; a host can hand over the
+/// shared parameter block it already keeps for its own settings.
+pub trait ConfigSource: core::fmt::Debug + Send + Sync {
+    /// The LITEWORP parameters in force.
+    fn config(&self) -> &Config;
+}
+
+impl ConfigSource for Config {
+    fn config(&self) -> &Config {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

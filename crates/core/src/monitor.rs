@@ -17,11 +17,13 @@
 //! authenticated alert messages and calls [`LocalMonitor::expire`] on a
 //! timer to run drop detection.
 
-use crate::config::{Config, InvalidConfig};
+use crate::config::{Config, ConfigSource, InvalidConfig};
 use crate::malc::MalcTable;
 use crate::neighbor::{NeighborTable, ACCUSED, REVOKED, SUSPECTED};
 use crate::types::{Micros, Misbehavior, NodeId, PacketKind, PacketSig};
 use crate::watch::WatchBuffer;
+use std::fmt;
+use std::sync::Arc;
 
 /// A control-packet transmission as observed on the air.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +63,78 @@ pub enum MonitorEvent {
         /// that should receive the alert, excluding this node.
         recipients: Vec<NodeId>,
     },
+}
+
+/// Where the monitor reports what it finds, in the order it finds it.
+/// [`LocalMonitor::observe`] collects [`MonitorEvent`]s;
+/// [`crate::Liteworp`] turns each finding into its effects on the spot,
+/// so a frame's findings live in one buffer.
+pub(crate) trait Findings {
+    /// `suspect` misbehaved (`kind`); its `MalC` is now `malc`.
+    fn suspected(&mut self, suspect: NodeId, kind: Misbehavior, malc: u32);
+    /// An alert round about `suspect` is due; its recipients are
+    /// [`alert_recipients`] over `table`.
+    fn accuse(&mut self, table: &NeighborTable, suspect: NodeId);
+}
+
+impl Findings for Vec<MonitorEvent> {
+    fn suspected(&mut self, suspect: NodeId, kind: Misbehavior, malc: u32) {
+        self.push(MonitorEvent::Suspected {
+            suspect,
+            kind,
+            malc,
+        });
+    }
+
+    fn accuse(&mut self, table: &NeighborTable, suspect: NodeId) {
+        self.push(MonitorEvent::Accuse {
+            suspect,
+            recipients: alert_recipients(table, suspect).collect(),
+        });
+    }
+}
+
+/// The suspect's neighbors per stored second-hop knowledge — the
+/// recipients of an alert round (falling back to our own active
+/// neighbors when no list was ever announced), in ascending order.
+pub(crate) fn alert_recipients(
+    table: &NeighborTable,
+    suspect: NodeId,
+) -> impl Iterator<Item = NodeId> + '_ {
+    let me = table.owner();
+    let listed = table.neighbor_list_of(suspect);
+    let fallback = listed.is_none().then(|| table.active_neighbors());
+    listed
+        .into_iter()
+        .flatten()
+        .copied()
+        .filter(move |&n| n != me)
+        .chain(fallback.into_iter().flatten())
+        .filter(move |&n| n != suspect)
+}
+
+/// What one observation looked up, so the frame's admission verdict
+/// needs no second search: the table indices of the sender and of the
+/// claimed previous hop (`None`: not a known neighbor), valid unless the
+/// frame got someone charged.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lookup {
+    pub(crate) sender: Option<usize>,
+    pub(crate) prev: Option<usize>,
+    /// A charge was made, which may have accused (and so revoked, or
+    /// even inserted) an id: the indices may be stale.
+    pub(crate) charged: bool,
+}
+
+/// The guard's parameters, shared with every node that runs the same
+/// ones. `Debug` prints the [`Config`] itself.
+#[derive(Clone)]
+struct SharedConfig(Arc<dyn ConfigSource>);
+
+impl fmt::Debug for SharedConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.config().fmt(f)
+    }
 }
 
 /// The guard-side monitoring engine of one node.
@@ -105,7 +179,7 @@ pub enum MonitorEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LocalMonitor {
-    config: Config,
+    config: SharedConfig,
     watch: WatchBuffer,
     malc: MalcTable,
     last_collision: Option<Micros>,
@@ -128,11 +202,22 @@ impl LocalMonitor {
     /// Creates a monitor, returning [`InvalidConfig`] instead of
     /// panicking when the parameters are inconsistent.
     pub fn try_new(config: Config) -> Result<Self, InvalidConfig> {
+        Self::try_with_source(Arc::new(config))
+    }
+
+    /// Creates a monitor reading its parameters from `source`, which
+    /// other monitors may share.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidConfig`] when the parameters are inconsistent.
+    pub fn try_with_source(source: Arc<dyn ConfigSource>) -> Result<Self, InvalidConfig> {
+        let config = source.config();
         config.validate()?;
         let watch = WatchBuffer::new(config.watch_capacity);
         let malc = MalcTable::new(config.malc_window_us);
         Ok(LocalMonitor {
-            config,
+            config: SharedConfig(source),
             watch,
             malc,
             last_collision: None,
@@ -163,19 +248,19 @@ impl LocalMonitor {
     }
 
     fn in_collision_grace(&self, now: Micros) -> bool {
-        match (self.last_collision, self.config.collision_grace_us) {
+        match (self.last_collision, self.config().collision_grace_us) {
             (Some(t), grace) if grace > 0 => now.0.saturating_sub(t.0) < grace,
             _ => false,
         }
     }
 
     fn collision_since(&self, t: Micros) -> bool {
-        self.config.collision_grace_us > 0 && self.last_collision.is_some_and(|c| c >= t)
+        self.config().collision_grace_us > 0 && self.last_collision.is_some_and(|c| c >= t)
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &Config {
-        &self.config
+        self.config.0.config()
     }
 
     /// Read access to the watch buffer (diagnostics, cost accounting).
@@ -197,47 +282,69 @@ impl LocalMonitor {
         now: Micros,
     ) -> Vec<MonitorEvent> {
         let mut events = Vec::new();
+        self.observe_into(table, obs, now, &mut events);
+        events
+    }
+
+    /// [`LocalMonitor::observe`], reporting to `out` and returning what
+    /// it looked up.
+    pub(crate) fn observe_into(
+        &mut self,
+        table: &mut NeighborTable,
+        obs: &PacketObs,
+        now: Micros,
+        out: &mut impl Findings,
+    ) -> Lookup {
+        let config = self.config.0.config();
         // The sender as a link end (`None`: a stranger), looked up once
         // and again only if this frame gets it accused.
-        let mut sender = table.link_end(obs.sender);
+        let mut look = Lookup {
+            sender: table.find(obs.sender),
+            prev: None,
+            charged: false,
+        };
+        let mut sender = table.end_at(obs.sender, look.sender);
 
         // 0. Re-alert: an accused node still transmitting means some of
         // its neighbors have not isolated it yet (or it simply refuses to
         // stop) — refresh the alert round, rate-limited.
         if sender.is_some_and(|f| f & ACCUSED != 0)
-            && self.config.realert_interval_us > 0
-            && table.realert_due(obs.sender, now, self.config.realert_interval_us)
+            && config.realert_interval_us > 0
+            && table.realert_due(obs.sender, now, config.realert_interval_us)
         {
-            events.push(MonitorEvent::Accuse {
-                suspect: obs.sender,
-                recipients: Self::alert_recipients(table, obs.sender),
-            });
+            out.accuse(table, obs.sender);
         }
 
         // 1. Fabrication check on the forward we just overheard: judged
         // when we guard the link prev -> sender (we know both ends), the
         // sender is not accused yet and prev is not under suspicion.
         if let Some(prev) = obs.claimed_prev {
-            let guarded =
-                NeighborTable::guarded_link((prev, table.link_end(prev)), (obs.sender, sender));
+            look.prev = table.find(prev);
+            let guarded = NeighborTable::guarded_link(
+                (prev, table.end_at(prev, look.prev)),
+                (obs.sender, sender),
+            );
             if guarded.is_some_and(|(prev_f, sender_f)| {
                 sender_f & ACCUSED == 0 && prev_f & SUSPECTED == 0
             }) && !self.watch.confirm_forward(prev, &obs.sig, obs.sender)
                 && !self.in_collision_grace(now)
             {
-                self.punish(
+                Self::punish(
+                    &mut self.malc,
+                    config,
                     table,
                     obs.sender,
                     Misbehavior::Fabrication,
                     now,
-                    &mut events,
+                    out,
                 );
+                look.charged = true;
                 sender = table.link_end(obs.sender);
             }
         }
 
         // 2. Arm the watch for this transmission.
-        let deadline = now.saturating_add(self.config.watch_timeout_us);
+        let deadline = now.saturating_add(config.watch_timeout_us);
         match obs.link_dst {
             Some(dst) if !obs.terminal => {
                 // Unicast that must be forwarded: watch it if we guard the
@@ -266,15 +373,28 @@ impl LocalMonitor {
                 }
             }
         }
-        events
+        look
     }
 
     /// Runs drop detection: expires watch entries whose deadline passed
     /// and charges the receivers that failed to forward.
     pub fn expire(&mut self, table: &mut NeighborTable, now: Micros) -> Vec<MonitorEvent> {
         let mut events = Vec::new();
+        self.expire_into(table, now, &mut events);
+        events
+    }
+
+    /// [`LocalMonitor::expire`], reporting to `out`; returns how many
+    /// entries expired.
+    pub(crate) fn expire_into(
+        &mut self,
+        table: &mut NeighborTable,
+        now: Micros,
+        out: &mut impl Findings,
+    ) -> u64 {
+        let mut expired = 0;
         for (dropper, _, armed_at) in self.watch.expire(now) {
-            self.watch_expiries += 1;
+            expired += 1;
             // A node never charges itself: its own unforwarded receptions
             // are either terminal or already rejected at admission. And a
             // guard that suffered a collision while the entry was armed
@@ -284,10 +404,19 @@ impl LocalMonitor {
                 && !table.is_accused(dropper)
                 && !self.collision_since(armed_at)
             {
-                self.punish(table, dropper, Misbehavior::Drop, now, &mut events);
+                Self::punish(
+                    &mut self.malc,
+                    self.config.0.config(),
+                    table,
+                    dropper,
+                    Misbehavior::Drop,
+                    now,
+                    out,
+                );
             }
         }
-        events
+        self.watch_expiries += expired;
+        expired
     }
 
     /// Records that `forwarder` announced (via a route error) that it
@@ -303,47 +432,26 @@ impl LocalMonitor {
     }
 
     fn punish(
-        &mut self,
+        malc: &mut MalcTable,
+        config: &Config,
         table: &mut NeighborTable,
         suspect: NodeId,
         kind: Misbehavior,
         now: Micros,
-        events: &mut Vec<MonitorEvent>,
+        out: &mut impl Findings,
     ) {
         let weight = match kind {
-            Misbehavior::Fabrication => self.config.fabrication_weight,
-            Misbehavior::Drop => self.config.drop_weight,
+            Misbehavior::Fabrication => config.fabrication_weight,
+            Misbehavior::Drop => config.drop_weight,
         };
-        let malc = self.malc.record(suspect, weight, now);
-        events.push(MonitorEvent::Suspected {
-            suspect,
-            kind,
-            malc,
-        });
-        if malc >= self.config.malc_threshold {
-            self.malc.clear(suspect);
+        let value = malc.record(suspect, weight, now);
+        out.suspected(suspect, kind, value);
+        if value >= config.malc_threshold {
+            malc.clear(suspect);
             // Revoke locally (the guard stops trusting the suspect now).
             table.accuse(suspect, now);
-            events.push(MonitorEvent::Accuse {
-                suspect,
-                recipients: Self::alert_recipients(table, suspect),
-            });
+            out.accuse(table, suspect);
         }
-    }
-
-    /// The suspect's neighbors per stored second-hop knowledge — the
-    /// recipients of an alert round (falling back to our own neighbors
-    /// when no list was ever announced).
-    fn alert_recipients(table: &NeighborTable, suspect: NodeId) -> Vec<NodeId> {
-        table
-            .neighbor_list_of(suspect)
-            .map(|s| {
-                s.iter()
-                    .copied()
-                    .filter(|&n| n != table.owner() && n != suspect)
-                    .collect()
-            })
-            .unwrap_or_else(|| table.active_neighbors().filter(|&n| n != suspect).collect())
     }
 }
 

@@ -51,25 +51,36 @@ pub(crate) const ACCUSED: u8 = 1 << 2;
 /// Status bit: another guard's alert named the neighbor as a suspect.
 pub(crate) const SUSPECTED: u8 = 1 << 3;
 
-/// The rest of one known neighbor's state, index-aligned with the sorted
-/// id column: read for its list and its alert rounds, not on every frame.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// Start of `R_b` in the second-hop arena (meaningful when listed).
+/// Words of a block's slot: the start and length of the neighbor's run
+/// `R_b` in the second-hop arena (meaningful when listed), then the last
+/// alert round about it as two words (meaningful once accused).
+const SLOT_WORDS: usize = 4;
+
+/// One known neighbor's state, as unpacked from or packed into a block.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    id: NodeId,
+    flags: u8,
     start: u32,
-    /// Length of `R_b`.
     len: u32,
-    /// When this guard last sent an alert round about the neighbor
-    /// (meaningful once accused).
     last_alert: Micros,
+}
+
+/// The block words of `n` neighbors: ids, status bytes four to a word,
+/// slots.
+fn block_words(n: usize) -> usize {
+    n + n.div_ceil(4) + SLOT_WORDS * n
 }
 
 /// A node's first- and second-hop neighbor knowledge.
 ///
-/// Stored as flat columns: the known ids in ascending order, a status
-/// byte per id (revoked, listed, and the monitor's flags), a slot per id
-/// (a `(start, len)` range and the last alert round), and an arena
-/// holding every announced list as a run, each sorted and deduplicated.
+/// Stored as one block of words, sized to the known neighbors: their ids
+/// in ascending order, then a status byte per id (revoked, listed, and the
+/// monitor's flags) four to a word, then a slot per id (a `(start, len)`
+/// range and the last alert round). The per-frame checks read only the
+/// ids and status bytes, which sit together at the block's head. Beside
+/// the block, an arena holds every announced list as a run, each sorted
+/// and deduplicated.
 /// The arena is either shared read-only with the other tables of a
 /// preloaded deployment or the table's own, exactly as long as its live
 /// runs. Ascending order everywhere matches the ordered-set iteration
@@ -98,13 +109,11 @@ struct Slot {
 #[derive(Clone)]
 pub struct NeighborTable {
     me: NodeId,
-    /// Known first-hop ids (active and revoked), ascending.
-    ids: Vec<NodeId>,
-    /// `flags[i]` is the status byte of `ids[i]`: the per-frame checks
-    /// read only this column and `ids`.
-    flags: Vec<u8>,
-    /// `slots[i]` holds the rest of `ids[i]`'s state.
-    slots: Vec<Slot>,
+    /// Known first-hop neighbors (active and revoked).
+    n: u32,
+    /// `n` ascending ids, `n` status bytes packed four to a word, `n`
+    /// slots of [`SLOT_WORDS`] words: entry `i` is the `i`-th id's.
+    block: Box<[u32]>,
     /// The arena every listed slot's run points into. Never written:
     /// [`NeighborTable::set_neighbor_list`] replaces it with a private
     /// copy of the live runs, so one arena can back many tables.
@@ -116,9 +125,8 @@ impl NeighborTable {
     pub fn new(me: NodeId) -> Self {
         NeighborTable {
             me,
-            ids: Vec::new(),
-            flags: Vec::new(),
-            slots: Vec::new(),
+            n: 0,
+            block: Box::default(),
             // An empty `Arc` slice shares one static allocation.
             second: Arc::default(),
         }
@@ -169,25 +177,36 @@ impl NeighborTable {
             neighbors.binary_search(&me).is_err(),
             "a node is not its own neighbor"
         );
-        let mut slots = Vec::with_capacity(neighbors.len());
-        for run in lists {
+        let n = neighbors.len();
+        let mut block = vec![0u32; block_words(n)].into_boxed_slice();
+        let (ids, rest) = block.split_at_mut(n);
+        let (flags, slots) = rest.split_at_mut(n.div_ceil(4));
+        for (word, id) in ids.iter_mut().zip(&neighbors) {
+            *word = id.0;
+        }
+        let listed = u32::from_le_bytes([LISTED; 4]);
+        flags.fill(listed);
+        let mut lists = lists.into_iter();
+        let mut listed = 0;
+        for (slot, run) in slots.chunks_exact_mut(SLOT_WORDS).zip(lists.by_ref()) {
             assert!(
                 run.start <= run.end && run.end <= arena.len(),
                 "list outside the arena"
             );
             debug_assert!(arena[run.clone()].windows(2).all(|w| w[0] < w[1]));
-            slots.push(Slot {
-                start: run.start as u32,
-                len: run.len() as u32,
-                last_alert: Micros::default(),
-            });
+            slot[0] = run.start as u32;
+            slot[1] = run.len() as u32;
+            listed += 1;
         }
-        assert_eq!(slots.len(), neighbors.len(), "one list per neighbor");
+        assert!(
+            listed == n && lists.next().is_none(),
+            "one list per neighbor"
+        );
+        // (The last status word's padding bytes are never read.)
         NeighborTable {
             me,
-            flags: vec![LISTED; neighbors.len()],
-            ids: neighbors,
-            slots,
+            n: n as u32,
+            block,
             second: arena,
         }
     }
@@ -197,20 +216,101 @@ impl NeighborTable {
         self.me
     }
 
-    /// The slot index of `n`, if known.
-    fn find(&self, n: NodeId) -> Option<usize> {
-        self.ids.binary_search(&n).ok()
+    /// The known ids, ascending, as words.
+    fn ids(&self) -> &[u32] {
+        &self.block[..self.n as usize]
     }
 
-    /// The slot index of `n`, inserting an empty slot if unknown.
+    /// The status byte of entry `i`.
+    fn flags_at(&self, i: usize) -> u8 {
+        let word = self.block[self.n as usize + i / 4];
+        (word >> (8 * (i % 4))) as u8
+    }
+
+    /// Replaces the status byte of entry `i`.
+    fn set_flags(&mut self, i: usize, flags: u8) {
+        let word = &mut self.block[self.n as usize + i / 4];
+        let shift = 8 * (i % 4);
+        *word = *word & !(0xff << shift) | u32::from(flags) << shift;
+    }
+
+    /// Adds `bits` to the status byte of entry `i`.
+    fn mark(&mut self, i: usize, bits: u8) {
+        self.set_flags(i, self.flags_at(i) | bits);
+    }
+
+    /// The block index of entry `i`'s slot.
+    fn slot(&self, i: usize) -> usize {
+        let n = self.n as usize;
+        n + n.div_ceil(4) + SLOT_WORDS * i
+    }
+
+    /// Entry `i`'s run `(start, len)` in the arena.
+    fn run(&self, i: usize) -> (u32, u32) {
+        let s = self.slot(i);
+        (self.block[s], self.block[s + 1])
+    }
+
+    /// When this guard last alerted about entry `i`.
+    fn last_alert(&self, i: usize) -> Micros {
+        let s = self.slot(i);
+        Micros(u64::from(self.block[s + 2]) | u64::from(self.block[s + 3]) << 32)
+    }
+
+    /// Entry `i`, unpacked.
+    fn entry(&self, i: usize) -> Entry {
+        let (start, len) = self.run(i);
+        Entry {
+            id: NodeId(self.block[i]),
+            flags: self.flags_at(i),
+            start,
+            len,
+            last_alert: self.last_alert(i),
+        }
+    }
+
+    /// Writes `entry` as entry `i`.
+    fn set_entry(&mut self, i: usize, entry: Entry) {
+        self.block[i] = entry.id.0;
+        self.set_flags(i, entry.flags);
+        let s = self.slot(i);
+        self.block[s..s + SLOT_WORDS].copy_from_slice(&[
+            entry.start,
+            entry.len,
+            entry.last_alert.0 as u32,
+            (entry.last_alert.0 >> 32) as u32,
+        ]);
+    }
+
+    /// The slot index of `n`, if known.
+    pub(crate) fn find(&self, n: NodeId) -> Option<usize> {
+        self.ids().binary_search(&n.0).ok()
+    }
+
+    /// The slot index of `n`, inserting an empty entry if unknown (the
+    /// block is rebuilt one entry longer: inserts happen while tables are
+    /// filled and on revocations of strangers, never per frame).
     fn find_or_insert(&mut self, n: NodeId) -> usize {
-        match self.ids.binary_search(&n) {
+        match self.ids().binary_search(&n.0) {
             Ok(i) => i,
-            Err(i) => {
-                self.ids.insert(i, n);
-                self.flags.insert(i, 0);
-                self.slots.insert(i, Slot::default());
-                i
+            Err(at) => {
+                let mut entries: Vec<Entry> = (0..self.len()).map(|i| self.entry(i)).collect();
+                entries.insert(
+                    at,
+                    Entry {
+                        id: n,
+                        flags: 0,
+                        start: 0,
+                        len: 0,
+                        last_alert: Micros::default(),
+                    },
+                );
+                self.n += 1;
+                self.block = vec![0; block_words(entries.len())].into_boxed_slice();
+                for (i, entry) in entries.into_iter().enumerate() {
+                    self.set_entry(i, entry);
+                }
+                at
             }
         }
     }
@@ -218,7 +318,7 @@ impl NeighborTable {
     /// The status byte of a known neighbor ([`REVOKED`], [`ACCUSED`],
     /// [`SUSPECTED`]), or `None` for an unknown id.
     pub(crate) fn flags(&self, n: NodeId) -> Option<u8> {
-        self.find(n).map(|i| self.flags[i])
+        self.find(n).map(|i| self.flags_at(i))
     }
 
     /// Registers a first-hop neighbor (idempotent; does not resurrect a
@@ -256,16 +356,14 @@ impl NeighborTable {
         let Some(i) = self.find(b) else {
             return false;
         };
-        let kept: usize =
-            self.slots.iter().map(|s| s.len as usize).sum::<usize>() - self.slots[i].len as usize;
+        let kept: usize = self.stored_ids() - self.run(i).1 as usize;
         let mut second = Vec::with_capacity(kept);
-        for (k, slot) in self.slots.iter_mut().enumerate() {
-            if k != i {
-                // An unlisted slot's run is empty.
-                let run = slot.start as usize..slot.start as usize + slot.len as usize;
-                slot.start = second.len() as u32;
-                second.extend_from_slice(&self.second[run]);
-            }
+        for k in (0..self.len()).filter(|&k| k != i) {
+            // An unlisted slot's run is empty.
+            let (start, len) = self.run(k);
+            let s = self.slot(k);
+            self.block[s] = second.len() as u32;
+            second.extend_from_slice(&self.second[start as usize..(start + len) as usize]);
         }
         let start = second.len();
         second.extend(list);
@@ -277,9 +375,10 @@ impl NeighborTable {
             u32::try_from(second.len()).is_ok(),
             "second-hop arena exceeds u32 ranges"
         );
-        self.slots[i].start = start as u32;
-        self.slots[i].len = len as u32;
-        self.flags[i] |= LISTED;
+        let s = self.slot(i);
+        self.block[s] = start as u32;
+        self.block[s + 1] = len as u32;
+        self.mark(i, LISTED);
         self.second = second.into();
         true
     }
@@ -314,7 +413,7 @@ impl NeighborTable {
     /// that an alert about a not-yet-discovered node still takes effect.
     pub fn revoke(&mut self, n: NodeId) {
         let i = self.find_or_insert(n);
-        self.flags[i] |= REVOKED;
+        self.mark(i, REVOKED);
     }
 
     /// Whether this node's monitor accused `n` (see
@@ -327,8 +426,14 @@ impl NeighborTable {
     /// alert round at `now`.
     pub(crate) fn accuse(&mut self, n: NodeId, now: Micros) {
         let i = self.find_or_insert(n);
-        self.flags[i] |= ACCUSED | REVOKED;
-        self.slots[i].last_alert = now;
+        self.mark(i, ACCUSED | REVOKED);
+        self.set_last_alert(i, now);
+    }
+
+    fn set_last_alert(&mut self, i: usize, t: Micros) {
+        let s = self.slot(i);
+        self.block[s + 2] = t.0 as u32;
+        self.block[s + 3] = (t.0 >> 32) as u32;
     }
 
     /// Whether an accused `n` is due another alert round at `now` (at
@@ -337,11 +442,10 @@ impl NeighborTable {
         let Some(i) = self.find(n) else {
             return false;
         };
-        let slot = &mut self.slots[i];
-        let due =
-            self.flags[i] & ACCUSED != 0 && now.0.saturating_sub(slot.last_alert.0) >= interval_us;
+        let due = self.flags_at(i) & ACCUSED != 0
+            && now.0.saturating_sub(self.last_alert(i).0) >= interval_us;
         if due {
-            slot.last_alert = now;
+            self.set_last_alert(i, now);
         }
         due
     }
@@ -351,33 +455,36 @@ impl NeighborTable {
     /// one else, so the mark would change nothing for an unknown id.
     pub(crate) fn mark_suspected(&mut self, n: NodeId) {
         if let Some(i) = self.find(n) {
-            self.flags[i] |= SUSPECTED;
+            self.mark(i, SUSPECTED);
         }
     }
 
     /// Active neighbors in ascending id order.
     pub fn active_neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.flags)
-            .filter(|(_, &f)| f & REVOKED == 0)
-            .map(|(&n, _)| n)
+        (0..self.len())
+            .filter(|&i| self.flags_at(i) & REVOKED == 0)
+            .map(|i| NodeId(self.block[i]))
     }
 
     /// Count of known neighbors (active and revoked).
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.n as usize
     }
 
     /// Whether no neighbors are known.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.n == 0
     }
 
     fn list_at(&self, i: usize) -> Option<&[NodeId]> {
-        let slot = &self.slots[i];
-        (self.flags[i] & LISTED != 0)
-            .then(|| &self.second[slot.start as usize..(slot.start + slot.len) as usize])
+        let (start, len) = self.run(i);
+        (self.flags_at(i) & LISTED != 0)
+            .then(|| &self.second[start as usize..(start + len) as usize])
+    }
+
+    /// Second-hop ids stored over all runs (an unlisted run is empty).
+    fn stored_ids(&self) -> usize {
+        (0..self.len()).map(|i| self.run(i).1 as usize).sum()
     }
 
     /// The stored neighbor list `R_b` of neighbor `b` in ascending order,
@@ -398,19 +505,15 @@ impl NeighborTable {
         let Some(i) = self.find(via) else {
             return false;
         };
-        if self.flags[i] & REVOKED != 0 {
-            return false;
-        }
-        prev == self.me
-            || self
-                .list_at(i)
-                .is_some_and(|list| list.binary_search(&prev).is_ok())
+        !self.revoked_at(i) && (prev == self.me || self.lists_at(i, prev))
     }
 
-    /// Whether this node guards the link `prev → via`: it must neighbor
-    /// both endpoints (the sender of a link trivially guards its own
-    /// outgoing links), and the link itself must exist per the announced
-    /// lists.
+    /// Whether this node guards the link `prev → via`: the two ends must
+    /// differ, and each must be known to this node — a first-hop neighbor
+    /// (active or revoked) or the node itself, since a sender trivially
+    /// guards its own outgoing links. The announced lists are not
+    /// consulted: the rule does not check that `prev` and `via` neighbor
+    /// each other.
     pub fn is_guard_of(&self, prev: NodeId, via: NodeId) -> bool {
         Self::guarded_link((prev, self.link_end(prev)), (via, self.link_end(via))).is_some()
     }
@@ -419,7 +522,25 @@ impl NeighborTable {
     /// for the owner when it has no slot (a revocation may have recorded
     /// one), `None` for a stranger.
     pub(crate) fn link_end(&self, n: NodeId) -> Option<u8> {
-        self.flags(n).or((n == self.me).then_some(0))
+        self.end_at(n, self.find(n))
+    }
+
+    /// [`NeighborTable::link_end`] of `n`, whose slot index `at` was
+    /// already found.
+    pub(crate) fn end_at(&self, n: NodeId, at: Option<usize>) -> Option<u8> {
+        at.map(|i| self.flags_at(i)).or((n == self.me).then_some(0))
+    }
+
+    /// Whether the known neighbor at slot `i` is revoked.
+    pub(crate) fn revoked_at(&self, i: usize) -> bool {
+        self.flags_at(i) & REVOKED != 0
+    }
+
+    /// Whether `prev` is in the announced list of the neighbor at slot
+    /// `i` (`false` when it announced none).
+    pub(crate) fn lists_at(&self, i: usize, prev: NodeId) -> bool {
+        self.list_at(i)
+            .is_some_and(|list| list.binary_search(&prev).is_ok())
     }
 
     /// The guard rule of [`NeighborTable::is_guard_of`] over two ends
@@ -441,10 +562,7 @@ impl NeighborTable {
     /// accounting: 5 bytes per first-hop entry (4-byte id + 1-byte MalC)
     /// plus 4 bytes per stored second-hop id.
     pub fn storage_bytes(&self) -> usize {
-        let first = self.ids.len() * 5;
-        // An unlisted slot's range is empty.
-        let second: usize = self.slots.iter().map(|s| s.len as usize * 4).sum();
-        first + second
+        self.len() * 5 + self.stored_ids() * 4
     }
 }
 
@@ -467,12 +585,10 @@ impl fmt::Debug for OwnRuns<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let t = self.0;
         f.debug_map()
-            .entries(
-                t.ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, id)| (id, (t.flags[i], t.slots[i].last_alert, t.list_at(i)))),
-            )
+            .entries((0..t.len()).map(|i| {
+                let e = t.entry(i);
+                (e.id, (e.flags, e.last_alert, t.list_at(i)))
+            }))
             .finish()
     }
 }
@@ -653,7 +769,7 @@ mod tests {
             // Clones share the arena too.
             let mut ts = tables.clone();
             let t = &mut ts[target];
-            let nb = t.ids.clone();
+            let nb: Vec<NodeId> = t.ids().iter().copied().map(NodeId).collect();
             t.revoke(nb[1]);
             t.revoke(NodeId(50));
             t.accuse(nb[2], Micros(5));

@@ -9,17 +9,24 @@
 //! * call [`Liteworp::observe_packet`] for every control packet overheard
 //!   (including its own receptions — wireless reception *is* overhearing),
 //!   and transmit an authenticated alert for every returned
-//!   [`Effect::SendAlert`];
+//!   [`Effect::SendAlert`]; for a received packet,
+//!   [`Liteworp::observe_and_admit`] does both at once, from one lookup
+//!   per id;
 //! * call [`Liteworp::handle_alert`] for received alert messages;
-//! * call [`Liteworp::expire`] on a periodic timer (≥ once per δ).
+//! * call [`Liteworp::expire`] once the watch buffer's oldest entry is
+//!   due: [`crate::watch::WatchBuffer::head_deadline`] says when. Nothing
+//!   expires before it, so a host may sleep until then (the routing node
+//!   fires its expiry timer only at the ticks of its grid where the head
+//!   has expired), or simply call it on a periodic timer.
 
 use crate::alert::{AlertBuffer, AlertOutcome};
-use crate::config::{Config, InvalidConfig};
+use crate::config::{Config, ConfigSource, InvalidConfig};
 use crate::discovery::Discovery;
 use crate::keys::{KeyStore, Mac};
-use crate::monitor::{LocalMonitor, MonitorEvent, PacketObs};
-use crate::neighbor::{NeighborStatus, NeighborTable};
+use crate::monitor::{alert_recipients, Findings, LocalMonitor, PacketObs};
+use crate::neighbor::NeighborTable;
 use crate::types::{Micros, Misbehavior, NodeId};
+use std::sync::Arc;
 
 /// Why a packet was refused at admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,15 +150,36 @@ impl Liteworp {
     /// Panics if the configuration is invalid; use
     /// [`Liteworp::try_new`] to handle the error instead.
     pub fn new(config: Config, keys: KeyStore) -> Self {
-        // lint: allow(P002) documented panic; Self::try_new is the
-        // fallible variant for callers with untrusted configs
-        Self::try_new(config, keys).expect("invalid LITEWORP config")
+        Self::with_source(Arc::new(config), keys)
     }
 
     /// Creates the instance, returning [`InvalidConfig`] instead of
     /// panicking when the configuration is inconsistent.
     pub fn try_new(config: Config, keys: KeyStore) -> Result<Self, InvalidConfig> {
-        let monitor = LocalMonitor::try_new(config)?;
+        Self::try_with_source(Arc::new(config), keys)
+    }
+
+    /// Creates the instance reading its parameters from `source`, which
+    /// any number of nodes may share (a node keeps only the pointer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid; use
+    /// [`Liteworp::try_with_source`] to handle the error instead.
+    pub fn with_source(source: Arc<dyn ConfigSource>, keys: KeyStore) -> Self {
+        // lint: allow(P002) documented panic; Self::try_with_source is
+        // the fallible variant for callers with untrusted configs
+        Self::try_with_source(source, keys).expect("invalid LITEWORP config")
+    }
+
+    /// Creates the instance reading its parameters from `source`,
+    /// returning [`InvalidConfig`] instead of panicking when they are
+    /// inconsistent.
+    pub fn try_with_source(
+        source: Arc<dyn ConfigSource>,
+        keys: KeyStore,
+    ) -> Result<Self, InvalidConfig> {
+        let monitor = LocalMonitor::try_with_source(source)?;
         let alerts = AlertBuffer::new(monitor.config().confidence_index);
         let me = keys.owner();
         Ok(Liteworp {
@@ -168,7 +196,8 @@ impl Liteworp {
         self.keys.owner()
     }
 
-    /// The configuration in force (the monitor holds the one copy).
+    /// The configuration in force (read through the monitor's shared
+    /// source).
     pub fn config(&self) -> &Config {
         self.monitor.config()
     }
@@ -198,19 +227,37 @@ impl Liteworp {
     /// Admission check for a packet announced as transmitted by `sender`
     /// with previous hop `claimed_prev`.
     pub fn admit(&self, sender: NodeId, claimed_prev: Option<NodeId>) -> Admission {
-        match self.table.status(sender) {
-            Some(NeighborStatus::Active) => {}
-            Some(NeighborStatus::Revoked) => return Admission::Reject(RejectReason::Revoked),
-            None => return Admission::Reject(RejectReason::NotNeighbor),
+        let prev = self.judged_prev(sender, claimed_prev);
+        self.admission(
+            self.table.find(sender),
+            prev.map(|p| (p, self.table.find(p))),
+        )
+    }
+
+    /// The claimed previous hop admission judges: not the sender itself
+    /// and not this node.
+    fn judged_prev(&self, sender: NodeId, claimed_prev: Option<NodeId>) -> Option<NodeId> {
+        claimed_prev.filter(|&p| p != sender && p != self.id())
+    }
+
+    /// The admission verdict over ids already looked up: the sender's
+    /// slot index, and the judged previous hop with its slot index.
+    fn admission(&self, sender: Option<usize>, prev: Option<(NodeId, Option<usize>)>) -> Admission {
+        let Some(s) = sender else {
+            return Admission::Reject(RejectReason::NotNeighbor);
+        };
+        if self.table.revoked_at(s) {
+            return Admission::Reject(RejectReason::Revoked);
         }
-        if let Some(prev) = claimed_prev {
-            if prev != sender && prev != self.id() {
-                if self.table.is_revoked(prev) {
-                    return Admission::Reject(RejectReason::Revoked);
-                }
-                if !self.table.link_plausible(prev, sender) {
-                    return Admission::Reject(RejectReason::ImplausiblePrev);
-                }
+        if let Some((prev, at)) = prev {
+            if at.is_some_and(|p| self.table.revoked_at(p)) {
+                return Admission::Reject(RejectReason::Revoked);
+            }
+            // `NeighborTable::link_plausible(prev, sender)`, whose other
+            // conditions (a known, unrevoked sender; `prev` not this
+            // node) already hold here.
+            if !self.table.lists_at(s, prev) {
+                return Admission::Reject(RejectReason::ImplausiblePrev);
             }
         }
         Admission::Accept
@@ -218,8 +265,30 @@ impl Liteworp {
 
     /// Feeds one overheard control-packet transmission to the monitor.
     pub fn observe_packet(&mut self, obs: &PacketObs, now: Micros) -> Vec<Effect> {
-        let events = self.monitor.observe(&mut self.table, obs, now);
-        self.lower(events)
+        self.observe_and_admit(obs, now).0
+    }
+
+    /// [`Liteworp::observe_packet`] followed by
+    /// [`Liteworp::admit`]`(obs.sender, obs.claimed_prev)`, the order a
+    /// host applies them to a received packet, with the verdict taken
+    /// from the ids the observation already looked up. A sender the
+    /// observation accuses is refused.
+    pub fn observe_and_admit(&mut self, obs: &PacketObs, now: Micros) -> (Vec<Effect>, Admission) {
+        let mut effects = Vec::new();
+        let look = self.monitor.observe_into(
+            &mut self.table,
+            obs,
+            now,
+            &mut Lowering::new(&self.keys, &mut self.alerts, &mut effects),
+        );
+        let verdict = if look.charged {
+            // A charge may have revoked or inserted an id: look again.
+            self.admit(obs.sender, obs.claimed_prev)
+        } else {
+            let prev = self.judged_prev(obs.sender, obs.claimed_prev);
+            self.admission(look.sender, prev.map(|p| (p, look.prev)))
+        };
+        (effects, verdict)
     }
 
     /// Waives `forwarder`'s pending forward obligation for `sig` — call
@@ -239,10 +308,12 @@ impl Liteworp {
     /// watch timeout δ. When entries expired, the first effect is a
     /// single [`Effect::WatchExpired`] carrying the sweep's expiry count.
     pub fn expire(&mut self, now: Micros) -> Vec<Effect> {
-        let before = self.monitor.watch_expiries();
-        let events = self.monitor.expire(&mut self.table, now);
-        let expired = self.monitor.watch_expiries() - before;
-        let mut effects = self.lower(events);
+        let mut effects = Vec::new();
+        let expired = self.monitor.expire_into(
+            &mut self.table,
+            now,
+            &mut Lowering::new(&self.keys, &mut self.alerts, &mut effects),
+        );
         if expired > 0 {
             effects.insert(
                 0,
@@ -326,40 +397,49 @@ impl Liteworp {
             + self.monitor.watch().storage_bytes()
             + self.alerts.storage_bytes()
     }
+}
 
-    fn lower(&mut self, events: Vec<MonitorEvent>) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        for ev in events {
-            match ev {
-                MonitorEvent::Suspected {
-                    suspect,
-                    kind,
-                    malc,
-                } => effects.push(Effect::Suspected {
-                    suspect,
-                    kind,
-                    malc,
-                }),
-                MonitorEvent::Accuse {
-                    suspect,
-                    recipients,
-                } => {
-                    self.alerts.force_isolate(suspect);
-                    for recipient in recipients {
-                        let mac = self
-                            .keys
-                            .tag(recipient, &Self::alert_bytes(self.id(), suspect));
-                        effects.push(Effect::SendAlert {
-                            suspect,
-                            recipient,
-                            mac,
-                        });
-                    }
-                    effects.push(Effect::Isolated { suspect });
-                }
-            }
+/// Turns the monitor's findings into effects as they are made: a
+/// suspicion into [`Effect::Suspected`]; an accusation into this node's
+/// isolation of the suspect, one signed [`Effect::SendAlert`] per
+/// recipient and [`Effect::Isolated`].
+struct Lowering<'a> {
+    keys: &'a KeyStore,
+    alerts: &'a mut AlertBuffer,
+    effects: &'a mut Vec<Effect>,
+}
+
+impl<'a> Lowering<'a> {
+    fn new(keys: &'a KeyStore, alerts: &'a mut AlertBuffer, effects: &'a mut Vec<Effect>) -> Self {
+        Lowering {
+            keys,
+            alerts,
+            effects,
         }
-        effects
+    }
+}
+
+impl Findings for Lowering<'_> {
+    fn suspected(&mut self, suspect: NodeId, kind: Misbehavior, malc: u32) {
+        self.effects.push(Effect::Suspected {
+            suspect,
+            kind,
+            malc,
+        });
+    }
+
+    fn accuse(&mut self, table: &NeighborTable, suspect: NodeId) {
+        self.alerts.force_isolate(suspect);
+        let bytes = Liteworp::alert_bytes(self.keys.owner(), suspect);
+        for recipient in alert_recipients(table, suspect) {
+            let mac = self.keys.tag(recipient, &bytes);
+            self.effects.push(Effect::SendAlert {
+                suspect,
+                recipient,
+                mac,
+            });
+        }
+        self.effects.push(Effect::Isolated { suspect });
     }
 }
 

@@ -291,6 +291,13 @@ impl WatchBuffer {
         self.retain(|row| row.prev != prev || row.expected_forwarder.is_none());
     }
 
+    /// The deadline of the oldest held entry: the earliest time at which
+    /// [`WatchBuffer::expire`] removes anything (deadlines are sorted
+    /// along the ring). `None` when empty.
+    pub fn head_deadline(&self) -> Option<Micros> {
+        self.rows.front().map(|row| row.deadline)
+    }
+
     /// Entries currently held.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -543,3 +543,86 @@ fn malc_running_sum_matches_a_full_recompute() {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// One lookup per frame: the admission verdict `observe_and_admit` takes
+// from the observation's own lookups equals `observe_packet` followed by
+// `admit`, including for frames that get their sender accused.
+// ----------------------------------------------------------------------
+
+#[test]
+fn fused_admission_matches_observe_then_admit() {
+    use liteworp::monitor::PacketObs;
+    use liteworp::prelude::{Effect, Liteworp};
+    let mut rng = Pcg32::seed_from_u64(0x6675_7365);
+    let me = NodeId(0);
+    // Low thresholds so accusations (and so revocations mid-stream) are
+    // frequent: one fabrication or two drops accuse.
+    let config = Config {
+        fabrication_weight: 2,
+        drop_weight: 1,
+        malc_threshold: 2,
+        watch_timeout_us: 5_000,
+        collision_grace_us: 0,
+        ..Config::default()
+    };
+    let (mut accused_senders, mut rejected, mut accepted) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut lw = Liteworp::new(config.clone(), KeyStore::new(case, me));
+        let node = |rng: &mut Pcg32| NodeId(rng.gen_range(0u32..14));
+        for n in 1..10 {
+            if rng.gen_bool(0.8) {
+                lw.table_mut().add_neighbor(NodeId(n));
+            }
+        }
+        for n in 0..12 {
+            let len = rng.gen_range(0usize..8);
+            let list: Vec<NodeId> = (0..len).map(|_| node(&mut rng)).collect();
+            lw.table_mut().set_neighbor_list(NodeId(n), list);
+        }
+        if rng.gen_bool(0.3) {
+            lw.table_mut().revoke(node(&mut rng));
+        }
+        let pool: Vec<PacketSig> = (0..6).map(|_| arb_sig(&mut rng)).collect();
+        let mut now = 0u64;
+        for step in 0..200 {
+            now += rng.gen_range(0u64..2_000);
+            if step % 25 == 24 {
+                let mut other = lw.clone();
+                assert_eq!(lw.expire(Micros(now)), other.expire(Micros(now)));
+                continue;
+            }
+            let sender = node(&mut rng);
+            let obs = PacketObs {
+                sender,
+                claimed_prev: rng.gen_bool(0.7).then(|| node(&mut rng)),
+                link_dst: rng.gen_bool(0.4).then(|| node(&mut rng)),
+                sig: pool[rng.gen_range(0..pool.len())],
+                terminal: rng.gen_bool(0.1),
+            };
+            let mut reference = lw.clone();
+            let effects = reference.observe_packet(&obs, Micros(now));
+            let verdict = reference.admit(obs.sender, obs.claimed_prev);
+            let (fused_effects, fused) = lw.observe_and_admit(&obs, Micros(now));
+            assert_eq!(fused_effects, effects, "case {case} step {step}: {obs:?}");
+            assert_eq!(fused, verdict, "case {case} step {step}: {obs:?}");
+            assert_eq!(format!("{lw:?}"), format!("{reference:?}"));
+            if effects
+                .iter()
+                .any(|e| matches!(e, Effect::Isolated { suspect } if *suspect == sender))
+            {
+                accused_senders += 1;
+            }
+            if fused.is_accept() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+    }
+    assert!(
+        accused_senders > 20,
+        "{accused_senders} frames accused their sender"
+    );
+    assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
+}

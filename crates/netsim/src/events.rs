@@ -96,6 +96,26 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.insert(time, seq, event);
+    }
+
+    /// Schedules `event` at `time` in the tie rank of an earlier push,
+    /// the one [`EventQueue::pop_ranked`] returned `seq` for: among
+    /// same-time events it pops where an event pushed right after that
+    /// one would. This is how a periodic timer keeps its place among ties
+    /// when it skips periods: it pops as if it had been re-pushed at
+    /// every one. `seq` must name a push that has already popped and that
+    /// no other queued event reuses, so every queued `seq` stays unique.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` was never handed out.
+    pub fn push_ranked(&mut self, time: SimTime, seq: u64, event: E) {
+        assert!(seq < self.next_seq, "rank {seq} was never pushed");
+        self.insert(time, seq, event);
+    }
+
+    fn insert(&mut self, time: SimTime, seq: u64, event: E) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(event);
@@ -117,11 +137,17 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest `(time, event)` pair.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_ranked().map(|(time, _, event)| (time, event))
+    }
+
+    /// [`EventQueue::pop`], also returning the event's tie rank (its push
+    /// sequence number) for [`EventQueue::push_ranked`].
+    pub fn pop_ranked(&mut self) -> Option<(SimTime, u64, E)> {
         let key = self.heap.pop()?;
         let event = self.slab[key.slot as usize].take();
         assert!(event.is_some(), "heap key names an empty slot");
         self.free.push(key.slot);
-        event.map(|e| (key.time, e))
+        event.map(|e| (key.time, key.seq, e))
     }
 
     /// Number of pending events.
@@ -154,6 +180,27 @@ mod tests {
             "{} bytes",
             std::mem::size_of::<Slot>()
         );
+    }
+
+    #[test]
+    fn a_ranked_push_pops_in_its_rank_among_ties() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(10);
+        q.push(SimTime::from_micros(1), "periodic");
+        let (_, rank, _) = q.pop_ranked().unwrap();
+        q.push(t, "pushed later");
+        // Re-armed for 10 µs in its original rank: ahead of the tie that
+        // was pushed after it, behind none.
+        q.push_ranked(t, rank, "re-armed");
+        assert_eq!(q.pop_ranked(), Some((t, rank, "re-armed")));
+        assert_eq!(q.pop(), Some((t, "pushed later")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "never pushed")]
+    fn a_rank_must_have_been_handed_out() {
+        EventQueue::new().push_ranked(SimTime::from_micros(1), 0, ());
     }
 
     #[test]

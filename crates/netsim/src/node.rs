@@ -28,6 +28,14 @@ pub enum Action<P> {
         /// Opaque value handed back to the node.
         token: u64,
     },
+    /// Like [`Action::Timer`], ranked among same-time events as the event
+    /// now being handled was (see [`Context::rearm_timer`]).
+    Rearm {
+        /// Delay until the timer fires.
+        delay: SimDuration,
+        /// Opaque value handed back to the node.
+        token: u64,
+    },
     /// Deliver `payload` to node `to` over an out-of-band tunnel after
     /// `latency` — the wormhole side channel (Sections 3.1, 3.2).
     Tunnel {
@@ -95,6 +103,22 @@ impl<'a, P> Context<'a, P> {
     /// Schedules `on_timer(token)` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.actions.push(Action::Timer { delay, token });
+    }
+
+    /// Schedules `on_timer(token)` after `delay`, ordered among events at
+    /// the same time as the event now being handled was: it pops where an
+    /// event pushed right after that one would. A periodic timer that
+    /// re-arms itself this way from `on_timer` keeps its tie order against
+    /// every other event it could have tied with when re-armed each period,
+    /// even when it skips periods.
+    ///
+    /// # Panics
+    ///
+    /// The simulator panics when one event re-arms two timers (one event
+    /// can run several hooks, e.g. a reception fan-out): ranks must stay
+    /// unique. Call it from `on_timer`.
+    pub fn rearm_timer(&mut self, delay: SimDuration, token: u64) {
+        self.actions.push(Action::Rearm { delay, token });
     }
 
     /// Sends `payload` to a colluding node over an out-of-band tunnel.

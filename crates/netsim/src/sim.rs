@@ -152,6 +152,9 @@ impl<P> MacArena<P> {
     }
 }
 
+/// `Simulator::rank` when no event's rank is free to re-arm with.
+const NO_RANK: u64 = u64::MAX;
+
 /// The discrete-event wireless network simulator.
 ///
 /// See the [module documentation](self) for a usage example.
@@ -164,6 +167,9 @@ pub struct Simulator<P> {
     in_flight: InFlight<P>,
     next_tx_seq: u64,
     now: SimTime,
+    /// Tie rank of the event being dispatched, until a re-arm takes it
+    /// ([`NO_RANK`] then, and before the first event).
+    rank: u64,
     medium: Medium,
     rng: Pcg32,
     metrics: Metrics,
@@ -208,6 +214,7 @@ impl<P: Clone + 'static> Simulator<P> {
             },
             next_tx_seq: 0,
             now: SimTime::ZERO,
+            rank: NO_RANK,
             medium,
             rng: Pcg32::seed_from_u64(seed),
             metrics: Metrics::default(),
@@ -340,9 +347,10 @@ impl<P: Clone + 'static> Simulator<P> {
                 break;
             }
             // lint: allow(P002) invariant: peeked non-empty in the loop condition
-            let (time, kind) = self.queue.pop().expect("peeked event vanished");
+            let (time, rank, kind) = self.queue.pop_ranked().expect("peeked event vanished");
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
+            self.rank = rank;
             self.dispatch(kind);
         }
         if deadline > self.now {
@@ -449,6 +457,21 @@ impl<P: Clone + 'static> Simulator<P> {
                         None => delay,
                     };
                     self.push_event(self.now + delay, EventKind::Timer { node, token });
+                }
+                Action::Rearm { delay, token } => {
+                    let delay = match &self.fault {
+                        Some(hook) => hook.timer_delay(node, delay),
+                        None => delay,
+                    };
+                    // The event being handled has popped, so its rank is
+                    // free; taking it keeps every queued rank unique.
+                    let rank = std::mem::replace(&mut self.rank, NO_RANK);
+                    assert_ne!(rank, NO_RANK, "one re-armed timer per event");
+                    self.queue.push_ranked(
+                        self.now + delay,
+                        rank,
+                        EventKind::Timer { node, token },
+                    );
                 }
                 Action::Tunnel {
                     to,

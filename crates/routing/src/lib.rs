@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod bootstrap;
+mod expiry;
 pub mod flood;
 pub mod node;
 pub mod packet;

@@ -17,13 +17,15 @@
 //! * isolates nodes on γ distinct guard alerts and purges routes through
 //!   them.
 
+use crate::expiry::ExpiryChain;
 use crate::flood::FloodTable;
 use crate::packet::Packet;
 use crate::params::{DiscoveryMode, NodeParams, RouteSelection};
 use crate::stats::{NodeStats, RouteRecord};
+use liteworp::config::ConfigSource;
 use liteworp::discovery::{DiscoveryMsg, DiscoveryOut};
 use liteworp::monitor::PacketObs;
-use liteworp::prelude::{Admission, AlertDisposition, Config, Effect, KeyStore, Liteworp};
+use liteworp::prelude::{Admission, AlertDisposition, Effect, KeyStore, Liteworp};
 use liteworp::types::{Micros, Misbehavior, NodeId, PacketKind, PacketSig};
 use liteworp_netsim::prelude::{
     Context, Dest, Frame, FrameSpec, MalcReason, NodeLogic, SimCounter, SimDuration, SimTime,
@@ -103,19 +105,21 @@ pub struct ProtocolNode {
     params: Arc<NodeParams>,
     lw: Option<Liteworp>,
     monitoring: bool,
-    /// Whether an EXPIRE timer is outstanding. The tick is armed lazily
-    /// when the watch buffer first becomes non-empty and lapses when it
-    /// drains, so idle nodes (most of a large network, most of the
-    /// time) schedule no periodic events at all.
-    expire_armed: bool,
+    /// When the EXPIRE timer fires: only at the ticks of the node's
+    /// `expire_tick` grid where the watch buffer's oldest entry has
+    /// expired (see [`crate::expiry`]). A chain starts when an
+    /// observation makes an idle buffer non-empty and lapses when the
+    /// buffer empties, so idle nodes (most of a large network, most of
+    /// the time) schedule no timer at all, and busy ones one per
+    /// expiring batch rather than one per tick.
+    expiry: ExpiryChain,
     seq: u64,
     /// Every route-request flood seen (own ones included), with the hop
     /// each first arrived from.
     floods: FloodTable,
     routes: BTreeMap<NodeId, RouteEntry>,
     source: Option<Box<SourceState>>,
-    pending_forwards: BTreeMap<u64, (Dest, Packet)>,
-    next_forward_token: u64,
+    pending_forwards: PendingForwards,
     current_dest: Option<NodeId>,
     stats: NodeStats,
 }
@@ -127,22 +131,22 @@ impl ProtocolNode {
     /// `Arc<NodeParams>` share it; a plain `NodeParams` works too.
     pub fn new(me: NodeId, params: impl Into<Arc<NodeParams>>) -> Self {
         let params = params.into();
-        let lw = params
-            .liteworp
-            .as_ref()
-            .map(|cfg: &Config| Liteworp::new(cfg.clone(), KeyStore::new(params.key_seed, me)));
+        // The guard reads its config from the shared parameters.
+        let lw = params.liteworp.is_some().then(|| {
+            let source: Arc<dyn ConfigSource> = Arc::clone(&params) as _;
+            Liteworp::with_source(source, KeyStore::new(params.key_seed, me))
+        });
         ProtocolNode {
             me,
             params,
             lw,
             monitoring: true,
-            expire_armed: false,
+            expiry: ExpiryChain::default(),
             seq: 0,
             floods: FloodTable::new(me),
             routes: BTreeMap::new(),
             source: None,
-            pending_forwards: BTreeMap::new(),
-            next_forward_token: 0,
+            pending_forwards: PendingForwards::default(),
             current_dest: None,
             stats: NodeStats::default(),
         }
@@ -225,9 +229,9 @@ impl ProtocolNode {
             self.emit_discovery(ctx, out);
             ctx.set_timer(collect, timer::encode(timer::ANNOUNCE, 0));
         }
-        // The EXPIRE tick is not armed here: the watch buffer starts
-        // empty, and `monitor_packet` arms the timer the moment the
-        // first entry appears.
+        // The EXPIRE timer is not armed here: the watch buffer starts
+        // empty, and `monitor_packet` starts the expiry chain the moment
+        // the first entry appears.
         if let Some(mean) = self.params.data_interval_mean {
             self.pick_new_destination(ctx);
             let warmup_us = self.params.traffic_warmup.as_micros();
@@ -241,8 +245,10 @@ impl ProtocolNode {
 
     /// Frame reception (addressed or overheard).
     pub fn handle_frame(&mut self, ctx: &mut Context<'_, Packet>, frame: &Frame<Packet>) {
-        // 1. Local monitoring sees *every* overheard control packet.
-        self.monitor_packet(ctx, &frame.payload);
+        // 1. Local monitoring sees *every* overheard control packet, and
+        // answers admission for the packets it judges from the same
+        // lookups.
+        let verdict = self.monitor_packet(ctx, &frame.payload);
 
         // 2. Protocol processing of packets addressed to us.
         match &frame.payload {
@@ -255,7 +261,7 @@ impl ProtocolNode {
                 prev,
                 hops,
             } => {
-                if !self.admitted(*sender, *prev) {
+                if !self.admitted(verdict, *sender, *prev) {
                     return;
                 }
                 self.handle_request(ctx, *sig, *sender, *hops);
@@ -271,7 +277,7 @@ impl ProtocolNode {
                 if *next != self.me {
                     return; // merely overheard
                 }
-                if !self.admitted(*sender, *prev) {
+                if !self.admitted(verdict, *sender, *prev) {
                     return;
                 }
                 self.handle_reply(ctx, *sig, *sender, *hops, relays.clone());
@@ -287,7 +293,7 @@ impl ProtocolNode {
                 if *next != self.me {
                     return;
                 }
-                if !self.admitted(*sender, *prev) {
+                if !self.admitted(verdict, *sender, *prev) {
                     return;
                 }
                 self.handle_data(ctx, *origin, *target, *seq, *sender);
@@ -324,11 +330,18 @@ impl ProtocolNode {
                     return;
                 }
                 let Some(lw) = self.lw.as_mut() else { return };
-                let disposition = lw.handle_alert(*guard, *suspect, *mac, micros(ctx.now()));
+                let now = micros(ctx.now());
+                let disposition = lw.handle_alert(*guard, *suspect, *mac, now);
                 let accepted = matches!(
                     disposition,
                     AlertDisposition::Isolated | AlertDisposition::Counted
                 );
+                // An accepted alert cancels the watch's expectations of
+                // the suspect, which may drain the buffer between ticks.
+                if accepted && self.expiry.armed() && lw.monitor().watch().is_empty() {
+                    self.expiry
+                        .drained(now.0, self.params.expire_tick.as_micros());
+                }
                 ctx.trace(TraceKind::AlertReceived {
                     guard: guard.0,
                     suspect: suspect.0,
@@ -383,6 +396,9 @@ impl ProtocolNode {
                 }
             }
             timer::EXPIRE => {
+                if !self.expiry.is_live(timer::payload(token) as u32) {
+                    return; // a lapsed chain's timer
+                }
                 let now = micros(ctx.now());
                 if self.monitoring {
                     if let Some(lw) = self.lw.as_mut() {
@@ -392,15 +408,19 @@ impl ProtocolNode {
                 }
                 // Re-arm only while entries remain (even with monitoring
                 // paused, so a re-enabled monitor still expires them);
-                // otherwise the tick lapses until the next observation.
-                if self
+                // otherwise the chain lapses until the next observation.
+                let head = self
                     .lw
                     .as_ref()
-                    .is_some_and(|lw| !lw.monitor().watch().is_empty())
+                    .and_then(|lw| lw.monitor().watch().head_deadline());
+                let tick = self.params.expire_tick.as_micros();
+                if let Some(arm) =
+                    self.expiry
+                        .fired(now.0, tick, head.map(|d| d.0), self.monitoring)
                 {
-                    ctx.set_timer(self.params.expire_tick, timer::encode(timer::EXPIRE, 0));
-                } else {
-                    self.expire_armed = false;
+                    // In the tie rank of this tick, as if re-armed at
+                    // every grid tick it skips.
+                    ctx.rearm_timer(SimDuration::from_micros(arm.delay_us), expiry_token(arm));
                 }
             }
             timer::TRAFFIC => {
@@ -416,7 +436,7 @@ impl ProtocolNode {
                 ctx.set_timer(change, timer::encode(timer::DEST_CHANGE, 0));
             }
             timer::FORWARD_REQ => {
-                if let Some((dest, pkt)) = self.pending_forwards.remove(&timer::payload(token)) {
+                if let Some((dest, pkt)) = self.pending_forwards.take(timer::payload(token)) {
                     self.send_control(ctx, dest, pkt);
                 }
             }
@@ -493,11 +513,14 @@ impl ProtocolNode {
     // LITEWORP integration.
     // ------------------------------------------------------------------
 
-    fn monitor_packet(&mut self, ctx: &mut Context<'_, Packet>, pkt: &Packet) {
+    /// Feeds `pkt` to the local monitor; returns the admission verdict
+    /// for its announced sender and previous hop when the monitor judged
+    /// it (`None` when it did not look at the packet).
+    fn monitor_packet(&mut self, ctx: &mut Context<'_, Packet>, pkt: &Packet) -> Option<Admission> {
         if !self.monitoring {
-            return;
+            return None;
         }
-        let Some(lw) = self.lw.as_mut() else { return };
+        let lw = self.lw.as_mut()?;
         let obs = match pkt {
             Packet::Data {
                 origin,
@@ -540,22 +563,24 @@ impl ProtocolNode {
                 sig: *sig,
                 terminal: *next == sig.target,
             },
-            _ => return,
+            _ => return None,
         };
-        let effects = {
+        let now = micros(ctx.now());
+        let (effects, verdict) = {
             let _span = obs::span("watch_buffer");
-            lw.observe_packet(&obs, micros(ctx.now()))
+            lw.observe_and_admit(&obs, now)
         };
         self.apply_effects(ctx, effects);
-        if !self.expire_armed
-            && self
-                .lw
-                .as_ref()
-                .is_some_and(|lw| !lw.monitor().watch().is_empty())
-        {
-            self.expire_armed = true;
-            ctx.set_timer(self.params.expire_tick, timer::encode(timer::EXPIRE, 0));
+        let lw = self.lw.as_ref();
+        let started = self
+            .expiry
+            .after_observe(now.0, self.params.expire_tick.as_micros(), || {
+                lw?.monitor().watch().head_deadline().map(|d| d.0)
+            });
+        if let Some(arm) = started {
+            ctx.set_timer(SimDuration::from_micros(arm.delay_us), expiry_token(arm));
         }
+        Some(verdict)
     }
 
     /// Defers a control send by a uniform random delay in `[0, jitter]`.
@@ -566,9 +591,7 @@ impl ProtocolNode {
         pkt: Packet,
         jitter: SimDuration,
     ) {
-        let token = self.next_forward_token;
-        self.next_forward_token += 1;
-        self.pending_forwards.insert(token, (dest, pkt));
+        let token = self.pending_forwards.push((dest, pkt));
         let delay = SimDuration::from_micros(ctx.rng().gen_range(0..=jitter.as_micros()));
         ctx.set_timer(delay, timer::encode(timer::FORWARD_REQ, token));
     }
@@ -686,16 +709,21 @@ impl ProtocolNode {
         recipient // no relay known; try directly and hope for range
     }
 
-    fn admitted(&mut self, sender: NodeId, prev: Option<NodeId>) -> bool {
-        match &self.lw {
-            None => true,
-            Some(lw) => match lw.admit(sender, prev) {
-                Admission::Accept => true,
-                Admission::Reject(_) => {
-                    self.stats.frames_rejected += 1;
-                    false
-                }
-            },
+    /// Admission of a received packet: `verdict` when the monitor already
+    /// judged it, else the guard's check (everything passes unprotected).
+    fn admitted(
+        &mut self,
+        verdict: Option<Admission>,
+        sender: NodeId,
+        prev: Option<NodeId>,
+    ) -> bool {
+        let Some(lw) = &self.lw else { return true };
+        match verdict.unwrap_or_else(|| lw.admit(sender, prev)) {
+            Admission::Accept => true,
+            Admission::Reject(_) => {
+                self.stats.frames_rejected += 1;
+                false
+            }
         }
     }
 
@@ -1042,6 +1070,45 @@ impl ProtocolNode {
     }
 }
 
+/// The `EXPIRE` token of the expiry chain's timer `arm`.
+fn expiry_token(arm: crate::expiry::Arm) -> u64 {
+    timer::encode(timer::EXPIRE, u64::from(arm.gen))
+}
+
+/// Jittered control sends waiting for their `FORWARD_REQ` timer. Tokens
+/// are handed out in order, so they index a ring: slot `k` holds token
+/// `first + k`. Timers fire out of order (the jitter is random), so a
+/// taken slot stays empty until every older one is taken too. The ring
+/// gives its buffer back whenever it drains, so a node that forwarded
+/// once keeps nothing.
+#[derive(Debug, Default)]
+struct PendingForwards {
+    first: u64,
+    slots: VecDeque<Option<(Dest, Packet)>>,
+}
+
+impl PendingForwards {
+    /// Holds `send`; returns its token.
+    fn push(&mut self, send: (Dest, Packet)) -> u64 {
+        self.slots.push_back(Some(send));
+        self.first + self.slots.len() as u64 - 1
+    }
+
+    /// Takes the send held under `token`, if any.
+    fn take(&mut self, token: u64) -> Option<(Dest, Packet)> {
+        let k = usize::try_from(token.checked_sub(self.first)?).ok()?;
+        let send = self.slots.get_mut(k)?.take();
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.first += 1;
+        }
+        if self.slots.is_empty() {
+            self.slots = VecDeque::new();
+        }
+        send
+    }
+}
+
 /// Samples an exponential delay with the given mean, clamped to ≥ 1 µs.
 fn exp_sample(ctx: &mut Context<'_, Packet>, mean: SimDuration) -> SimDuration {
     let u: f64 = ctx.rng().gen_range(f64::EPSILON..1.0);
@@ -1112,8 +1179,13 @@ mod tests {
         let params = Arc::new(NodeParams::default());
         let a = ProtocolNode::new(NodeId(0), Arc::clone(&params));
         let b = ProtocolNode::new(NodeId(1), Arc::clone(&params));
-        assert_eq!(Arc::strong_count(&params), 3);
+        // Each node holds the parameters once for itself and once for its
+        // guard, which reads its LITEWORP config from them.
+        assert_eq!(Arc::strong_count(&params), 5);
         assert!(std::ptr::eq(a.params(), b.params()));
+        let config = |n: &ProtocolNode| n.liteworp().map(|lw| lw.config() as *const _);
+        assert_eq!(config(&a), config(&b));
+        assert_eq!(config(&a), params.liteworp.as_ref().map(|c| c as *const _));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Protocol-node parameters (the knobs of Table 2).
 
-use liteworp::config::Config;
+use liteworp::config::{Config, ConfigSource};
 use liteworp::types::NodeId;
 use liteworp_netsim::time::SimDuration;
 use std::fmt;
+use std::sync::LazyLock;
 
 /// How a node selects among multiple route replies for the same discovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,6 +128,21 @@ impl fmt::Debug for NodeParams {
             .field("dest_pool", &self.dest_pool)
             .field("traffic_warmup", &self.traffic_warmup)
             .finish()
+    }
+}
+
+/// A protected node's guard reads its LITEWORP parameters from the
+/// node's shared `NodeParams`, so nodes built from one `Arc<NodeParams>`
+/// keep one copy of them.
+impl ConfigSource for NodeParams {
+    fn config(&self) -> &Config {
+        // A node builds its guard only when `liteworp` is set, and shared
+        // parameters never change, so the fallback is never read.
+        static UNSET: LazyLock<Config> = LazyLock::new(Config::default);
+        match &self.liteworp {
+            Some(config) => config,
+            None => &UNSET,
+        }
     }
 }
 

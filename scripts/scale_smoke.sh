@@ -32,7 +32,7 @@ cd "$(dirname "$0")/.."
 
 BUDGET="${SCALE_SMOKE_BUDGET_SECS:-30}"
 PINNED_DIGEST="31bb22e637c95e38"
-PINNED_VMHWM_KB="35224"
+PINNED_VMHWM_KB="26824"
 
 cargo build --release --offline -q -p liteworp-bench --bin scale_sweep
 
