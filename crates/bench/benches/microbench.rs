@@ -7,10 +7,11 @@
 use liteworp::config::Config;
 use liteworp::keys::KeyStore;
 use liteworp::malc::MalcTable;
-use liteworp::monitor::{LocalMonitor, PacketObs};
+use liteworp::monitor::PacketObs;
 use liteworp::neighbor::NeighborTable;
 use liteworp::types::{Micros, NodeId, PacketKind, PacketSig};
 use liteworp::watch::WatchBuffer;
+use liteworp::Liteworp;
 use liteworp_analysis::special::{binomial_tail, regularized_incomplete_beta};
 use liteworp_bench::timing::{bench, bench_pair, black_box};
 use liteworp_netsim::events::EventQueue;
@@ -59,7 +60,7 @@ fn bench_watch_buffer() {
         bench(&format!("watch_buffer/insert_confirm/{fill}"), || {
             let mut buf = WatchBuffer::new(512);
             for i in 0..fill {
-                buf.note_transmission(NodeId(1), sig(i), Some(NodeId(2)), Micros(1000));
+                buf.note_transmission(NodeId(1), sig(i), Some(NodeId(2)), Micros(1000), Micros(0));
             }
             for i in 0..fill {
                 black_box(buf.confirm_forward(NodeId(1), &sig(i), NodeId(2)));
@@ -68,7 +69,7 @@ fn bench_watch_buffer() {
         bench(&format!("watch_buffer/expire/{fill}"), || {
             let mut buf = WatchBuffer::new(512);
             for i in 0..fill {
-                buf.note_transmission(NodeId(1), sig(i), Some(NodeId(2)), Micros(1000));
+                buf.note_transmission(NodeId(1), sig(i), Some(NodeId(2)), Micros(1000), Micros(0));
             }
             black_box(buf.expire(Micros(2000)))
         });
@@ -89,9 +90,9 @@ fn bench_keys() {
 }
 
 /// One overheard hop of packet `seq` at `now`: the transmission by 1,
-/// then the forward by 2 claiming prev = 1 — fabrication check plus watch
-/// arming, twice.
-fn observe_hop(mon: &mut LocalMonitor, table: &mut NeighborTable, seq: u64, now: Micros) {
+/// then the forward by 2 claiming prev = 1 — fabrication check, watch
+/// arming and admission, twice.
+fn observe_hop(lw: &mut Liteworp, seq: u64, now: Micros) {
     let tx = PacketObs {
         sender: NodeId(1),
         claimed_prev: None,
@@ -99,7 +100,7 @@ fn observe_hop(mon: &mut LocalMonitor, table: &mut NeighborTable, seq: u64, now:
         sig: sig(seq),
         terminal: false,
     };
-    mon.observe(table, &tx, now);
+    black_box(lw.observe_packet(&tx, now));
     let fwd = PacketObs {
         sender: NodeId(2),
         claimed_prev: Some(NodeId(1)),
@@ -107,36 +108,26 @@ fn observe_hop(mon: &mut LocalMonitor, table: &mut NeighborTable, seq: u64, now:
         sig: sig(seq),
         terminal: false,
     };
-    black_box(mon.observe(table, &fwd, now));
+    black_box(lw.observe_packet(&fwd, now));
 }
 
 fn bench_monitor_pipeline() {
-    // The full guard-side path for one overheard forwarded packet. Time
-    // advances 1 us per hop and nothing expires, so this scans a buffer
-    // saturated at its 512-entry capacity.
-    let mut table = table_with_degree(8);
-    let mut mon = LocalMonitor::new(Config::default());
-    let mut seq = 0u64;
-    bench("monitor/observe_forward", || {
-        seq += 1;
-        observe_hop(&mut mon, &mut table, seq, Micros(seq));
-    });
-
-    // The same hop at the standing fill a simulated guard carries: time
-    // advances δ/14 per hop and the buffer is expired every δ, so it holds
-    // 28–56 entries (mean ~42; results/cost_table.txt measures 41.4).
-    let mut table = table_with_degree(8);
-    let mut mon = LocalMonitor::new(Config::default());
-    let delta = mon.config().watch_timeout_us;
-    let step = delta / 14;
+    // The full guard-side path for one overheard forwarded packet, through
+    // the call a host makes per frame, at the standing fill a simulated
+    // guard carries: time advances δ/14 per hop and the buffer is expired
+    // every δ, so it holds 28–56 entries (mean ~42;
+    // results/cost_table.txt measures 41.4).
+    let mut lw = Liteworp::new(Config::default(), KeyStore::new(7, NodeId(0)));
+    *lw.table_mut() = table_with_degree(8);
+    let step = lw.config().watch_timeout_us / 14;
     let mut seq = 0u64;
     bench("monitor/observe_forward_steady", || {
         seq += 1;
         let now = Micros(seq * step);
         if seq.is_multiple_of(14) {
-            black_box(mon.expire(&mut table, now));
+            black_box(lw.expire(now));
         }
-        observe_hop(&mut mon, &mut table, seq, now);
+        observe_hop(&mut lw, seq, now);
     });
 }
 

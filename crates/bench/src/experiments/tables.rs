@@ -4,7 +4,7 @@
 use crate::scenario::{Scenario, ScenarioAttack};
 use liteworp::config::Config;
 use liteworp_attacks::mode::AttackMode;
-use liteworp_routing::params::NodeParams;
+use liteworp_routing::params::REQ_FORWARD_JITTER;
 
 /// One verified row of Table 1.
 #[derive(Debug, Clone)]
@@ -142,7 +142,6 @@ pub struct Table2Row {
 /// Builds Table 2 from the live defaults.
 pub fn table2() -> Vec<Table2Row> {
     let s = Scenario::default();
-    let p = NodeParams::default();
     let c = Config::default();
     let row = |parameter: &str, paper: &str, ours: String| Table2Row {
         parameter: parameter.to_string(),
@@ -205,7 +204,7 @@ pub fn table2() -> Vec<Table2Row> {
         row(
             "Request fwd jitter",
             "random backoff (§3.5)",
-            format!("U[0, {:.0} ms]", p.req_forward_jitter.as_secs_f64() * 1e3),
+            format!("U[0, {:.0} ms]", REQ_FORWARD_JITTER.as_secs_f64() * 1e3),
         ),
     ]
 }

@@ -20,7 +20,7 @@
 //!   supervisor's retry, quarantine, and journal paths are exercised
 //!   deterministically.
 //! * [`process_faults::ProcessFaultPlan`] — chaos for the *service
-//!   fabric*: kill -9 a shard worker mid-drain, stall its accept loop,
+//!   fabric*: kill -9 a shard worker mid-drain, stop it with SIGSTOP,
 //!   or tear its request-WAL tail, sampled from a seed and validated.
 //!   The shard front (`liteworp-served --front`) must drain to
 //!   byte-identical digests under any sampled plan.

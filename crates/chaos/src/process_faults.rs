@@ -2,20 +2,20 @@
 //!
 //! [`FaultPlan`](crate::plan::FaultPlan) breaks *frames inside a
 //! simulation*; [`ProcessFaultPlan`] breaks the *service processes that
-//! run simulations*: kill -9 a worker daemon mid-drain, stall a worker's
-//! accept loop (alive process, dead socket — exactly what a protocol
-//! ping catches and an exit-status check misses), or corrupt the tail
-//! of a worker's request WAL before it resumes. The shard front must
+//! run simulations*: kill -9 a worker daemon mid-drain, stop one with
+//! SIGSTOP (alive process, silent socket — exactly what a protocol ping
+//! catches and an exit-status check misses), or corrupt the tail of a
+//! worker's request WAL before it resumes. The shard front must
 //! survive every sampled plan with a byte-identical sorted digest set —
 //! the `shard` integration tests and `scripts/shard_smoke.sh` assert
 //! exactly that.
 //!
 //! A [`ProcessFaultPlan`] is pure data: sampled deterministically from a
 //! seed and validated, and its `Debug` form is the reproducer a failing
-//! test prints. The *mechanics* live next to the victims —
-//! `--stall-accept-secs` on the daemon binary, `kill -9` by pid from the
-//! front's `shards.json` manifest, a file truncation/garbage append for
-//! WAL corruption — so this module stays dependency-free data.
+//! test prints. The *mechanics* live next to the victims — `kill -9`
+//! and `kill -STOP` by the pid the front's `shards` op reports, a file
+//! truncation/garbage append for WAL corruption — so this module stays
+//! dependency-free data.
 
 use liteworp_runner::rng::{Pcg32, Rng};
 
@@ -32,15 +32,15 @@ pub enum ProcessFault {
         /// (0 = kill as soon as the worker is up).
         after_done: u64,
     },
-    /// Start the worker with its accept loop stalling this many
-    /// milliseconds after each accepted connection: the process stays
-    /// alive while new connections starve, so only the protocol ping
-    /// can catch it.
-    StallAccept {
+    /// SIGSTOP the worker once it has drained `after_done` requests:
+    /// the process stays alive and its socket keeps accepting, but
+    /// nothing answers, so only the protocol ping can catch it.
+    Stop {
         /// The victim shard's ring index.
         shard: usize,
-        /// Stall duration per accepted connection, milliseconds.
-        millis: u64,
+        /// How many completed requests to wait for before the stop
+        /// (0 = stop as soon as the worker is up).
+        after_done: u64,
     },
     /// Append a torn, garbage tail to the worker's `requests.jsonl`
     /// after killing it, before the supervisor restarts it with
@@ -59,7 +59,7 @@ impl ProcessFault {
     pub fn shard(&self) -> usize {
         match self {
             ProcessFault::Kill { shard, .. }
-            | ProcessFault::StallAccept { shard, .. }
+            | ProcessFault::Stop { shard, .. }
             | ProcessFault::CorruptWalTail { shard, .. } => *shard,
         }
     }
@@ -81,7 +81,7 @@ impl ProcessFaultPlan {
     /// Draws a plan with up to `max_faults` faults against a ring of
     /// `shards` workers. Deterministic per `(seed, shards, max_faults)`.
     /// At most one fault per shard, so a plan never asks for the same
-    /// victim twice (a killed worker cannot also stall).
+    /// victim twice (a killed worker cannot also be stopped).
     pub fn sample(seed: u64, shards: usize, max_faults: usize) -> ProcessFaultPlan {
         let mut rng = Pcg32::seed_from_u64(seed);
         let mut faults = Vec::new();
@@ -100,9 +100,9 @@ impl ProcessFaultPlan {
                     shard,
                     after_done: rng.gen_range(0..=4u64),
                 },
-                1 => ProcessFault::StallAccept {
+                1 => ProcessFault::Stop {
                     shard,
-                    millis: rng.gen_range(100..=2_000u64),
+                    after_done: rng.gen_range(0..=4u64),
                 },
                 _ => ProcessFault::CorruptWalTail {
                     shard,
@@ -131,14 +131,8 @@ impl ProcessFaultPlan {
             if std::mem::replace(&mut seen[shard], true) {
                 return Err(format!("shard {shard} targeted twice"));
             }
-            match fault {
-                ProcessFault::StallAccept { millis: 0, .. } => {
-                    return Err("zero-length accept stall injects nothing".into());
-                }
-                ProcessFault::CorruptWalTail { bytes: 0, .. } => {
-                    return Err("zero-byte WAL corruption injects nothing".into());
-                }
-                _ => {}
+            if let ProcessFault::CorruptWalTail { bytes: 0, .. } = fault {
+                return Err("zero-byte WAL corruption injects nothing".into());
             }
         }
         Ok(())
@@ -197,9 +191,9 @@ mod tests {
                     shard: 0,
                     after_done: 0,
                 },
-                ProcessFault::StallAccept {
+                ProcessFault::Stop {
                     shard: 0,
-                    millis: 100,
+                    after_done: 0,
                 },
             ],
         };
@@ -207,11 +201,8 @@ mod tests {
         let plan = ProcessFaultPlan {
             seed: 0,
             shards: 2,
-            faults: vec![ProcessFault::StallAccept {
-                shard: 0,
-                millis: 0,
-            }],
+            faults: vec![ProcessFault::CorruptWalTail { shard: 0, bytes: 0 }],
         };
-        assert!(plan.validate().is_err(), "null stall");
+        assert!(plan.validate().is_err(), "null corruption");
     }
 }

@@ -1,5 +1,7 @@
 //! LITEWORP protocol parameters.
 
+use std::sync::Arc;
+
 /// Tunable parameters of the LITEWORP protocol (Section 4, Table 2).
 ///
 /// Notation from the paper:
@@ -161,6 +163,15 @@ pub trait ConfigSource: core::fmt::Debug + Send + Sync {
 impl ConfigSource for Config {
     fn config(&self) -> &Config {
         self
+    }
+}
+
+/// A guard built from a plain [`Config`] keeps it behind its own `Arc`,
+/// so [`crate::Liteworp::new`] takes either a `Config` or a shared
+/// source.
+impl From<Config> for Arc<dyn ConfigSource> {
+    fn from(config: Config) -> Self {
+        Arc::new(config)
     }
 }
 

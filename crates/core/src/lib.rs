@@ -52,9 +52,10 @@
 //! for seq in 1..3 {
 //!     lw.observe_packet(&fabricated(seq), Micros(seq));
 //! }
-//! let effects = lw.observe_packet(&fabricated(3), Micros(1_000));
+//! let (effects, admission) = lw.observe_packet(&fabricated(3), Micros(1_000));
 //! assert!(effects.iter().any(|e| matches!(e, Effect::Isolated { suspect: NodeId(2) })));
 //! assert!(lw.is_isolated(NodeId(2)));
+//! assert!(!admission.is_accept(), "the accused sender's frame is refused");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -10,16 +10,17 @@
 //! 2. **Arms the watch** for the packet just transmitted — unicasts to a
 //!    guarded receiver get a forwarding deadline δ (drop detection),
 //!    broadcasts are recorded for future fabrication checks.
-//! 3. **Accuses** — when a neighbor's `MalC` crosses `C_t`, emits a single
-//!    [`MonitorEvent::Accuse`] naming the suspect and revoking it locally.
+//! 3. **Accuses** — when a neighbor's `MalC` crosses `C_t`, revokes the
+//!    suspect locally and starts one alert round about it.
 //!
-//! The monitor is sans-IO: the host forwards `Accuse` events as
-//! authenticated alert messages and calls [`LocalMonitor::expire`] on a
-//! timer to run drop detection.
+//! The monitor is sans-IO and crate-private to drive: [`crate::Liteworp`]
+//! feeds it every observation and expiry sweep and turns what it finds
+//! into [`crate::protocol::Effect`]s as it finds them.
 
 use crate::config::{Config, ConfigSource, InvalidConfig};
 use crate::malc::MalcTable;
 use crate::neighbor::{NeighborTable, ACCUSED, REVOKED, SUSPECTED};
+use crate::protocol::Lowering;
 use crate::types::{Micros, Misbehavior, NodeId, PacketKind, PacketSig};
 use crate::watch::WatchBuffer;
 use std::fmt;
@@ -40,58 +41,6 @@ pub struct PacketObs {
     /// `true` when `link_dst` is the packet's final destination, so no
     /// further forwarding is expected.
     pub terminal: bool,
-}
-
-/// Events produced by the monitor for the host to act on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MonitorEvent {
-    /// Misbehavior detected and counted; informational.
-    Suspected {
-        /// The misbehaving node.
-        suspect: NodeId,
-        /// What it did.
-        kind: Misbehavior,
-        /// Its `MalC` after the increment.
-        malc: u32,
-    },
-    /// `MalC` crossed `C_t`: the suspect has been revoked locally and the
-    /// host must send authenticated alerts to the suspect's neighbors.
-    Accuse {
-        /// The node to accuse.
-        suspect: NodeId,
-        /// Neighbors of the suspect (from stored second-hop knowledge)
-        /// that should receive the alert, excluding this node.
-        recipients: Vec<NodeId>,
-    },
-}
-
-/// Where the monitor reports what it finds, in the order it finds it.
-/// [`LocalMonitor::observe`] collects [`MonitorEvent`]s;
-/// [`crate::Liteworp`] turns each finding into its effects on the spot,
-/// so a frame's findings live in one buffer.
-pub(crate) trait Findings {
-    /// `suspect` misbehaved (`kind`); its `MalC` is now `malc`.
-    fn suspected(&mut self, suspect: NodeId, kind: Misbehavior, malc: u32);
-    /// An alert round about `suspect` is due; its recipients are
-    /// [`alert_recipients`] over `table`.
-    fn accuse(&mut self, table: &NeighborTable, suspect: NodeId);
-}
-
-impl Findings for Vec<MonitorEvent> {
-    fn suspected(&mut self, suspect: NodeId, kind: Misbehavior, malc: u32) {
-        self.push(MonitorEvent::Suspected {
-            suspect,
-            kind,
-            malc,
-        });
-    }
-
-    fn accuse(&mut self, table: &NeighborTable, suspect: NodeId) {
-        self.push(MonitorEvent::Accuse {
-            suspect,
-            recipients: alert_recipients(table, suspect).collect(),
-        });
-    }
 }
 
 /// The suspect's neighbors per stored second-hop knowledge — the
@@ -137,46 +86,13 @@ impl fmt::Debug for SharedConfig {
     }
 }
 
-/// The guard-side monitoring engine of one node.
+/// The guard-side monitoring engine of one node, built and driven by
+/// [`crate::Liteworp`] (read it through [`crate::Liteworp::monitor`]).
 ///
 /// The monitor's standing judgment of each neighbor (accused, suspected
 /// by another guard, last alert round) lives in that neighbor's slot of
 /// the [`NeighborTable`] it is handed, so one lookup per id serves every
 /// per-frame check.
-///
-/// # Example
-///
-/// A guard that neighbors `X(=1)` and `A(=2)` catches `A` fabricating:
-///
-/// ```
-/// use liteworp::config::Config;
-/// use liteworp::monitor::{LocalMonitor, MonitorEvent, PacketObs};
-/// use liteworp::neighbor::NeighborTable;
-/// use liteworp::types::{Micros, NodeId, PacketKind, PacketSig};
-///
-/// let mut table = NeighborTable::new(NodeId(0));
-/// table.add_neighbor(NodeId(1));
-/// table.add_neighbor(NodeId(2));
-/// table.set_neighbor_list(NodeId(2), [NodeId(0), NodeId(1)]);
-///
-/// let mut mon = LocalMonitor::new(Config::default());
-/// let sig = PacketSig {
-///     kind: PacketKind::RouteRequest,
-///     origin: NodeId(5),
-///     target: NodeId(6),
-///     seq: 1,
-/// };
-/// // A(=2) forwards claiming prev = X(=1), but X never transmitted it.
-/// let obs = PacketObs {
-///     sender: NodeId(2),
-///     claimed_prev: Some(NodeId(1)),
-///     link_dst: None,
-///     sig,
-///     terminal: false,
-/// };
-/// let events = mon.observe(&mut table, &obs, Micros(0));
-/// assert!(matches!(events[0], MonitorEvent::Suspected { suspect: NodeId(2), .. }));
-/// ```
 #[derive(Debug, Clone)]
 pub struct LocalMonitor {
     config: SharedConfig,
@@ -187,31 +103,9 @@ pub struct LocalMonitor {
 }
 
 impl LocalMonitor {
-    /// Creates a monitor with the given parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid; use
-    /// [`LocalMonitor::try_new`] to handle the error instead.
-    pub fn new(config: Config) -> Self {
-        // lint: allow(P002) documented panic; Self::try_new is the
-        // fallible variant for callers with untrusted configs
-        Self::try_new(config).expect("invalid LITEWORP config")
-    }
-
-    /// Creates a monitor, returning [`InvalidConfig`] instead of
-    /// panicking when the parameters are inconsistent.
-    pub fn try_new(config: Config) -> Result<Self, InvalidConfig> {
-        Self::try_with_source(Arc::new(config))
-    }
-
-    /// Creates a monitor reading its parameters from `source`, which
-    /// other monitors may share.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidConfig`] when the parameters are inconsistent.
-    pub fn try_with_source(source: Arc<dyn ConfigSource>) -> Result<Self, InvalidConfig> {
+    /// Creates a monitor reading its parameters from `source`, or
+    /// [`InvalidConfig`] when they are inconsistent.
+    pub(crate) fn new(source: Arc<dyn ConfigSource>) -> Result<Self, InvalidConfig> {
         let config = source.config();
         config.validate()?;
         let watch = WatchBuffer::new(config.watch_capacity);
@@ -233,7 +127,7 @@ impl LocalMonitor {
     /// (neighbors that already isolated `node` legitimately refuse its
     /// packets, which would otherwise look like drops here). The mark is
     /// kept in `node`'s slot of `table`, so only known neighbors carry it.
-    pub fn note_external_suspicion(&mut self, table: &mut NeighborTable, node: NodeId) {
+    pub(crate) fn note_external_suspicion(&mut self, table: &mut NeighborTable, node: NodeId) {
         table.mark_suspected(node);
         self.watch.cancel_expectations_from(node);
     }
@@ -243,7 +137,7 @@ impl LocalMonitor {
     /// fabrication judgments, and drop accusations whose watch entry
     /// overlaps a collision are suppressed — the lost frame may have been
     /// the very transmission whose absence would be punished.
-    pub fn note_collision(&mut self, now: Micros) {
+    pub(crate) fn note_collision(&mut self, now: Micros) {
         self.last_collision = Some(now);
     }
 
@@ -273,27 +167,15 @@ impl LocalMonitor {
         self.malc.value(node, now)
     }
 
-    /// Processes one overheard transmission. Mutates `table` only to
-    /// revoke a freshly accused suspect.
-    pub fn observe(
-        &mut self,
-        table: &mut NeighborTable,
-        obs: &PacketObs,
-        now: Micros,
-    ) -> Vec<MonitorEvent> {
-        let mut events = Vec::new();
-        self.observe_into(table, obs, now, &mut events);
-        events
-    }
-
-    /// [`LocalMonitor::observe`], reporting to `out` and returning what
-    /// it looked up.
+    /// Processes one overheard transmission, reporting to `out` and
+    /// returning what it looked up. Mutates `table` only to revoke a
+    /// freshly accused suspect.
     pub(crate) fn observe_into(
         &mut self,
         table: &mut NeighborTable,
         obs: &PacketObs,
         now: Micros,
-        out: &mut impl Findings,
+        out: &mut Lowering<'_>,
     ) -> Lookup {
         let config = self.config.0.config();
         // The sender as a link end (`None`: a stranger), looked up once
@@ -358,7 +240,7 @@ impl LocalMonitor {
                     .is_some_and(|(sender_f, _)| sender_f & (REVOKED | ACCUSED | SUSPECTED) == 0)
                 {
                     self.watch
-                        .note_transmission_at(obs.sender, obs.sig, Some(dst), deadline, now);
+                        .note_transmission(obs.sender, obs.sig, Some(dst), deadline, now);
                 }
             }
             Some(_) => {
@@ -369,7 +251,7 @@ impl LocalMonitor {
                 // the sender is someone we can monitor.
                 if obs.sig.kind == PacketKind::RouteRequest && sender.is_some() {
                     self.watch
-                        .note_transmission_at(obs.sender, obs.sig, None, deadline, now);
+                        .note_transmission(obs.sender, obs.sig, None, deadline, now);
                 }
             }
         }
@@ -377,20 +259,13 @@ impl LocalMonitor {
     }
 
     /// Runs drop detection: expires watch entries whose deadline passed
-    /// and charges the receivers that failed to forward.
-    pub fn expire(&mut self, table: &mut NeighborTable, now: Micros) -> Vec<MonitorEvent> {
-        let mut events = Vec::new();
-        self.expire_into(table, now, &mut events);
-        events
-    }
-
-    /// [`LocalMonitor::expire`], reporting to `out`; returns how many
-    /// entries expired.
+    /// and charges the receivers that failed to forward, reporting to
+    /// `out`; returns how many entries expired.
     pub(crate) fn expire_into(
         &mut self,
         table: &mut NeighborTable,
         now: Micros,
-        out: &mut impl Findings,
+        out: &mut Lowering<'_>,
     ) -> u64 {
         let mut expired = 0;
         for (dropper, _, armed_at) in self.watch.expire(now) {
@@ -421,7 +296,7 @@ impl LocalMonitor {
 
     /// Records that `forwarder` announced (via a route error) that it
     /// cannot forward `sig`: its pending forward obligation is waived.
-    pub fn absolve(&mut self, forwarder: NodeId, sig: &PacketSig) {
+    pub(crate) fn absolve(&mut self, forwarder: NodeId, sig: &PacketSig) {
         self.watch.absolve(forwarder, sig);
     }
 
@@ -438,7 +313,7 @@ impl LocalMonitor {
         suspect: NodeId,
         kind: Misbehavior,
         now: Micros,
-        out: &mut impl Findings,
+        out: &mut Lowering<'_>,
     ) {
         let weight = match kind {
             Misbehavior::Fabrication => config.fabrication_weight,
@@ -458,6 +333,9 @@ impl LocalMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alert::AlertBuffer;
+    use crate::keys::KeyStore;
+    use crate::protocol::Effect;
 
     fn sig(kind: PacketKind, seq: u64) -> PacketSig {
         PacketSig {
@@ -468,14 +346,43 @@ mod tests {
         }
     }
 
+    /// A monitor with its table, reporting through the facade's
+    /// lowering, so findings read as the host's effects.
+    struct Guard {
+        table: NeighborTable,
+        mon: LocalMonitor,
+        keys: KeyStore,
+        alerts: AlertBuffer,
+    }
+
+    impl Guard {
+        fn observe(&mut self, obs: &PacketObs, now: Micros) -> Vec<Effect> {
+            let mut out = Lowering::new(&self.keys, &mut self.alerts);
+            self.mon.observe_into(&mut self.table, obs, now, &mut out);
+            out.effects
+        }
+
+        fn expire(&mut self, now: Micros) -> Vec<Effect> {
+            let mut out = Lowering::new(&self.keys, &mut self.alerts);
+            self.mon.expire_into(&mut self.table, now, &mut out);
+            out.effects
+        }
+    }
+
     /// Guard 0 neighbors X=1 and A=2; R_2 = {0, 1, 3, 4}.
-    fn setup() -> (NeighborTable, LocalMonitor) {
+    fn setup() -> Guard {
         let mut table = NeighborTable::new(NodeId(0));
         table.add_neighbor(NodeId(1));
         table.add_neighbor(NodeId(2));
         table.set_neighbor_list(NodeId(1), [NodeId(0), NodeId(2)]);
         table.set_neighbor_list(NodeId(2), [NodeId(0), NodeId(1), NodeId(3), NodeId(4)]);
-        (table, LocalMonitor::new(Config::default()))
+        let config = Config::default();
+        Guard {
+            alerts: AlertBuffer::new(config.confidence_index),
+            mon: LocalMonitor::new(Arc::new(config)).unwrap(),
+            keys: KeyStore::new(7, NodeId(0)),
+            table,
+        }
     }
 
     fn forward_obs(seq: u64) -> PacketObs {
@@ -490,7 +397,7 @@ mod tests {
 
     #[test]
     fn legitimate_forward_is_clean() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         // X=1 broadcasts the request...
         let x_tx = PacketObs {
             sender: NodeId(1),
@@ -499,69 +406,72 @@ mod tests {
             sig: sig(PacketKind::RouteRequest, 1),
             terminal: false,
         };
-        assert!(mon.observe(&mut table, &x_tx, Micros(0)).is_empty());
+        assert!(g.observe(&x_tx, Micros(0)).is_empty());
         // ...then A=2 forwards claiming prev = 1: matches the watch buffer.
-        let events = mon.observe(&mut table, &forward_obs(1), Micros(10));
+        let events = g.observe(&forward_obs(1), Micros(10));
         assert!(events.is_empty(), "no misbehavior: {events:?}");
     }
 
     #[test]
     fn fabricated_forward_raises_malc_and_eventually_accuses() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         // Defaults: V_f = 2, C_t = 6 -> three fabrications to accuse.
-        let e1 = mon.observe(&mut table, &forward_obs(1), Micros(0));
+        let e1 = g.observe(&forward_obs(1), Micros(0));
         assert_eq!(
             e1,
-            vec![MonitorEvent::Suspected {
+            vec![Effect::Suspected {
                 suspect: NodeId(2),
                 kind: Misbehavior::Fabrication,
                 malc: 2
             }]
         );
-        let e = mon.observe(&mut table, &forward_obs(2), Micros(2));
+        let e = g.observe(&forward_obs(2), Micros(2));
         assert_eq!(e.len(), 1, "not yet accused after two fabrications");
-        let e2 = mon.observe(&mut table, &forward_obs(3), Micros(10));
-        assert_eq!(e2.len(), 2);
-        match &e2[1] {
-            MonitorEvent::Accuse {
-                suspect,
-                recipients,
-            } => {
-                assert_eq!(*suspect, NodeId(2));
-                // Neighbors of 2 per R_2, minus self and suspect.
-                assert_eq!(recipients, &vec![NodeId(1), NodeId(3), NodeId(4)]);
-            }
-            other => panic!("expected accusation, got {other:?}"),
-        }
-        assert!(table.is_revoked(NodeId(2)), "guard revokes immediately");
-        assert!(table.is_accused(NodeId(2)));
+        let e2 = g.observe(&forward_obs(3), Micros(10));
+        assert_eq!(e2.len(), 5, "suspected, three alerts, isolated: {e2:?}");
+        let recipients: Vec<NodeId> = e2
+            .iter()
+            .filter_map(|e| match e {
+                Effect::SendAlert {
+                    suspect: NodeId(2),
+                    recipient,
+                    ..
+                } => Some(*recipient),
+                _ => None,
+            })
+            .collect();
+        // Neighbors of 2 per R_2, minus self and suspect.
+        assert_eq!(recipients, vec![NodeId(1), NodeId(3), NodeId(4)]);
+        assert_eq!(e2[4], Effect::Isolated { suspect: NodeId(2) });
+        assert!(g.table.is_revoked(NodeId(2)), "guard revokes immediately");
+        assert!(g.table.is_accused(NodeId(2)));
     }
 
     #[test]
     fn accused_node_is_not_accused_twice() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         for seq in 1..=3u64 {
-            mon.observe(&mut table, &forward_obs(seq), Micros(seq));
+            g.observe(&forward_obs(seq), Micros(seq));
         }
-        assert!(table.is_accused(NodeId(2)));
-        let e = mon.observe(&mut table, &forward_obs(4), Micros(6));
+        assert!(g.table.is_accused(NodeId(2)));
+        let e = g.observe(&forward_obs(4), Micros(6));
         assert!(e.is_empty(), "no further events after accusation: {e:?}");
     }
 
     #[test]
     fn non_guard_does_not_judge() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         // Forward claims prev = 7, whom we do not neighbor: not our link.
         let obs = PacketObs {
             claimed_prev: Some(NodeId(7)),
             ..forward_obs(1)
         };
-        assert!(mon.observe(&mut table, &obs, Micros(0)).is_empty());
+        assert!(g.observe(&obs, Micros(0)).is_empty());
     }
 
     #[test]
     fn unicast_drop_detection_accuses_receiver() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         // X=1 unicasts a reply to A=2 (we guard 1 -> 2). A never forwards.
         let tx = PacketObs {
             sender: NodeId(1),
@@ -570,14 +480,14 @@ mod tests {
             sig: sig(PacketKind::RouteReply, 5),
             terminal: false,
         };
-        assert!(mon.observe(&mut table, &tx, Micros(0)).is_empty());
+        assert!(g.observe(&tx, Micros(0)).is_empty());
         // Before the deadline: nothing.
-        assert!(mon.expire(&mut table, Micros(100)).is_empty());
+        assert!(g.expire(Micros(100)).is_empty());
         // After delta (2 s default): a drop is charged (V_d = 1).
-        let events = mon.expire(&mut table, Micros(2_000_000));
+        let events = g.expire(Micros(2_000_000));
         assert_eq!(
             events,
-            vec![MonitorEvent::Suspected {
+            vec![Effect::Suspected {
                 suspect: NodeId(2),
                 kind: Misbehavior::Drop,
                 malc: 1
@@ -587,7 +497,7 @@ mod tests {
 
     #[test]
     fn forwarded_unicast_is_not_a_drop() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         let tx = PacketObs {
             sender: NodeId(1),
             claimed_prev: None,
@@ -595,7 +505,7 @@ mod tests {
             sig: sig(PacketKind::RouteReply, 5),
             terminal: false,
         };
-        mon.observe(&mut table, &tx, Micros(0));
+        g.observe(&tx, Micros(0));
         // A=2 forwards to 3 in time.
         let fwd = PacketObs {
             sender: NodeId(2),
@@ -604,13 +514,13 @@ mod tests {
             sig: sig(PacketKind::RouteReply, 5),
             terminal: false,
         };
-        assert!(mon.observe(&mut table, &fwd, Micros(1000)).is_empty());
-        assert!(mon.expire(&mut table, Micros(600_000)).is_empty());
+        assert!(g.observe(&fwd, Micros(1000)).is_empty());
+        assert!(g.expire(Micros(600_000)).is_empty());
     }
 
     #[test]
     fn terminal_delivery_expects_no_forward() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         let tx = PacketObs {
             sender: NodeId(1),
             claimed_prev: None,
@@ -618,13 +528,13 @@ mod tests {
             sig: sig(PacketKind::RouteReply, 5),
             terminal: true,
         };
-        mon.observe(&mut table, &tx, Micros(0));
-        assert!(mon.expire(&mut table, Micros(600_000)).is_empty());
+        g.observe(&tx, Micros(0));
+        assert!(g.expire(Micros(600_000)).is_empty());
     }
 
     #[test]
     fn repeated_drops_accumulate_to_accusation() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         // V_d = 1, C_t = 6: six dropped replies.
         for seq in 0..6u64 {
             let tx = PacketObs {
@@ -634,31 +544,31 @@ mod tests {
                 sig: sig(PacketKind::RouteReply, seq),
                 terminal: false,
             };
-            mon.observe(&mut table, &tx, Micros(seq * 1_000_000));
+            g.observe(&tx, Micros(seq * 1_000_000));
         }
-        let events = mon.expire(&mut table, Micros(30_000_000));
-        let accuse = events
-            .iter()
-            .find(|e| matches!(e, MonitorEvent::Accuse { .. }));
-        assert!(accuse.is_some(), "6 drops should accuse: {events:?}");
+        let events = g.expire(Micros(30_000_000));
+        assert!(
+            events.contains(&Effect::Isolated { suspect: NodeId(2) }),
+            "6 drops should accuse: {events:?}"
+        );
     }
 
     #[test]
     fn collision_grace_suppresses_fabrication_judgment() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         // A collision just happened at this guard: the "missing" upstream
         // transmission may simply have been lost here.
-        mon.note_collision(Micros(1_000));
-        let e = mon.observe(&mut table, &forward_obs(1), Micros(2_000));
+        g.mon.note_collision(Micros(1_000));
+        let e = g.observe(&forward_obs(1), Micros(2_000));
         assert!(e.is_empty(), "graced: {e:?}");
         // Past the grace window (2 s default) judgment resumes.
-        let e = mon.observe(&mut table, &forward_obs(2), Micros(4_000_000));
+        let e = g.observe(&forward_obs(2), Micros(4_000_000));
         assert_eq!(e.len(), 1);
     }
 
     #[test]
     fn collision_during_watch_suppresses_drop_accusation() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         let tx = PacketObs {
             sender: NodeId(1),
             claimed_prev: None,
@@ -666,18 +576,18 @@ mod tests {
             sig: sig(PacketKind::RouteReply, 5),
             terminal: false,
         };
-        mon.observe(&mut table, &tx, Micros(0));
+        g.observe(&tx, Micros(0));
         // A collision while the entry is armed: the forward may have been
         // transmitted and lost here.
-        mon.note_collision(Micros(100_000));
-        let events = mon.expire(&mut table, Micros(3_000_000));
+        g.mon.note_collision(Micros(100_000));
+        let events = g.expire(Micros(3_000_000));
         assert!(events.is_empty(), "graced drop: {events:?}");
     }
 
     #[test]
     fn collision_before_arming_does_not_excuse_drops() {
-        let (mut table, mut mon) = setup();
-        mon.note_collision(Micros(0));
+        let mut g = setup();
+        g.mon.note_collision(Micros(0));
         let tx = PacketObs {
             sender: NodeId(1),
             claimed_prev: None,
@@ -686,14 +596,14 @@ mod tests {
             terminal: false,
         };
         // Armed *after* the collision: the old collision is irrelevant.
-        mon.observe(&mut table, &tx, Micros(10));
-        let events = mon.expire(&mut table, Micros(3_000_000));
+        g.observe(&tx, Micros(10));
+        let events = g.expire(Micros(3_000_000));
         assert_eq!(events.len(), 1, "drop must still be charged: {events:?}");
     }
 
     #[test]
     fn external_suspicion_gives_receivers_benefit_of_the_doubt() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         // An alert names node 1 as a suspect. Receivers refusing node 1's
         // packets must not be charged with drops.
         let tx = PacketObs {
@@ -703,9 +613,9 @@ mod tests {
             sig: sig(PacketKind::RouteReply, 7),
             terminal: false,
         };
-        mon.observe(&mut table, &tx, Micros(0));
-        mon.note_external_suspicion(&mut table, NodeId(1));
-        let events = mon.expire(&mut table, Micros(3_000_000));
+        g.observe(&tx, Micros(0));
+        g.mon.note_external_suspicion(&mut g.table, NodeId(1));
+        let events = g.expire(Micros(3_000_000));
         assert!(
             events.is_empty(),
             "pending expectation not cancelled: {events:?}"
@@ -715,14 +625,14 @@ mod tests {
             sig: sig(PacketKind::RouteReply, 8),
             ..tx
         };
-        mon.observe(&mut table, &tx2, Micros(4_000_000));
-        let events = mon.expire(&mut table, Micros(8_000_000));
+        g.observe(&tx2, Micros(4_000_000));
+        let events = g.expire(Micros(8_000_000));
         assert!(events.is_empty(), "armed for a suspect: {events:?}");
     }
 
     #[test]
     fn watch_expiries_accumulate_even_when_charges_are_suppressed() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         let tx = |seq| PacketObs {
             sender: NodeId(1),
             claimed_prev: None,
@@ -730,22 +640,22 @@ mod tests {
             sig: sig(PacketKind::RouteReply, seq),
             terminal: false,
         };
-        mon.observe(&mut table, &tx(1), Micros(0));
-        assert_eq!(mon.watch_expiries(), 0, "nothing expired yet");
-        mon.expire(&mut table, Micros(3_000_000));
-        assert_eq!(mon.watch_expiries(), 1);
+        g.observe(&tx(1), Micros(0));
+        assert_eq!(g.mon.watch_expiries(), 0, "nothing expired yet");
+        g.expire(Micros(3_000_000));
+        assert_eq!(g.mon.watch_expiries(), 1);
         // A collision overlapping the armed window suppresses the charge,
         // but the expiry itself is still counted.
-        mon.observe(&mut table, &tx(2), Micros(4_000_000));
-        mon.note_collision(Micros(4_500_000));
-        let events = mon.expire(&mut table, Micros(8_000_000));
+        g.observe(&tx(2), Micros(4_000_000));
+        g.mon.note_collision(Micros(4_500_000));
+        let events = g.expire(Micros(8_000_000));
         assert!(events.is_empty(), "charge graced: {events:?}");
-        assert_eq!(mon.watch_expiries(), 2);
+        assert_eq!(g.mon.watch_expiries(), 2);
     }
 
     #[test]
     fn own_transmissions_are_not_self_fabrications() {
-        let (mut table, mut mon) = setup();
+        let mut g = setup();
         // A forward where claimed_prev == sender is degenerate; ignore.
         let obs = PacketObs {
             sender: NodeId(2),
@@ -754,6 +664,6 @@ mod tests {
             sig: sig(PacketKind::RouteRequest, 1),
             terminal: false,
         };
-        assert!(mon.observe(&mut table, &obs, Micros(0)).is_empty());
+        assert!(g.observe(&obs, Micros(0)).is_empty());
     }
 }

@@ -5,13 +5,14 @@
 //! A host (the routing protocol node) wires it up as follows:
 //!
 //! * run discovery at deployment (or bootstrap tables directly);
-//! * ask [`Liteworp::admit`] before accepting any packet;
 //! * call [`Liteworp::observe_packet`] for every control packet overheard
-//!   (including its own receptions — wireless reception *is* overhearing),
+//!   (including its own receptions — wireless reception *is* overhearing)
 //!   and transmit an authenticated alert for every returned
-//!   [`Effect::SendAlert`]; for a received packet,
-//!   [`Liteworp::observe_and_admit`] does both at once, from one lookup
-//!   per id;
+//!   [`Effect::SendAlert`]; the [`Admission`] it also returns, judged
+//!   from the same lookups, says whether a received packet may be
+//!   processed;
+//! * ask [`Liteworp::admit`] before accepting a packet the monitor does
+//!   not see;
 //! * call [`Liteworp::handle_alert`] for received alert messages;
 //! * call [`Liteworp::expire`] once the watch buffer's oldest entry is
 //!   due: [`crate::watch::WatchBuffer::head_deadline`] says when. Nothing
@@ -23,7 +24,7 @@ use crate::alert::{AlertBuffer, AlertOutcome};
 use crate::config::{Config, ConfigSource, InvalidConfig};
 use crate::discovery::Discovery;
 use crate::keys::{KeyStore, Mac};
-use crate::monitor::{alert_recipients, Findings, LocalMonitor, PacketObs};
+use crate::monitor::{alert_recipients, LocalMonitor, PacketObs};
 use crate::neighbor::NeighborTable;
 use crate::types::{Micros, Misbehavior, NodeId};
 use std::sync::Arc;
@@ -143,43 +144,27 @@ pub struct Liteworp {
 }
 
 impl Liteworp {
-    /// Creates the instance for the owner of `keys`.
+    /// Creates the instance for the owner of `keys`, reading its
+    /// parameters from `config`: a [`Config`], or a shared
+    /// `Arc<dyn ConfigSource>` that any number of nodes may point at.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid; use
     /// [`Liteworp::try_new`] to handle the error instead.
-    pub fn new(config: Config, keys: KeyStore) -> Self {
-        Self::with_source(Arc::new(config), keys)
+    pub fn new(config: impl Into<Arc<dyn ConfigSource>>, keys: KeyStore) -> Self {
+        // lint: allow(P002) documented panic; Self::try_new is the
+        // fallible variant for callers with untrusted configs
+        Self::try_new(config, keys).expect("invalid LITEWORP config")
     }
 
     /// Creates the instance, returning [`InvalidConfig`] instead of
     /// panicking when the configuration is inconsistent.
-    pub fn try_new(config: Config, keys: KeyStore) -> Result<Self, InvalidConfig> {
-        Self::try_with_source(Arc::new(config), keys)
-    }
-
-    /// Creates the instance reading its parameters from `source`, which
-    /// any number of nodes may share (a node keeps only the pointer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid; use
-    /// [`Liteworp::try_with_source`] to handle the error instead.
-    pub fn with_source(source: Arc<dyn ConfigSource>, keys: KeyStore) -> Self {
-        // lint: allow(P002) documented panic; Self::try_with_source is
-        // the fallible variant for callers with untrusted configs
-        Self::try_with_source(source, keys).expect("invalid LITEWORP config")
-    }
-
-    /// Creates the instance reading its parameters from `source`,
-    /// returning [`InvalidConfig`] instead of panicking when they are
-    /// inconsistent.
-    pub fn try_with_source(
-        source: Arc<dyn ConfigSource>,
+    pub fn try_new(
+        config: impl Into<Arc<dyn ConfigSource>>,
         keys: KeyStore,
     ) -> Result<Self, InvalidConfig> {
-        let monitor = LocalMonitor::try_with_source(source)?;
+        let monitor = LocalMonitor::new(config.into())?;
         let alerts = AlertBuffer::new(monitor.config().confidence_index);
         let me = keys.owner();
         Ok(Liteworp {
@@ -263,24 +248,17 @@ impl Liteworp {
         Admission::Accept
     }
 
-    /// Feeds one overheard control-packet transmission to the monitor.
-    pub fn observe_packet(&mut self, obs: &PacketObs, now: Micros) -> Vec<Effect> {
-        self.observe_and_admit(obs, now).0
-    }
-
-    /// [`Liteworp::observe_packet`] followed by
-    /// [`Liteworp::admit`]`(obs.sender, obs.claimed_prev)`, the order a
-    /// host applies them to a received packet, with the verdict taken
-    /// from the ids the observation already looked up. A sender the
-    /// observation accuses is refused.
-    pub fn observe_and_admit(&mut self, obs: &PacketObs, now: Micros) -> (Vec<Effect>, Admission) {
-        let mut effects = Vec::new();
-        let look = self.monitor.observe_into(
-            &mut self.table,
-            obs,
-            now,
-            &mut Lowering::new(&self.keys, &mut self.alerts, &mut effects),
-        );
+    /// Feeds one overheard control-packet transmission to the monitor,
+    /// and judges it as [`Liteworp::admit`]`(obs.sender, obs.claimed_prev)`
+    /// would right after, from the ids the observation already looked up.
+    /// A sender the observation accuses is refused. A host that only
+    /// overheard the packet, or sent it, ignores the verdict.
+    pub fn observe_packet(&mut self, obs: &PacketObs, now: Micros) -> (Vec<Effect>, Admission) {
+        let mut out = Lowering::new(&self.keys, &mut self.alerts);
+        let look = self
+            .monitor
+            .observe_into(&mut self.table, obs, now, &mut out);
+        let effects = out.effects;
         let verdict = if look.charged {
             // A charge may have revoked or inserted an id: look again.
             self.admit(obs.sender, obs.claimed_prev)
@@ -298,8 +276,10 @@ impl Liteworp {
         self.monitor.absolve(forwarder, sig);
     }
 
-    /// Records a local collision indication (see
-    /// [`crate::monitor::LocalMonitor::note_collision`]).
+    /// Records that this node's radio lost a frame to a collision at
+    /// `now`. Within the configured grace window the guard abstains from
+    /// fabrication judgments, and drop accusations whose watch entry
+    /// overlaps a collision are suppressed.
     pub fn note_collision(&mut self, now: Micros) {
         self.monitor.note_collision(now);
     }
@@ -308,12 +288,9 @@ impl Liteworp {
     /// watch timeout δ. When entries expired, the first effect is a
     /// single [`Effect::WatchExpired`] carrying the sweep's expiry count.
     pub fn expire(&mut self, now: Micros) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        let expired = self.monitor.expire_into(
-            &mut self.table,
-            now,
-            &mut Lowering::new(&self.keys, &mut self.alerts, &mut effects),
-        );
+        let mut out = Lowering::new(&self.keys, &mut self.alerts);
+        let expired = self.monitor.expire_into(&mut self.table, now, &mut out);
+        let mut effects = out.effects;
         if expired > 0 {
             effects.insert(
                 0,
@@ -403,24 +380,24 @@ impl Liteworp {
 /// suspicion into [`Effect::Suspected`]; an accusation into this node's
 /// isolation of the suspect, one signed [`Effect::SendAlert`] per
 /// recipient and [`Effect::Isolated`].
-struct Lowering<'a> {
+pub(crate) struct Lowering<'a> {
     keys: &'a KeyStore,
     alerts: &'a mut AlertBuffer,
-    effects: &'a mut Vec<Effect>,
+    /// The effects so far, in the order they were found.
+    pub(crate) effects: Vec<Effect>,
 }
 
 impl<'a> Lowering<'a> {
-    fn new(keys: &'a KeyStore, alerts: &'a mut AlertBuffer, effects: &'a mut Vec<Effect>) -> Self {
+    pub(crate) fn new(keys: &'a KeyStore, alerts: &'a mut AlertBuffer) -> Self {
         Lowering {
             keys,
             alerts,
-            effects,
+            effects: Vec::new(),
         }
     }
-}
 
-impl Findings for Lowering<'_> {
-    fn suspected(&mut self, suspect: NodeId, kind: Misbehavior, malc: u32) {
+    /// `suspect` misbehaved (`kind`); its `MalC` is now `malc`.
+    pub(crate) fn suspected(&mut self, suspect: NodeId, kind: Misbehavior, malc: u32) {
         self.effects.push(Effect::Suspected {
             suspect,
             kind,
@@ -428,7 +405,9 @@ impl Findings for Lowering<'_> {
         });
     }
 
-    fn accuse(&mut self, table: &NeighborTable, suspect: NodeId) {
+    /// An alert round about `suspect` is due; its recipients are
+    /// [`alert_recipients`] over `table`.
+    pub(crate) fn accuse(&mut self, table: &NeighborTable, suspect: NodeId) {
         self.alerts.force_isolate(suspect);
         let bytes = Liteworp::alert_bytes(self.keys.owner(), suspect);
         for recipient in alert_recipients(table, suspect) {
@@ -509,11 +488,17 @@ mod tests {
     #[test]
     fn fabrications_produce_signed_alerts_and_isolation() {
         let mut lw = instance();
-        let e1 = lw.observe_packet(&fabricated_forward(1), Micros(0));
+        let (e1, verdict) = lw.observe_packet(&fabricated_forward(1), Micros(0));
         assert_eq!(e1.len(), 1, "first fabrication only suspected");
-        let e = lw.observe_packet(&fabricated_forward(2), Micros(2));
+        assert!(verdict.is_accept(), "a suspect is still admitted");
+        let (e, _) = lw.observe_packet(&fabricated_forward(2), Micros(2));
         assert_eq!(e.len(), 1, "not yet accused after two fabrications");
-        let e2 = lw.observe_packet(&fabricated_forward(3), Micros(10));
+        let (e2, verdict) = lw.observe_packet(&fabricated_forward(3), Micros(10));
+        assert_eq!(
+            verdict,
+            Admission::Reject(RejectReason::Revoked),
+            "the frame that gets its sender accused is refused"
+        );
         // Suspected + alerts to R_2 \ {0, 2} = {1, 3} + Isolated.
         let alerts: Vec<_> = e2
             .iter()

@@ -67,7 +67,7 @@ fn fingerprint(prev: NodeId, sig: &PacketSig) -> u32 {
 /// };
 /// let mut buf = WatchBuffer::new(8);
 /// // Guard overhears X(=2) send the reply to A(=3), due within 0.5 s.
-/// buf.note_transmission(NodeId(2), sig, Some(NodeId(3)), Micros(500_000));
+/// buf.note_transmission(NodeId(2), sig, Some(NodeId(3)), Micros(500_000), Micros(0));
 /// // A forwards it, claiming prev = 2: matches, so no fabrication.
 /// assert!(buf.confirm_forward(NodeId(2), &sig, NodeId(3)));
 /// // Nothing left to expire.
@@ -160,7 +160,8 @@ impl WatchBuffer {
         self.rows.iter().copied()
     }
 
-    /// Records an overheard transmission of `sig` by `prev`.
+    /// Records an overheard transmission of `sig` by `prev`, armed at
+    /// `armed_at` (collision-grace decisions read it back).
     ///
     /// `expected_forwarder` is the unicast receiver obliged to forward
     /// (or `None` for a broadcast). If the buffer is full, the oldest
@@ -174,22 +175,6 @@ impl WatchBuffer {
     /// Panics if `deadline` is earlier than the newest held entry's:
     /// deadlines must not decrease from one insert to the next.
     pub fn note_transmission(
-        &mut self,
-        prev: NodeId,
-        sig: PacketSig,
-        expected_forwarder: Option<NodeId>,
-        deadline: Micros,
-    ) {
-        self.note_transmission_at(prev, sig, expected_forwarder, deadline, Micros(0));
-    }
-
-    /// Like [`WatchBuffer::note_transmission`], recording when the entry
-    /// was armed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` is earlier than the newest held entry's.
-    pub fn note_transmission_at(
         &mut self,
         prev: NodeId,
         sig: PacketSig,
@@ -346,7 +331,7 @@ mod tests {
     #[test]
     fn matched_unicast_forward_clears_entry() {
         let mut buf = WatchBuffer::new(4);
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100), Micros(0));
         assert!(buf.confirm_forward(NodeId(2), &sig(1), NodeId(3)));
         // The satisfied entry stays until its deadline (retransmissions
         // of the same forward must keep matching) and expires silently.
@@ -369,7 +354,7 @@ mod tests {
     #[test]
     fn wrong_prev_is_fabrication() {
         let mut buf = WatchBuffer::new(4);
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100), Micros(0));
         // Claiming prev = 5 when only 2 transmitted: fabrication.
         assert!(!buf.confirm_forward(NodeId(5), &sig(1), NodeId(3)));
     }
@@ -377,7 +362,7 @@ mod tests {
     #[test]
     fn expired_unicast_accuses_the_receiver() {
         let mut buf = WatchBuffer::new(4);
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100), Micros(0));
         let accused = buf.expire(Micros(100));
         assert_eq!(accused, vec![(NodeId(3), sig(1), Micros(0))]);
         assert!(buf.is_empty());
@@ -386,7 +371,7 @@ mod tests {
     #[test]
     fn broadcast_entries_match_many_forwarders_then_expire_silently() {
         let mut buf = WatchBuffer::new(4);
-        buf.note_transmission(NodeId(2), bsig(1), None, Micros(100));
+        buf.note_transmission(NodeId(2), bsig(1), None, Micros(100), Micros(0));
         assert!(buf.confirm_forward(NodeId(2), &bsig(1), NodeId(3)));
         assert!(buf.confirm_forward(NodeId(2), &bsig(1), NodeId(4)));
         assert_eq!(buf.len(), 1, "broadcast entry persists");
@@ -397,9 +382,9 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest() {
         let mut buf = WatchBuffer::new(2);
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100));
-        buf.note_transmission(NodeId(2), sig(2), Some(NodeId(3)), Micros(100));
-        buf.note_transmission(NodeId(2), sig(3), Some(NodeId(3)), Micros(100));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100), Micros(0));
+        buf.note_transmission(NodeId(2), sig(2), Some(NodeId(3)), Micros(100), Micros(0));
+        buf.note_transmission(NodeId(2), sig(3), Some(NodeId(3)), Micros(100), Micros(0));
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.evictions(), 1);
         // The evicted first packet is now "unseen": fabrication if claimed.
@@ -409,8 +394,8 @@ mod tests {
     #[test]
     fn duplicate_transmissions_are_not_double_armed() {
         let mut buf = WatchBuffer::new(4);
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100));
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(150));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100), Micros(0));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(150), Micros(0));
         assert_eq!(buf.len(), 1);
         // Satisfy it once; expiry must accuse nobody.
         assert!(buf.confirm_forward(NodeId(2), &sig(1), NodeId(3)));
@@ -420,7 +405,7 @@ mod tests {
     #[test]
     fn forward_by_wrong_node_does_not_clear_obligation() {
         let mut buf = WatchBuffer::new(4);
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100), Micros(0));
         // Node 4 forwarding (it also heard node 2) matches the signature,
         // so it is not a fabrication by 4...
         assert!(buf.confirm_forward(NodeId(2), &sig(1), NodeId(4)));
@@ -434,8 +419,8 @@ mod tests {
     #[test]
     fn storage_accounting() {
         let mut buf = WatchBuffer::new(4);
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100));
-        buf.note_transmission(NodeId(2), sig(2), None, Micros(100));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(100), Micros(0));
+        buf.note_transmission(NodeId(2), sig(2), None, Micros(100), Micros(0));
         assert_eq!(buf.storage_bytes(), 40);
     }
 
@@ -449,8 +434,8 @@ mod tests {
     #[should_panic(expected = "must not decrease")]
     fn decreasing_deadline_rejected() {
         let mut buf = WatchBuffer::new(4);
-        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(300));
-        buf.note_transmission(NodeId(2), sig(2), Some(NodeId(3)), Micros(100));
+        buf.note_transmission(NodeId(2), sig(1), Some(NodeId(3)), Micros(300), Micros(0));
+        buf.note_transmission(NodeId(2), sig(2), Some(NodeId(3)), Micros(100), Micros(0));
     }
 
     #[test]
@@ -459,7 +444,13 @@ mod tests {
         // `capacity` rows in arrival order.
         let mut buf = WatchBuffer::new(3);
         for n in 0..50u64 {
-            buf.note_transmission(NodeId(2), sig(n), Some(NodeId(3)), Micros(1_000 + n));
+            buf.note_transmission(
+                NodeId(2),
+                sig(n),
+                Some(NodeId(3)),
+                Micros(1_000 + n),
+                Micros(0),
+            );
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.evictions(), 47);

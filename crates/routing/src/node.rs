@@ -20,7 +20,10 @@
 use crate::expiry::ExpiryChain;
 use crate::flood::FloodTable;
 use crate::packet::Packet;
-use crate::params::{DiscoveryMode, NodeParams, RouteSelection};
+use crate::params::{
+    DiscoveryMode, NodeParams, RouteSelection, EXPIRE_TICK, PENDING_QUEUE_CAP, REP_FORWARD_JITTER,
+    REQUEST_RETRY, REQ_FORWARD_JITTER,
+};
 use crate::stats::{NodeStats, RouteRecord};
 use liteworp::config::ConfigSource;
 use liteworp::discovery::{DiscoveryMsg, DiscoveryOut};
@@ -106,7 +109,7 @@ pub struct ProtocolNode {
     lw: Option<Liteworp>,
     monitoring: bool,
     /// When the EXPIRE timer fires: only at the ticks of the node's
-    /// `expire_tick` grid where the watch buffer's oldest entry has
+    /// [`EXPIRE_TICK`] grid where the watch buffer's oldest entry has
     /// expired (see [`crate::expiry`]). A chain starts when an
     /// observation makes an idle buffer non-empty and lapses when the
     /// buffer empties, so idle nodes (most of a large network, most of
@@ -134,7 +137,7 @@ impl ProtocolNode {
         // The guard reads its config from the shared parameters.
         let lw = params.liteworp.is_some().then(|| {
             let source: Arc<dyn ConfigSource> = Arc::clone(&params) as _;
-            Liteworp::with_source(source, KeyStore::new(params.key_seed, me))
+            Liteworp::new(source, KeyStore::new(params.key_seed, me))
         });
         ProtocolNode {
             me,
@@ -339,8 +342,7 @@ impl ProtocolNode {
                 // An accepted alert cancels the watch's expectations of
                 // the suspect, which may drain the buffer between ticks.
                 if accepted && self.expiry.armed() && lw.monitor().watch().is_empty() {
-                    self.expiry
-                        .drained(now.0, self.params.expire_tick.as_micros());
+                    self.expiry.drained(now.0, EXPIRE_TICK.as_micros());
                 }
                 ctx.trace(TraceKind::AlertReceived {
                     guard: guard.0,
@@ -413,7 +415,7 @@ impl ProtocolNode {
                     .lw
                     .as_ref()
                     .and_then(|lw| lw.monitor().watch().head_deadline());
-                let tick = self.params.expire_tick.as_micros();
+                let tick = EXPIRE_TICK.as_micros();
                 if let Some(arm) =
                     self.expiry
                         .fired(now.0, tick, head.map(|d| d.0), self.monitoring)
@@ -568,13 +570,13 @@ impl ProtocolNode {
         let now = micros(ctx.now());
         let (effects, verdict) = {
             let _span = obs::span("watch_buffer");
-            lw.observe_and_admit(&obs, now)
+            lw.observe_packet(&obs, now)
         };
         self.apply_effects(ctx, effects);
         let lw = self.lw.as_ref();
         let started = self
             .expiry
-            .after_observe(now.0, self.params.expire_tick.as_micros(), || {
+            .after_observe(now.0, EXPIRE_TICK.as_micros(), || {
                 lw?.monitor().watch().head_deadline().map(|d| d.0)
             });
         if let Some(arm) = started {
@@ -762,7 +764,7 @@ impl ProtocolNode {
                 hops: hops.saturating_add(1),
                 relays: vec![self.me],
             };
-            let jitter = self.params.rep_forward_jitter;
+            let jitter = REP_FORWARD_JITTER;
             self.send_control_jittered(ctx, Dest::Unicast(sim_id(sender)), pkt, jitter);
             return;
         }
@@ -785,7 +787,7 @@ impl ProtocolNode {
             prev: Some(sender),
             hops: hops.saturating_add(1),
         };
-        let jitter = self.params.req_forward_jitter;
+        let jitter = REQ_FORWARD_JITTER;
         self.send_control_jittered(ctx, Dest::Broadcast, pkt, jitter);
     }
 
@@ -817,7 +819,7 @@ impl ProtocolNode {
             hops,
             relays,
         };
-        let jitter = self.params.rep_forward_jitter;
+        let jitter = REP_FORWARD_JITTER;
         self.send_control_jittered(ctx, Dest::Unicast(sim_id(next)), pkt, jitter);
     }
 
@@ -971,7 +973,7 @@ impl ProtocolNode {
             };
             self.send_data(ctx, next, pkt);
         } else {
-            let cap = self.params.pending_queue_cap;
+            let cap = PENDING_QUEUE_CAP;
             let q = self.source_mut().pending_data.entry(dest).or_default();
             if q.len() >= cap {
                 q.pop_front();
@@ -1031,7 +1033,7 @@ impl ProtocolNode {
         // Exponential backoff across consecutive failed discoveries for
         // the same destination keeps a partitioned or congested network
         // from locking itself into a flood storm.
-        let retry = self.params.request_retry;
+        let retry = REQUEST_RETRY;
         let attempt = self.source_mut().retry_attempts.entry(dest).or_insert(0);
         let backoff = retry.mul_f64(f64::from(1 << (*attempt).min(4)));
         *attempt = attempt.saturating_add(1);

@@ -43,6 +43,30 @@ pub enum DiscoveryMode {
     },
 }
 
+/// Period of a node's watch-buffer expiry grid (≤ δ for timely drop
+/// detection).
+pub const EXPIRE_TICK: SimDuration = SimDuration::from_millis(250);
+
+/// How long a source waits for a route reply before re-flooding a
+/// request (doubled per consecutive failure, up to 16×).
+pub const REQUEST_RETRY: SimDuration = SimDuration::from_secs(3);
+
+/// Protocol-level random backoff before forwarding a route request
+/// (uniform in `[0, jitter]`). The paper's Section 3.5 notes that honest
+/// nodes "back off for a random amount of time before forwarding" to
+/// reduce MAC collisions during floods — skipping it is exactly the
+/// rushing attack.
+pub const REQ_FORWARD_JITTER: SimDuration = SimDuration::from_millis(120);
+
+/// Random delay before generating or forwarding a route reply (uniform
+/// in `[0, jitter]`), letting the request flood die down so guards
+/// reliably overhear every reply hop.
+pub const REP_FORWARD_JITTER: SimDuration = SimDuration::from_millis(150);
+
+/// Maximum data packets a source queues per destination while
+/// discovering a route.
+pub const PENDING_QUEUE_CAP: usize = 8;
+
 /// Configuration of one protocol node.
 #[derive(Clone)]
 pub struct NodeParams {
@@ -63,23 +87,6 @@ pub struct NodeParams {
     pub route_selection: RouteSelection,
     /// Neighbor-knowledge bootstrap mode.
     pub discovery: DiscoveryMode,
-    /// Period of the watch-buffer expiry tick (≤ δ for timely drop
-    /// detection).
-    pub expire_tick: SimDuration,
-    /// How long to wait for a route reply before re-flooding a request.
-    pub request_retry: SimDuration,
-    /// Protocol-level random backoff before forwarding a route request
-    /// (uniform in `[0, jitter]`). The paper's Section 3.5 notes that
-    /// honest nodes "back off for a random amount of time before
-    /// forwarding" to reduce MAC collisions during floods — skipping it
-    /// is exactly the rushing attack.
-    pub req_forward_jitter: SimDuration,
-    /// Random delay before generating or forwarding a route reply
-    /// (uniform in `[0, jitter]`), letting the request flood die down so
-    /// guards reliably overhear every reply hop.
-    pub rep_forward_jitter: SimDuration,
-    /// Maximum data packets queued per destination while discovering.
-    pub pending_queue_cap: usize,
     /// Whether alerts to out-of-range recipients are relayed through a
     /// common neighbor (one hop). Disabling this models the paper's bare
     /// "multiple unicasts" reading and is used by the ablation study.
@@ -118,11 +125,6 @@ impl fmt::Debug for NodeParams {
             .field("dest_change_mean", &self.dest_change_mean)
             .field("route_selection", &self.route_selection)
             .field("discovery", &self.discovery)
-            .field("expire_tick", &self.expire_tick)
-            .field("request_retry", &self.request_retry)
-            .field("req_forward_jitter", &self.req_forward_jitter)
-            .field("rep_forward_jitter", &self.rep_forward_jitter)
-            .field("pending_queue_cap", &self.pending_queue_cap)
             .field("relay_alerts", &self.relay_alerts)
             .field("rreq_ttl", &self.rreq_ttl)
             .field("dest_pool", &self.dest_pool)
@@ -157,11 +159,6 @@ impl Default for NodeParams {
             dest_change_mean: SimDuration::from_secs(200),
             route_selection: RouteSelection::ShortestHops,
             discovery: DiscoveryMode::Preloaded,
-            expire_tick: SimDuration::from_millis(250),
-            request_retry: SimDuration::from_secs(3),
-            req_forward_jitter: SimDuration::from_millis(120),
-            rep_forward_jitter: SimDuration::from_millis(150),
-            pending_queue_cap: 8,
             relay_alerts: true,
             rreq_ttl: None,
             dest_pool: None,

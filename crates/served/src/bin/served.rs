@@ -9,9 +9,7 @@
 //! Flags: --addr HOST:PORT (127.0.0.1:0), --state-dir DIR
 //!        (results/served), --jobs N (all cores), --drainers N (2),
 //!        --resume, --no-cache, --metrics-interval SECS (off; broadcast
-//!        a `{"stream":"metrics",…}` frame to subscribers this often),
-//!        --stall-accept-secs SECS (chaos hook: stall the accept loop
-//!        after each accept; never set it in production)
+//!        a `{"stream":"metrics",…}` frame to subscribers this often)
 //!
 //! `--front` mode instead spawns `--shards N` (2) worker daemons (this
 //! same binary, plain mode) under `--state-dir`, routes requests to them
@@ -57,9 +55,6 @@ fn run_server(flags: &Flags) {
         resume: flags.get_bool("resume"),
         no_cache: flags.get_bool("no-cache"),
         metrics_interval: flags.get_opt_f64("metrics-interval"),
-        stall_accept: flags
-            .get_opt_f64("stall-accept-secs")
-            .map(Duration::from_secs_f64),
     };
     eprintln!(
         "liteworp-served: state dir {}, {} drainer(s), cache {}, resume {}",
@@ -68,9 +63,6 @@ fn run_server(flags: &Flags) {
         if cfg.no_cache { "off" } else { "on" },
         cfg.resume,
     );
-    if cfg.stall_accept.is_some() {
-        eprintln!("liteworp-served: CHAOS: accept loop stall enabled");
-    }
     let server = match Server::start(cfg) {
         Ok(server) => server,
         Err(e) => {

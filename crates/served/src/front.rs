@@ -17,7 +17,8 @@
 //!
 //! A supervisor thread probes every `Up` shard each interval: child
 //! exit status (crash detection) plus a protocol ping over a *fresh*
-//! connection (catches stalled accept loops, not just dead processes).
+//! connection (catches stopped or stalled workers, not just dead
+//! processes).
 //! A failed shard walks the ladder `Up → Degraded → (Up | Quarantined)`:
 //! restarts are paced by the runner's seeded capped-exponential backoff
 //! ([`liteworp_runner::supervisor::RestartBudget`]) and bounded by
@@ -223,7 +224,7 @@ impl Front {
 
         let accept = {
             let state = Arc::clone(&state);
-            std::thread::spawn(move || net::accept_loop(listener, state, None))
+            std::thread::spawn(move || net::accept_loop(listener, state))
         };
         let supervisor = {
             let state = Arc::clone(&state);

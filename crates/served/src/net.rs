@@ -166,13 +166,7 @@ pub(crate) trait Daemon: Send + Sync + 'static {
 }
 
 /// Accepts connections until shutdown, serving each on its own thread.
-/// `stall_accept` is a chaos hook: sleep this long after every accepted
-/// connection, simulating a stalled acceptor.
-pub(crate) fn accept_loop<D: Daemon>(
-    listener: TcpListener,
-    daemon: Arc<D>,
-    stall_accept: Option<Duration>,
-) {
+pub(crate) fn accept_loop<D: Daemon>(listener: TcpListener, daemon: Arc<D>) {
     loop {
         let accepted = listener.accept();
         if daemon.shutdown_flag().load(Ordering::SeqCst) {
@@ -181,9 +175,6 @@ pub(crate) fn accept_loop<D: Daemon>(
         let Ok((stream, _)) = accepted else {
             continue;
         };
-        if let Some(stall) = stall_accept {
-            std::thread::sleep(stall);
-        }
         let daemon = Arc::clone(&daemon);
         std::thread::spawn(move || {
             let _ = handle_connection(stream, &*daemon);

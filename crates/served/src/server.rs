@@ -62,11 +62,6 @@ pub struct ServerConfig {
     /// Broadcast a `{"stream":"metrics",…}` frame to every subscriber
     /// this often (seconds). `None` disables the periodic stream.
     pub metrics_interval: Option<f64>,
-    /// Chaos hook: sleep this long inside the accept loop after every
-    /// accepted connection, simulating a stalled/overwhelmed acceptor so
-    /// the shard front's liveness probes can be tested. Never set it in
-    /// production.
-    pub stall_accept: Option<std::time::Duration>,
 }
 
 impl ServerConfig {
@@ -81,7 +76,6 @@ impl ServerConfig {
             resume: false,
             no_cache: false,
             metrics_interval: None,
-            stall_accept: None,
         }
     }
 }
@@ -238,8 +232,7 @@ impl Server {
 
         let accept = {
             let state = Arc::clone(&state);
-            let stall = cfg.stall_accept;
-            std::thread::spawn(move || net::accept_loop(listener, state, stall))
+            std::thread::spawn(move || net::accept_loop(listener, state))
         };
         let drainers = (0..cfg.drainers.max(1))
             .map(|_| {
@@ -588,7 +581,8 @@ impl Daemon for DaemonState {
 }
 
 /// Handles one `submit`: validate, register (dedup by content key), WAL,
-/// enqueue.
+/// enqueue. A submission the WAL could not log is withdrawn and refused,
+/// so every acknowledged request survives a crash.
 fn submit(state: &DaemonState, kind: String, params: Json, trace: bool) -> String {
     if let Err(e) = catalog::cells_for(&kind, &params) {
         return err_response(&e);
@@ -597,8 +591,13 @@ fn submit(state: &DaemonState, kind: String, params: Json, trace: bool) -> Strin
     let submission = state.with_registry(|r| r.submit(key, kind, params, trace));
     if let Some(record) = &submission.record {
         // New or revived: log the submission before a drainer can see it.
+        if let Err(e) = state.wal.append(record) {
+            state
+                .with_registry(|r| r.withdraw(key, submission.dedup))
+                .send();
+            return err_response(&format!("cannot log the request: {e}"));
+        }
         state.metrics.requests_submitted.inc();
-        let _ = state.wal.append(record);
         state.enqueue(key);
     }
     let mut pairs = vec![
@@ -612,13 +611,16 @@ fn submit(state: &DaemonState, kind: String, params: Json, trace: bool) -> Strin
     ok_response(pairs)
 }
 
-/// Handles one `cancel`: only a queued request parks; the WAL records it
-/// after the registry lock is released.
+/// Handles one `cancel`: only a queued request parks; its subscribers'
+/// final frames are sent, and the WAL records it, after the registry
+/// lock is released.
 fn cancel(state: &DaemonState, req: u64) -> String {
-    let Some((cancelled, phase)) = state.with_registry(|r| r.cancel(req)) else {
+    let Some((flush, phase)) = state.with_registry(|r| r.cancel(req)) else {
         return unknown_request(req);
     };
-    if cancelled {
+    let cancelled = flush.is_some();
+    if let Some(flush) = flush {
+        flush.send();
         state.metrics.requests_cancelled.inc();
         let _ = state.wal.append(&WalRecord::Cancelled { key: req });
     }
@@ -632,6 +634,60 @@ fn cancel(state: &DaemonState, req: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A daemon's state with no sockets or drainers, logging to `wal`.
+    fn daemon_state(wal: RequestWal) -> DaemonState {
+        DaemonState {
+            engine: SweepEngine::new(Some(1), None, SIM_CODE_VERSION),
+            registry: Mutex::new(Registry::default()),
+            work: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            wal,
+            state_dir: std::env::temp_dir(),
+            local_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            metrics: ServedMetrics::new(),
+            drainer_count: 1,
+            started_us: 0,
+        }
+    }
+
+    fn refused(response: &str) -> bool {
+        Json::parse(response)
+            .ok()
+            .and_then(|j| j.get("ok").and_then(Json::as_bool))
+            == Some(false)
+    }
+
+    /// A submit is acknowledged only once its record is in the WAL: when
+    /// the append fails (`/dev/full` refuses every write) the submit is
+    /// refused and the registry is left as it was before it.
+    #[test]
+    fn a_submit_the_wal_cannot_log_is_refused_and_undone() {
+        let state = daemon_state(RequestWal::open("/dev/full").expect("open /dev/full"));
+        let params = Json::parse(r#"{"nodes":12,"seeds":1,"duration":30.0}"#).unwrap();
+        let key = request_key("scenario", &params);
+
+        let response = submit(&state, "scenario".into(), params.clone(), false);
+        assert!(refused(&response), "acknowledged unlogged: {response}");
+        let registry = lock(&state.registry);
+        assert_eq!(registry.requests().count(), 0, "a new key stays unknown");
+        assert_eq!(registry.queue_len(), 0);
+        drop(registry);
+
+        // A cancelled request that a failed submit would revive stays
+        // cancelled, and is not queued.
+        state.with_registry(|r| {
+            r.submit(key, "scenario".into(), params.clone(), false);
+            let (flush, _) = r.cancel(key).expect("registered");
+            flush.expect("a queued request cancels").send();
+        });
+        let response = submit(&state, "scenario".into(), params, false);
+        assert!(refused(&response), "acknowledged unlogged: {response}");
+        let registry = lock(&state.registry);
+        let phases: Vec<&ReqPhase> = registry.requests().map(|r| r.phase()).collect();
+        assert_eq!(phases, vec![&ReqPhase::Cancelled]);
+        assert_eq!(registry.queue_len(), 0);
+    }
 
     #[test]
     fn metrics_period_is_floored_and_never_panics() {

@@ -227,7 +227,7 @@ pub fn spawn_worker(
 }
 
 /// Liveness probe over a *fresh* connection: catches a dead process, a
-/// dead socket, and a stalled accept loop alike. The timeout bounds
+/// dead socket, and a stopped or stalled worker alike. The timeout bounds
 /// connect, write, and read individually.
 pub fn ping(addr: SocketAddr, timeout: Duration) -> bool {
     let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {

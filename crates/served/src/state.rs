@@ -8,11 +8,11 @@
 //! to `Queued` on re-submit) as the only other edges. The registry is a
 //! plain value: the server keeps it behind its one request lock, so the
 //! attach-vs-complete race of a subscriber is serialized there. Under
-//! that lock, completion (or a late attach) only takes the subscribers'
-//! senders out as a [`Flush`]; the caller sends the stored telemetry
-//! lines and the final frame after the lock drops, over each unbounded
-//! [`std::sync::mpsc`] channel, then drops the senders so each receiver
-//! disconnects and its stream ends.
+//! that lock, completion, a cancel (or a late attach) only takes the
+//! subscribers' senders out as a [`Flush`]; the caller sends the stored
+//! telemetry lines and the final frame after the lock drops, over each
+//! unbounded [`std::sync::mpsc`] channel, then drops the senders so each
+//! receiver disconnects and its stream ends.
 
 use crate::proto::{format_key, parse_key};
 use liteworp_runner::journal::replay_truncating;
@@ -128,16 +128,15 @@ impl Request {
         queued
     }
 
-    /// `Queued → Cancelled`. Running or finished sweeps are unaffected;
-    /// returns whether the cancel took. Subscribers of a cancelled
-    /// request get its final frame and their streams end.
-    pub fn cancel(&mut self) -> bool {
+    /// `Queued → Cancelled`. Running or finished sweeps are unaffected
+    /// (`None`). When the cancel takes, the returned flush sends every
+    /// subscriber the final frame and ends its stream.
+    pub fn cancel(&mut self) -> Option<Flush> {
         if self.phase != ReqPhase::Queued {
-            return false;
+            return None;
         }
         self.phase = ReqPhase::Cancelled;
-        self.flush().send();
-        true
+        Some(self.flush())
     }
 
     /// `Cancelled → Queued` (a duplicate submit reviving the request).
@@ -311,14 +310,37 @@ impl Registry {
     }
 
     /// Cancels a queued request and takes it off the queue. `None` for
-    /// an unknown key, else whether the cancel took and the phase after.
-    pub fn cancel(&mut self, key: u64) -> Option<(bool, &'static str)> {
+    /// an unknown key, else the phase after and, when the cancel took,
+    /// the flush its subscribers are owed (see [`Request::cancel`]).
+    pub fn cancel(&mut self, key: u64) -> Option<(Option<Flush>, &'static str)> {
         let req = self.requests.get_mut(&key)?;
-        let cancelled = req.cancel();
-        if cancelled {
+        let flush = req.cancel();
+        if flush.is_some() {
             self.queue.retain(|k| *k != key);
         }
-        Some((cancelled, req.phase.name()))
+        Some((flush, req.phase.name()))
+    }
+
+    /// Takes back a submit whose record could not be logged, before it
+    /// was enqueued: a new key (`dedup` false) is unregistered, a revived
+    /// one goes back to `Cancelled` and owes its subscribers the returned
+    /// flush. A request that is no longer a queued, unenqueued one (a
+    /// concurrent cancel or submit got to it first) is left alone.
+    pub fn withdraw(&mut self, key: u64, dedup: bool) -> Flush {
+        if self.queue.contains(&key) {
+            return Flush::default();
+        }
+        match self.requests.get_mut(&key) {
+            Some(req) if req.phase == ReqPhase::Queued && dedup => {
+                req.phase = ReqPhase::Cancelled;
+                req.flush()
+            }
+            Some(req) if req.phase == ReqPhase::Queued => {
+                self.requests.remove(&key);
+                Flush::default()
+            }
+            _ => Flush::default(),
+        }
     }
 
     /// Finishes a running request (see [`Request::complete`]). Returns
@@ -637,13 +659,13 @@ mod tests {
         assert_eq!(req.phase(), &ReqPhase::Queued);
         assert!(req.set_running());
         assert!(!req.set_running(), "running is not queued");
-        assert!(!req.cancel(), "running sweeps cannot be cancelled");
+        assert!(req.cancel().is_none(), "running sweeps cannot be cancelled");
         req.complete(Ok(info()), Vec::new()).send();
         assert_eq!(req.phase(), &ReqPhase::Done(info()));
         assert!(!req.requeue(), "done requests stay done");
 
         let mut req = Request::new(8, "fig9".into(), Json::Null, false);
-        assert!(req.cancel());
+        req.cancel().expect("a queued request cancels").send();
         assert!(!req.set_running(), "cancel wins the race to the drainer");
         assert!(req.requeue());
         assert_eq!(req.phase(), &ReqPhase::Queued);
@@ -706,6 +728,50 @@ mod tests {
         assert_eq!(last.get("reason").and_then(Json::as_str), Some("boom"));
     }
 
+    /// A cancel sends nothing under the registry lock: its subscribers
+    /// hear the final frame only when the returned flush is sent.
+    #[test]
+    fn a_cancel_sends_nothing_until_its_flush_is_sent() {
+        let mut reg = Registry::default();
+        reg.submit(5, "fig9".into(), Json::Null, false);
+        reg.enqueue(5);
+        let (rx, flush) = reg.subscribe(5).expect("registered");
+        flush.send(); // empty: the request is live
+        let (flush, phase) = reg.cancel(5).expect("registered");
+        assert_eq!(phase, "cancelled");
+        assert!(
+            matches!(rx.try_recv(), Err(mpsc::TryRecvError::Empty)),
+            "nothing is sent before the flush"
+        );
+        flush.expect("the cancel takes").send();
+        let got: Vec<String> = rx.iter().collect(); // ends: sender dropped
+        assert_eq!(got.len(), 1, "just the final frame: {got:?}");
+        let last = Json::parse(&got[0]).unwrap();
+        assert_eq!(last.get("phase").and_then(Json::as_str), Some("cancelled"));
+    }
+
+    #[test]
+    fn withdraw_undoes_a_submit_that_was_not_enqueued() {
+        let mut reg = Registry::default();
+        let sub = reg.submit(1, "fig9".into(), Json::Null, false);
+        reg.withdraw(1, sub.dedup).send();
+        assert_eq!(reg.status_json(1), None, "a new key is unregistered");
+
+        reg.submit(2, "fig9".into(), Json::Null, false);
+        reg.cancel(2).and_then(|(flush, _)| flush).unwrap().send();
+        let revived = reg.submit(2, "fig9".into(), Json::Null, false);
+        assert!(revived.dedup && revived.record.is_some());
+        reg.withdraw(2, revived.dedup).send();
+        assert_eq!(phases(&reg).get(&2), Some(&ReqPhase::Cancelled));
+        assert_eq!(reg.queue_len(), 0);
+
+        // An enqueued submission is someone else's to keep.
+        reg.submit(3, "fig9".into(), Json::Null, false);
+        assert!(reg.enqueue(3));
+        reg.withdraw(3, false).send();
+        assert_eq!(phases(&reg).get(&3), Some(&ReqPhase::Queued));
+    }
+
     #[test]
     fn status_queue_position_is_exact_after_a_cancel() {
         let mut reg = Registry::default();
@@ -713,7 +779,9 @@ mod tests {
             reg.submit(key, "fig9".into(), Json::Null, false);
             assert!(reg.enqueue(key));
         }
-        assert_eq!(reg.cancel(1), Some((true, "cancelled")));
+        let (flush, phase) = reg.cancel(1).expect("a registered key");
+        flush.expect("the cancel takes").send();
+        assert_eq!(phase, "cancelled");
         let position = |reg: &Registry, key| {
             Json::Obj(reg.status_json(key).unwrap())
                 .get("queue_position")
@@ -950,7 +1018,9 @@ mod tests {
                         }
                     }
                     2 => {
-                        if reg.cancel(key) == Some((true, "cancelled")) {
+                        if let Some((Some(flush), phase)) = reg.cancel(key) {
+                            assert_eq!(phase, "cancelled", "{ctx}");
+                            flush.send();
                             wal.push(WalRecord::Cancelled { key });
                         }
                     }

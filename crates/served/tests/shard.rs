@@ -1,8 +1,9 @@
 //! End-to-end tests for the shard fabric (`liteworp-served --front`):
 //! digest determinism across shard counts, kill -9 of a worker
 //! mid-drain on both the reroute (quarantine) and restart (resume)
-//! ladders, and torn request-WAL tails healed by `--resume`. The faults
-//! injected here are drawn from a sampled
+//! ladders, a worker stopped with SIGSTOP (alive but silent) restarted
+//! by the front's ping, and torn request-WAL tails healed by `--resume`.
+//! The faults injected here are drawn from a sampled
 //! [`liteworp_chaos::ProcessFaultPlan`], so the schedule is pure data
 //! with a reproducer line.
 
@@ -196,49 +197,82 @@ fn shard_pid(client: &mut Client, shard: u64) -> u64 {
         .unwrap_or_else(|| panic!("shard {shard} has no pid in {}", response.dump()))
 }
 
-fn kill_nine(pid: u64) {
+/// Sends `signal` (`-9`, `-STOP`) to process `pid`.
+fn signal(pid: u64, signal: &str) {
     let status = Command::new("kill")
-        .args(["-9", &pid.to_string()])
+        .args([signal, &pid.to_string()])
         .status()
         .expect("run kill");
-    assert!(status.success(), "kill -9 {pid} failed");
+    assert!(status.success(), "kill {signal} {pid} failed");
 }
 
-/// The first sampled plan whose fault is a worker kill — pure data, so
+/// The first sampled plan whose fault `wanted` accepts — pure data, so
 /// this scan is deterministic and the reproducer line is printable.
-fn sampled_kill_plan(shards: usize) -> ProcessFaultPlan {
+fn sampled_plan(shards: usize, wanted: fn(&ProcessFault) -> bool) -> ProcessFaultPlan {
     (0u64..)
         .map(|seed| ProcessFaultPlan::sample(seed, shards, 1))
-        .find(|plan| matches!(plan.faults[0], ProcessFault::Kill { .. }))
-        .expect("some seed samples a kill")
+        .find(|plan| wanted(&plan.faults[0]))
+        .expect("some seed samples the fault")
 }
 
-/// Runs one fabric: submit everything, optionally kill one worker with
-/// SIGKILL mid-drain, drain to completion, and return the sorted digest
-/// set plus the front's final stats.
+/// The shard health names in a front's stats.
+fn healths(stats: &Json) -> Vec<String> {
+    match stats.get("shards") {
+        Some(Json::Arr(entries)) => entries
+            .iter()
+            .filter_map(|e| e.get("health").and_then(Json::as_str))
+            .map(str::to_string)
+            .collect(),
+        other => panic!("stats missing shard health block: {other:?}"),
+    }
+}
+
+/// The front's stats once its supervisor has dealt with a struck worker:
+/// a probe failed and no shard is still between failure and restart or
+/// quarantine.
+fn settled_stats(client: &mut Client) -> Json {
+    for _ in 0..1200 {
+        let stats = client.ok(r#"{"op":"stats"}"#);
+        if stat_u64(&stats, "ping_failures_total") >= 1
+            && !healths(&stats).iter().any(|h| h == "degraded")
+        {
+            return stats;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    panic!("the front never settled after the fault");
+}
+
+/// Runs one fabric: submit everything, optionally send `signal` to the
+/// worker owning one request mid-drain (`Some((request index, signal))`),
+/// drain to completion, and return the sorted digest set plus the front's
+/// final stats.
 fn fabric_run(
     tag: &str,
     shards: usize,
     max_restarts: u32,
-    kill_owner_of: Option<usize>,
+    strike: Option<(usize, &str)>,
 ) -> (Vec<String>, Json) {
     let dir = temp_dir(tag);
     let front = Proc::front(&dir, shards, max_restarts);
     let mut client = Client::connect(&front.addr);
     let reqs = submit_all(&mut client, &specs());
-    if let Some(req_index) = kill_owner_of {
-        // Give the drainers a head start so the kill is genuinely
-        // mid-drain, then SIGKILL the worker owning the chosen request.
+    if let Some((req_index, sig)) = strike {
+        // Give the drainers a head start so the fault is genuinely
+        // mid-drain, then signal the worker owning the chosen request.
         std::thread::sleep(std::time::Duration::from_millis(400));
         let owner = reqs[req_index]
             .1
             .as_u64()
             .expect("request routed to a worker shard");
         let pid = shard_pid(&mut client, owner);
-        kill_nine(pid);
+        signal(pid, sig);
     }
     let digests = drain_all(&mut client, &reqs);
-    let stats = client.ok(r#"{"op":"stats"}"#);
+    let stats = match strike {
+        Some(_) => settled_stats(&mut client),
+        None => client.ok(r#"{"op":"stats"}"#),
+    };
     client.ok(r#"{"op":"shutdown"}"#);
     front.wait();
     let _ = std::fs::remove_dir_all(&dir);
@@ -254,10 +288,10 @@ fn stat_u64(stats: &Json, key: &str) -> u64 {
 
 #[test]
 fn digest_set_is_identical_across_shard_counts_and_a_mid_drain_worker_kill() {
-    let plan = sampled_kill_plan(3);
+    let plan = sampled_plan(3, |f| matches!(f, ProcessFault::Kill { .. }));
     plan.validate().expect("sampled plan validates");
     let ProcessFault::Kill { after_done, .. } = plan.faults[0] else {
-        unreachable!("sampled_kill_plan returns kills");
+        unreachable!("the plan samples a kill");
     };
     // The plan decides which in-flight request's owner dies.
     let victim_req = (after_done as usize) % specs().len();
@@ -270,7 +304,7 @@ fn digest_set_is_identical_across_shard_counts_and_a_mid_drain_worker_kill() {
 
     // Reroute ladder: three shards, zero restart budget — the kill
     // quarantines the victim and its orphans reroute to survivors.
-    let (rerouted, stats) = fabric_run("reroute", 3, 0, Some(victim_req));
+    let (rerouted, stats) = fabric_run("reroute", 3, 0, Some((victim_req, "-9")));
     assert_eq!(
         rerouted, expected,
         "quarantine + reroute must reproduce the digest set"
@@ -280,14 +314,7 @@ fn digest_set_is_identical_across_shard_counts_and_a_mid_drain_worker_kill() {
         "the kill must surface in reroutes_total: {}",
         stats.dump()
     );
-    let health: Vec<String> = match stats.get("shards") {
-        Some(Json::Arr(entries)) => entries
-            .iter()
-            .filter_map(|e| e.get("health").and_then(Json::as_str))
-            .map(str::to_string)
-            .collect(),
-        other => panic!("stats missing shard health block: {other:?}"),
-    };
+    let health = healths(&stats);
     assert!(
         health.iter().any(|h| h == "quarantined"),
         "budget 0 must quarantine the victim: {health:?}"
@@ -295,7 +322,7 @@ fn digest_set_is_identical_across_shard_counts_and_a_mid_drain_worker_kill() {
 
     // Restart ladder: three shards with budget — the worker is
     // restarted with --resume and finishes its own requests.
-    let (resumed, stats) = fabric_run("restart", 3, 2, Some(victim_req));
+    let (resumed, stats) = fabric_run("restart", 3, 2, Some((victim_req, "-9")));
     assert_eq!(
         resumed, expected,
         "restart + resume must reproduce the digest set"
@@ -305,6 +332,28 @@ fn digest_set_is_identical_across_shard_counts_and_a_mid_drain_worker_kill() {
         "the kill must surface in restarts_total: {}",
         stats.dump()
     );
+
+    // Unresponsive ladder: SIGSTOP leaves the worker alive, with its
+    // socket still accepting, but silent. No exit status shows it; only
+    // the front's ping can, and the front must restart the worker.
+    let plan = sampled_plan(3, |f| matches!(f, ProcessFault::Stop { .. }));
+    let ProcessFault::Stop { after_done, .. } = plan.faults[0] else {
+        unreachable!("the plan samples a stop");
+    };
+    let victim_req = (after_done as usize) % specs().len();
+    eprintln!("shard chaos reproducer: {plan:?} (stopping owner of request {victim_req})");
+    let (revived, stats) = fabric_run("stop", 3, 2, Some((victim_req, "-STOP")));
+    assert_eq!(
+        revived, expected,
+        "restarting a stopped worker must reproduce the digest set"
+    );
+    for counter in ["ping_failures_total", "restarts_total"] {
+        assert!(
+            stat_u64(&stats, counter) >= 1,
+            "the stop must surface in {counter}: {}",
+            stats.dump()
+        );
+    }
 }
 
 #[test]

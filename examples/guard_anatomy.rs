@@ -63,7 +63,7 @@ fn main() {
     };
     for seq in 1..=3 {
         let now = Micros(seq * 100_000);
-        let effects = guard.observe_packet(&fabricated(seq), now);
+        let (effects, admission) = guard.observe_packet(&fabricated(seq), now);
         for e in &effects {
             match e {
                 Effect::Suspected {
@@ -86,6 +86,7 @@ fn main() {
                 }
             }
         }
+        println!("seq {seq}: the frame itself: {admission:?}");
     }
     assert!(guard.is_isolated(m2));
     println!(

@@ -90,7 +90,7 @@ fn chaos_injected_trace_is_byte_identical() {
 /// Re-pinned when the watch-expiry tick became demand-armed: the tick
 /// grid is now anchored at each node's first observation instead of at
 /// t=0, which shifts expiry timestamps (never verdicts) within one
-/// `expire_tick` and re-bases the event-sequence numbers in the trace.
+/// `EXPIRE_TICK` and re-bases the event-sequence numbers in the trace.
 const PRE_INDEX_CHAOS_TRACE_FNV: &str = "6fb3518194a33114";
 
 /// Digest of a clean (fault-free) run fingerprint, captured on the same
