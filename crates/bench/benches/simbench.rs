@@ -3,6 +3,7 @@
 //! without LITEWORP, across network sizes. Std-only `harness = false`
 //! binary; see `liteworp_bench::timing`.
 
+use liteworp_bench::experiments::scale_sweep::{self, ScaleSweepConfig};
 use liteworp_bench::timing::{bench_heavy, bench_heavy_ratio, black_box};
 use liteworp_bench::Scenario;
 use liteworp_netsim::prelude::*;
@@ -73,6 +74,19 @@ fn bench_scenario_build() {
             ..Scenario::default()
         }
         .build()
+    });
+}
+
+fn bench_scenario_build_at_scale() {
+    // A build that grows with N (field, grid, the block arena of preloaded
+    // tables, the nodes) and the drop that frees it, as perfbench's
+    // `scale_100k` set-up times it at 10^5 nodes.
+    let scenario = Scenario {
+        seed: 80,
+        ..scale_sweep::scenario_for(&ScaleSweepConfig::default(), 10_000)
+    };
+    bench_heavy("scenario_build_10000", 20, || {
+        drop(black_box(scenario.build()))
     });
 }
 
@@ -148,5 +162,6 @@ fn main() {
     bench_guard_overhead();
     bench_simulation_throughput();
     bench_scenario_build();
+    bench_scenario_build_at_scale();
     bench_route_flood();
 }

@@ -162,11 +162,6 @@ impl LocalMonitor {
         &self.watch
     }
 
-    /// Current `MalC` for a node.
-    pub fn malc(&self, node: NodeId, now: Micros) -> u32 {
-        self.malc.value(node, now)
-    }
-
     /// Processes one overheard transmission, reporting to `out` and
     /// returning what it looked up. Mutates `table` only to revoke a
     /// freshly accused suspect.

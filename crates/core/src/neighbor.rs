@@ -16,21 +16,22 @@
 //! 3. *Am I a guard of this link?* (neighbor of both endpoints).
 //!
 //! Every one of them is a binary search over one sorted id column, plus
-//! (for the second) one over a short sorted run of a second-hop arena, so
-//! the state a guard touches per overheard frame sits in a few contiguous
+//! (for the second) one over a short sorted run of second-hop ids, so the
+//! state a guard touches per overheard frame sits in a few contiguous
 //! cache lines. Each neighbor's slot also carries the guard's standing
 //! judgment of it (accused, suspected by another guard, last alert
 //! round), which [`crate::monitor::LocalMonitor`] reads on every frame.
 //!
-//! A preloaded table does not copy its lists: every table of a deployment
-//! points into one shared, read-only arena (the deployment's adjacency,
-//! see [`NeighborTable::with_lists`]). The arena is copy-on-write: the
-//! first [`NeighborTable::set_neighbor_list`] gives the table a private
-//! arena, so no table ever writes an arena another table reads.
+//! A preloaded table copies nothing: every table of a deployment is a
+//! block of one shared, read-only [`BlockArena`], and each neighbor's
+//! list is that neighbor's own block's id column. The arena is
+//! copy-on-write: a table's first write moves it to a private arena of
+//! its own block and runs, so no table ever writes an arena another table
+//! reads.
 
 use crate::types::{Micros, NodeId};
 use std::fmt;
-use std::ops::Range;
+use std::iter;
 use std::sync::Arc;
 
 /// Status of a first-hop neighbor.
@@ -51,9 +52,9 @@ pub(crate) const ACCUSED: u8 = 1 << 2;
 /// Status bit: another guard's alert named the neighbor as a suspect.
 pub(crate) const SUSPECTED: u8 = 1 << 3;
 
-/// Words of a block's slot: the start and length of the neighbor's run
-/// `R_b` in the second-hop arena (meaningful when listed), then the last
-/// alert round about it as two words (meaningful once accused).
+/// Words of a block's slot: the start (in the arena) and length of the
+/// neighbor's run `R_b` (meaningful when listed), then the last alert
+/// round about it as two words (meaningful once accused).
 const SLOT_WORDS: usize = 4;
 
 /// One known neighbor's state, as unpacked from or packed into a block.
@@ -69,23 +70,67 @@ struct Entry {
 /// The block words of `n` neighbors: ids, status bytes four to a word,
 /// slots.
 fn block_words(n: usize) -> usize {
-    n + n.div_ceil(4) + SLOT_WORDS * n
+    slot_of(n, n)
+}
+
+/// The index, in a block of `n` entries, of entry `i`'s slot.
+fn slot_of(n: usize, i: usize) -> usize {
+    n + n.div_ceil(4) + SLOT_WORDS * i
+}
+
+/// Replaces the status byte of entry `i` of `block`.
+fn set_flags_in(block: &mut [NodeId], n: usize, i: usize, flags: u8) {
+    let word = &mut block[n + i / 4].0;
+    let shift = 8 * (i % 4);
+    *word = *word & !(0xff << shift) | u32::from(flags) << shift;
+}
+
+/// Writes `entry` as entry `i` of `block`.
+fn put_entry(block: &mut [NodeId], n: usize, i: usize, entry: Entry) {
+    block[i] = entry.id;
+    set_flags_in(block, n, i, entry.flags);
+    let s = slot_of(n, i);
+    block[s..s + SLOT_WORDS].copy_from_slice(&[
+        NodeId(entry.start),
+        NodeId(entry.len),
+        NodeId(entry.last_alert.0 as u32),
+        NodeId((entry.last_alert.0 >> 32) as u32),
+    ]);
+}
+
+/// A status word with every byte [`LISTED`] (a preloaded block's; the
+/// last word's padding bytes are never read).
+const ALL_LISTED: NodeId = NodeId(u32::from_le_bytes([LISTED; 4]));
+
+/// An arena of `len` zero words, allocated once.
+fn zeroed(len: usize) -> Arc<[NodeId]> {
+    iter::repeat_n(NodeId(0), len).collect()
+}
+
+/// Asserts that `len` arena words are addressable by a slot's `u32`
+/// range.
+fn check_width(len: usize) {
+    assert!(u32::try_from(len).is_ok(), "table arena exceeds u32 ranges");
 }
 
 /// A node's first- and second-hop neighbor knowledge.
 ///
-/// Stored as one block of words, sized to the known neighbors: their ids
-/// in ascending order, then a status byte per id (revoked, listed, and the
-/// monitor's flags) four to a word, then a slot per id (a `(start, len)`
-/// range and the last alert round). The per-frame checks read only the
-/// ids and status bytes, which sit together at the block's head. Beside
-/// the block, an arena holds every announced list as a run, each sorted
-/// and deduplicated.
-/// The arena is either shared read-only with the other tables of a
-/// preloaded deployment or the table's own, exactly as long as its live
-/// runs. Ascending order everywhere matches the ordered-set iteration
-/// this layout replaced, so everything derived from it (alert
-/// recipients, announcements) keeps its order.
+/// Stored as one block of words in an arena, sized to the known
+/// neighbors: their ids in ascending order, then a status byte per id
+/// (revoked, listed, and the monitor's flags) four to a word, then a slot
+/// per id (a `(start, len)` run of the arena and the last alert round).
+/// The per-frame checks read only the ids and status bytes, which sit
+/// together at the block's head. Every announced list is a run of the
+/// same arena, sorted and deduplicated.
+///
+/// The arena is either a [`BlockArena`] shared read-only with the other
+/// tables of a preloaded deployment (a neighbor's list is then its own
+/// block's id column) or the table's own: its block at offset 0, then
+/// exactly its live runs. Every write goes through copy-on-write, so a
+/// table writes its arena only while it holds the only reference.
+/// Ascending order everywhere matches the ordered-set iteration this
+/// layout replaced, so everything derived from it (alert recipients,
+/// announcements) keeps its order.
 ///
 /// # Example
 ///
@@ -111,13 +156,14 @@ pub struct NeighborTable {
     me: NodeId,
     /// Known first-hop neighbors (active and revoked).
     n: u32,
-    /// `n` ascending ids, `n` status bytes packed four to a word, `n`
-    /// slots of [`SLOT_WORDS`] words: entry `i` is the `i`-th id's.
-    block: Box<[u32]>,
-    /// The arena every listed slot's run points into. Never written:
-    /// [`NeighborTable::set_neighbor_list`] replaces it with a private
-    /// copy of the live runs, so one arena can back many tables.
-    second: Arc<[NodeId]>,
+    /// Where the table's block starts in `arena`.
+    at: u32,
+    /// The block (`n` ascending ids, `n` status bytes packed four to a
+    /// word, `n` slots of [`SLOT_WORDS`] words: entry `i` is the `i`-th
+    /// id's) and every run a listed slot points at. Typed as ids so that
+    /// a run reads out as `&[NodeId]`; status and slot words hold raw
+    /// `u32`s.
+    arena: Arc<[NodeId]>,
 }
 
 impl NeighborTable {
@@ -126,31 +172,27 @@ impl NeighborTable {
         NeighborTable {
             me,
             n: 0,
-            block: Box::default(),
+            at: 0,
             // An empty `Arc` slice shares one static allocation.
-            second: Arc::default(),
+            arena: Arc::default(),
         }
     }
 
     /// Creates node `me`'s table with its neighborhood already known:
     /// `neighbors` (ascending, distinct, without `me`) become active
-    /// first-hop neighbors, and the `k`-th range of `lists` is the run of
-    /// `arena` holding `neighbors[k]`'s announced list (ascending and
-    /// distinct). The runs are read in place, so every table built on one
-    /// arena shares it until its own first
-    /// [`NeighborTable::set_neighbor_list`].
+    /// first-hop neighbors, and the `k`-th of `lists` (ascending and
+    /// distinct) is `neighbors[k]`'s announced list. The table gets a
+    /// private arena; [`BlockArena`] builds a whole deployment's tables
+    /// without copying.
     ///
     /// # Example
     ///
     /// ```
     /// use liteworp::neighbor::NeighborTable;
     /// use liteworp::types::NodeId;
-    /// use std::sync::Arc;
     ///
-    /// // A path 0 - 1 - 2 as one adjacency arena: R_0 = [1],
-    /// // R_1 = [0, 2], R_2 = [1].
-    /// let arena: Arc<[NodeId]> = [1, 0, 2, 1].map(NodeId).into();
-    /// let t = NeighborTable::with_lists(NodeId(1), vec![NodeId(0), NodeId(2)], arena, [0..1, 3..4]);
+    /// // The middle of a path 0 - 1 - 2: R_0 = [1], R_2 = [1].
+    /// let t = NeighborTable::with_lists(NodeId(1), [NodeId(0), NodeId(2)], [[NodeId(1)], [NodeId(1)]]);
     /// assert!(!t.link_plausible(NodeId(0), NodeId(2)), "0 is not in R_2");
     /// assert_eq!(t.neighbor_list_of(NodeId(2)), Some(&[NodeId(1)][..]));
     /// ```
@@ -158,56 +200,45 @@ impl NeighborTable {
     /// # Panics
     ///
     /// Panics if `neighbors` is not strictly ascending or contains `me`,
-    /// if `lists` does not hold one range per neighbor, if a range falls
-    /// outside `arena`, or if `arena` exceeds `u32::MAX` ids (the width
-    /// of a slot's range).
-    pub fn with_lists<L>(me: NodeId, neighbors: Vec<NodeId>, arena: Arc<[NodeId]>, lists: L) -> Self
+    /// if `lists` does not hold one list per neighbor, or if the table
+    /// exceeds `u32::MAX` words (the width of a slot's range).
+    pub fn with_lists<N, L>(me: NodeId, neighbors: N, lists: L) -> Self
     where
-        L: IntoIterator<Item = Range<usize>>,
+        N: IntoIterator<Item = NodeId>,
+        N::IntoIter: ExactSizeIterator,
+        L: IntoIterator,
+        L::Item: IntoIterator<Item = NodeId>,
     {
-        assert!(
-            u32::try_from(arena.len()).is_ok(),
-            "second-hop arena exceeds u32 ranges"
-        );
-        assert!(
-            neighbors.windows(2).all(|w| w[0] < w[1]),
-            "neighbors must be strictly ascending"
-        );
-        assert!(
-            neighbors.binary_search(&me).is_err(),
-            "a node is not its own neighbor"
-        );
+        let neighbors = neighbors.into_iter();
         let n = neighbors.len();
-        let mut block = vec![0u32; block_words(n)].into_boxed_slice();
-        let (ids, rest) = block.split_at_mut(n);
-        let (flags, slots) = rest.split_at_mut(n.div_ceil(4));
-        for (word, id) in ids.iter_mut().zip(&neighbors) {
-            *word = id.0;
-        }
-        let listed = u32::from_le_bytes([LISTED; 4]);
-        flags.fill(listed);
+        let mut words = vec![NodeId(0); block_words(n)];
+        words[n..slot_of(n, 0)].fill(ALL_LISTED);
         let mut lists = lists.into_iter();
+        let mut prev = None;
         let mut listed = 0;
-        for (slot, run) in slots.chunks_exact_mut(SLOT_WORDS).zip(lists.by_ref()) {
-            assert!(
-                run.start <= run.end && run.end <= arena.len(),
-                "list outside the arena"
-            );
-            debug_assert!(arena[run.clone()].windows(2).all(|w| w[0] < w[1]));
-            slot[0] = run.start as u32;
-            slot[1] = run.len() as u32;
+        for (i, (id, list)) in neighbors.zip(lists.by_ref()).enumerate() {
+            assert!(prev < Some(id), "neighbors must be strictly ascending");
+            assert_ne!(id, me, "a node is not its own neighbor");
+            prev = Some(id);
             listed += 1;
+            words[i] = id;
+            let start = words.len();
+            words.extend(list);
+            debug_assert!(words[start..].windows(2).all(|w| w[0] < w[1]));
+            let s = slot_of(n, i);
+            words[s] = NodeId(start as u32);
+            words[s + 1] = NodeId((words.len() - start) as u32);
         }
         assert!(
             listed == n && lists.next().is_none(),
             "one list per neighbor"
         );
-        // (The last status word's padding bytes are never read.)
+        check_width(words.len());
         NeighborTable {
             me,
             n: n as u32,
-            block,
-            second: arena,
+            at: 0,
+            arena: words.into(),
         }
     }
 
@@ -216,22 +247,99 @@ impl NeighborTable {
         self.me
     }
 
-    /// The known ids, ascending, as words.
-    fn ids(&self) -> &[u32] {
-        &self.block[..self.n as usize]
+    /// The table's block, writable. Copy-on-write: while the arena is
+    /// shared, this first moves the table to a private arena of its own
+    /// block and runs.
+    fn block_mut(&mut self) -> &mut [NodeId] {
+        if Arc::get_mut(&mut self.arena).is_none() {
+            let mut own = zeroed(self.private_words(self.len(), None));
+            self.copy_into(Arc::make_mut(&mut own), None, None);
+            self.install(own, self.len());
+        }
+        let (at, words) = (self.at as usize, block_words(self.len()));
+        // The arena is unique here, so this copies nothing.
+        &mut Arc::make_mut(&mut self.arena)[at..at + words]
+    }
+
+    /// Arena words of a private copy of this table with a block of `n`
+    /// entries, without `skip`'s run.
+    fn private_words(&self, n: usize, skip: Option<usize>) -> usize {
+        let skipped = skip.map_or(0, |i| self.run(i).1 as usize);
+        block_words(n) + self.stored_ids() - skipped
+    }
+
+    /// Lays this table out afresh at the head of `words`: a block with a
+    /// blank entry `insert` at its sorted index (if given), then every
+    /// entry's run except `skip`'s, in entry order, with each slot
+    /// pointing at its copy. Returns where the copied runs end.
+    fn copy_into(
+        &self,
+        words: &mut [NodeId],
+        insert: Option<(usize, NodeId)>,
+        skip: Option<usize>,
+    ) -> usize {
+        let n = self.len() + usize::from(insert.is_some());
+        let mut end = block_words(n);
+        for k in 0..self.len() {
+            let mut entry = self.entry(k);
+            let run = entry.start as usize..(entry.start + entry.len) as usize;
+            entry.start = end as u32;
+            if Some(k) == skip {
+                entry.len = 0;
+            } else {
+                words[end..end + run.len()].copy_from_slice(&self.arena[run.clone()]);
+                end += run.len();
+            }
+            let i = match insert {
+                Some((at, _)) if k >= at => k + 1,
+                _ => k,
+            };
+            put_entry(words, n, i, entry);
+        }
+        if let Some((at, id)) = insert {
+            let blank = Entry {
+                id,
+                flags: 0,
+                start: 0,
+                len: 0,
+                last_alert: Micros::default(),
+            };
+            put_entry(words, n, at, blank);
+        }
+        end
+    }
+
+    /// Makes `arena` the table's own, holding a block of `n` entries at
+    /// offset 0.
+    fn install(&mut self, arena: Arc<[NodeId]>, n: usize) {
+        check_width(arena.len());
+        self.arena = arena;
+        self.at = 0;
+        self.n = n as u32;
+    }
+
+    /// The known ids, ascending: the head of the table's block.
+    fn ids(&self) -> &[NodeId] {
+        let at = self.at as usize;
+        &self.arena[at..at + self.len()]
+    }
+
+    /// Word `k` of the table's block. Every read of the block goes
+    /// through here or [`NeighborTable::ids`], one bounds check each, so
+    /// a shared and a private table are read alike.
+    fn word(&self, k: usize) -> u32 {
+        self.arena[self.at as usize + k].0
     }
 
     /// The status byte of entry `i`.
     fn flags_at(&self, i: usize) -> u8 {
-        let word = self.block[self.n as usize + i / 4];
-        (word >> (8 * (i % 4))) as u8
+        (self.word(self.len() + i / 4) >> (8 * (i % 4))) as u8
     }
 
     /// Replaces the status byte of entry `i`.
     fn set_flags(&mut self, i: usize, flags: u8) {
-        let word = &mut self.block[self.n as usize + i / 4];
-        let shift = 8 * (i % 4);
-        *word = *word & !(0xff << shift) | u32::from(flags) << shift;
+        let n = self.len();
+        set_flags_in(self.block_mut(), n, i, flags);
     }
 
     /// Adds `bits` to the status byte of entry `i`.
@@ -239,29 +347,23 @@ impl NeighborTable {
         self.set_flags(i, self.flags_at(i) | bits);
     }
 
-    /// The block index of entry `i`'s slot.
-    fn slot(&self, i: usize) -> usize {
-        let n = self.n as usize;
-        n + n.div_ceil(4) + SLOT_WORDS * i
-    }
-
     /// Entry `i`'s run `(start, len)` in the arena.
     fn run(&self, i: usize) -> (u32, u32) {
-        let s = self.slot(i);
-        (self.block[s], self.block[s + 1])
+        let s = slot_of(self.len(), i);
+        (self.word(s), self.word(s + 1))
     }
 
     /// When this guard last alerted about entry `i`.
     fn last_alert(&self, i: usize) -> Micros {
-        let s = self.slot(i);
-        Micros(u64::from(self.block[s + 2]) | u64::from(self.block[s + 3]) << 32)
+        let s = slot_of(self.len(), i);
+        Micros(u64::from(self.word(s + 2)) | u64::from(self.word(s + 3)) << 32)
     }
 
     /// Entry `i`, unpacked.
     fn entry(&self, i: usize) -> Entry {
         let (start, len) = self.run(i);
         Entry {
-            id: NodeId(self.block[i]),
+            id: self.ids()[i],
             flags: self.flags_at(i),
             start,
             len,
@@ -269,47 +371,22 @@ impl NeighborTable {
         }
     }
 
-    /// Writes `entry` as entry `i`.
-    fn set_entry(&mut self, i: usize, entry: Entry) {
-        self.block[i] = entry.id.0;
-        self.set_flags(i, entry.flags);
-        let s = self.slot(i);
-        self.block[s..s + SLOT_WORDS].copy_from_slice(&[
-            entry.start,
-            entry.len,
-            entry.last_alert.0 as u32,
-            (entry.last_alert.0 >> 32) as u32,
-        ]);
-    }
-
     /// The slot index of `n`, if known.
     pub(crate) fn find(&self, n: NodeId) -> Option<usize> {
-        self.ids().binary_search(&n.0).ok()
+        self.ids().binary_search(&n).ok()
     }
 
     /// The slot index of `n`, inserting an empty entry if unknown (the
-    /// block is rebuilt one entry longer: inserts happen while tables are
-    /// filled and on revocations of strangers, never per frame).
+    /// table moves to a new private arena one entry longer: inserts
+    /// happen while tables are filled and on revocations of strangers,
+    /// never per frame).
     fn find_or_insert(&mut self, n: NodeId) -> usize {
-        match self.ids().binary_search(&n.0) {
+        match self.ids().binary_search(&n) {
             Ok(i) => i,
             Err(at) => {
-                let mut entries: Vec<Entry> = (0..self.len()).map(|i| self.entry(i)).collect();
-                entries.insert(
-                    at,
-                    Entry {
-                        id: n,
-                        flags: 0,
-                        start: 0,
-                        len: 0,
-                        last_alert: Micros::default(),
-                    },
-                );
-                self.n += 1;
-                self.block = vec![0; block_words(entries.len())].into_boxed_slice();
-                for (i, entry) in entries.into_iter().enumerate() {
-                    self.set_entry(i, entry);
-                }
+                let mut own = zeroed(self.private_words(self.len() + 1, None));
+                self.copy_into(Arc::make_mut(&mut own), Some((at, n)), None);
+                self.install(own, self.len() + 1);
                 at
             }
         }
@@ -337,17 +414,16 @@ impl NeighborTable {
     /// per the protocol, a node only accepts list announcements from
     /// verified neighbors. The list may come unsorted and with repeats.
     ///
-    /// Copy-on-write: the arena may be shared with other tables, so every
-    /// call writes a fresh private arena, exactly as long as the table's
-    /// live runs: the other stored lists in slot order, then the new one,
-    /// sorted and deduplicated in place.
+    /// Every call moves the table to a fresh private arena, exactly as
+    /// long as its block and live runs: the other stored lists in slot
+    /// order, then the new one, sorted and deduplicated in place.
     ///
     /// Returns whether the list was stored.
     ///
     /// # Panics
     ///
-    /// Panics if the table's stored second-hop ids would exceed
-    /// `u32::MAX` (the width of a slot's range).
+    /// Panics if the table would exceed `u32::MAX` words (the width of a
+    /// slot's range).
     pub fn set_neighbor_list<I: IntoIterator<Item = NodeId>>(
         &mut self,
         b: NodeId,
@@ -356,30 +432,20 @@ impl NeighborTable {
         let Some(i) = self.find(b) else {
             return false;
         };
-        let kept: usize = self.stored_ids() - self.run(i).1 as usize;
-        let mut second = Vec::with_capacity(kept);
-        for k in (0..self.len()).filter(|&k| k != i) {
-            // An unlisted slot's run is empty.
-            let (start, len) = self.run(k);
-            let s = self.slot(k);
-            self.block[s] = second.len() as u32;
-            second.extend_from_slice(&self.second[start as usize..(start + len) as usize]);
-        }
-        let start = second.len();
-        second.extend(list);
-        let run = &mut second[start..];
+        let flags = self.flags_at(i) | LISTED;
+        let mut words = vec![NodeId(0); self.private_words(self.len(), Some(i))];
+        let start = self.copy_into(&mut words, None, Some(i));
+        words.extend(list);
+        let run = &mut words[start..];
         run.sort_unstable();
         let len = dedup_sorted(run);
-        second.truncate(start + len);
-        assert!(
-            u32::try_from(second.len()).is_ok(),
-            "second-hop arena exceeds u32 ranges"
-        );
-        let s = self.slot(i);
-        self.block[s] = start as u32;
-        self.block[s + 1] = len as u32;
-        self.mark(i, LISTED);
-        self.second = second.into();
+        words.truncate(start + len);
+        let n = self.len();
+        let s = slot_of(n, i);
+        words[s] = NodeId(start as u32);
+        words[s + 1] = NodeId(len as u32);
+        set_flags_in(&mut words, n, i, flags);
+        self.install(words.into(), n);
         true
     }
 
@@ -431,9 +497,10 @@ impl NeighborTable {
     }
 
     fn set_last_alert(&mut self, i: usize, t: Micros) {
-        let s = self.slot(i);
-        self.block[s + 2] = t.0 as u32;
-        self.block[s + 3] = (t.0 >> 32) as u32;
+        let s = slot_of(self.len(), i);
+        let block = self.block_mut();
+        block[s + 2] = NodeId(t.0 as u32);
+        block[s + 3] = NodeId((t.0 >> 32) as u32);
     }
 
     /// Whether an accused `n` is due another alert round at `now` (at
@@ -463,7 +530,7 @@ impl NeighborTable {
     pub fn active_neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.len())
             .filter(|&i| self.flags_at(i) & REVOKED == 0)
-            .map(|i| NodeId(self.block[i]))
+            .map(|i| self.ids()[i])
     }
 
     /// Count of known neighbors (active and revoked).
@@ -479,7 +546,7 @@ impl NeighborTable {
     fn list_at(&self, i: usize) -> Option<&[NodeId]> {
         let (start, len) = self.run(i);
         (self.flags_at(i) & LISTED != 0)
-            .then(|| &self.second[start as usize..(start + len) as usize])
+            .then(|| &self.arena[start as usize..(start + len) as usize])
     }
 
     /// Second-hop ids stored over all runs (an unlisted run is empty).
@@ -606,6 +673,113 @@ fn dedup_sorted(run: &mut [NodeId]) -> usize {
     w
 }
 
+/// Every preloaded table of a deployment, laid out back to back in one
+/// shared arena: node `i`'s block (its ascending in-range ids, every
+/// status byte "listed", and one slot per neighbor) in node order. A
+/// neighbor `b`'s announced list is `b`'s own in-range set, which is the
+/// id column at the head of `b`'s block, so each slot points there and
+/// the arena holds every list exactly once. [`BlockArena::table`] hands
+/// out a table as an `Arc` clone and an offset, copying nothing; the
+/// table's first write moves it to a private arena (see
+/// [`NeighborTable`]).
+///
+/// # Example
+///
+/// ```
+/// use liteworp::neighbor::BlockArena;
+/// use liteworp::types::NodeId;
+///
+/// // A path 0 - 1 - 2 as an adjacency list: R_0 = [1], R_1 = [0, 2],
+/// // R_2 = [1].
+/// let ids = [1, 0, 2, 1].map(NodeId);
+/// let blocks = BlockArena::from_adjacency(&ids, &[(0, 1), (1, 3), (3, 4)], |id| id);
+/// let t = blocks.table(NodeId(1));
+/// assert!(!t.link_plausible(NodeId(0), NodeId(2)), "0 is not in R_2");
+/// assert_eq!(t.neighbor_list_of(NodeId(2)), Some(&[NodeId(1)][..]));
+/// ```
+pub struct BlockArena {
+    arena: Arc<[NodeId]>,
+    /// Node `i`'s block: its offset in `arena` and its neighbor count.
+    blocks: Vec<(u32, u32)>,
+}
+
+impl BlockArena {
+    /// Lays out the tables of a deployment whose node `i` has the
+    /// in-range set `ids[rows[i].0..rows[i].1]` (ascending, without `i`),
+    /// each id mapped through `id`: one pass over the rows to size the
+    /// blocks, one to fill them, and one allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row falls outside `ids`, if a mapped id is not a node
+    /// of the deployment (`0..rows.len()`), or if the arena exceeds
+    /// `u32::MAX` words (the width of a slot's range).
+    pub fn from_adjacency<T: Copy>(
+        ids: &[T],
+        rows: &[(usize, usize)],
+        id: impl Fn(T) -> NodeId,
+    ) -> Self {
+        let mut total = 0;
+        let blocks: Vec<(u32, u32)> = rows
+            .iter()
+            .map(|&(start, end)| {
+                let at = total;
+                total += block_words(end - start);
+                (at as u32, (end - start) as u32)
+            })
+            .collect();
+        check_width(total);
+        let mut arena = zeroed(total);
+        // Just allocated, so unique: this copies nothing.
+        let words = Arc::make_mut(&mut arena);
+        for (&(start, end), &(at, n)) in rows.iter().zip(&blocks) {
+            let n = n as usize;
+            let block = &mut words[at as usize..at as usize + block_words(n)];
+            let (own, rest) = block.split_at_mut(n);
+            let (flags, slots) = rest.split_at_mut(n.div_ceil(4));
+            flags.fill(ALL_LISTED);
+            for ((word, &nb), slot) in own
+                .iter_mut()
+                .zip(&ids[start..end])
+                .zip(slots.chunks_exact_mut(SLOT_WORDS))
+            {
+                *word = id(nb);
+                // The neighbor's list is its block's id column.
+                let (list_at, list_len) = blocks[word.0 as usize];
+                slot[0] = NodeId(list_at);
+                slot[1] = NodeId(list_len);
+            }
+            debug_assert!(own.windows(2).all(|w| w[0] < w[1]));
+        }
+        BlockArena { arena, blocks }
+    }
+
+    /// Node `me`'s table: its block of the shared arena, as if `me` had
+    /// completed secure discovery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is not a node of the deployment.
+    pub fn table(&self, me: NodeId) -> NeighborTable {
+        let (at, n) = self.blocks[me.0 as usize];
+        NeighborTable {
+            me,
+            n,
+            at,
+            arena: Arc::clone(&self.arena),
+        }
+    }
+}
+
+/// Prints the arena's size, never its words.
+impl fmt::Debug for BlockArena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BlockArena")
+            .field("tables", &self.blocks.len())
+            .field("words", &self.arena.len())
+            .finish()
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,7 +911,7 @@ mod tests {
             );
         }
         let live = 9 + 2; // R_1 (last round: 9 ids) + R_2
-        assert_eq!(t.second.len(), live);
+        assert_eq!(t.arena.len(), block_words(2) + live);
         assert_eq!(
             t.neighbor_list_of(NodeId(2)),
             Some(&[NodeId(0), NodeId(1)][..])
@@ -745,65 +919,161 @@ mod tests {
         assert_eq!(t.storage_bytes(), 2 * 5 + live * 4);
     }
 
-    #[test]
-    fn writes_to_one_table_leave_its_arena_siblings_alone() {
-        // A ring of 8 nodes, each in range of the two before and after it.
-        let n = 8u32;
-        let row = |i: u32| {
-            let mut r: Vec<NodeId> = [n - 2, n - 1, 1, 2].map(|d| NodeId((i + d) % n)).to_vec();
-            r.sort_unstable();
-            r
-        };
-        let arena: Arc<[NodeId]> = (0..n).flat_map(row).collect();
-        let run = |i: u32| i as usize * 4..i as usize * 4 + 4;
-        let tables: Vec<NeighborTable> = (0..n)
+    /// A ring of `n` nodes, each in range of the two before and after it,
+    /// as an adjacency list.
+    fn ring(n: u32) -> (Vec<NodeId>, Vec<(usize, usize)>) {
+        let mut ids = Vec::new();
+        let rows = (0..n)
             .map(|i| {
-                let mine = row(i);
-                let lists: Vec<Range<usize>> = mine.iter().map(|nb| run(nb.0)).collect();
-                NeighborTable::with_lists(NodeId(i), mine, Arc::clone(&arena), lists)
+                let start = ids.len();
+                let mut row = [n - 2, n - 1, 1, 2].map(|d| NodeId((i + d) % n));
+                row.sort_unstable();
+                ids.extend(row);
+                (start, ids.len())
             })
             .collect();
-        let before: Vec<String> = tables.iter().map(|t| format!("{t:?}")).collect();
-        let pristine = arena.to_vec();
-        for target in 0..n as usize {
-            // Clones share the arena too.
-            let mut ts = tables.clone();
-            let t = &mut ts[target];
-            let nb: Vec<NodeId> = t.ids().iter().copied().map(NodeId).collect();
-            t.revoke(nb[1]);
-            t.revoke(NodeId(50));
-            t.accuse(nb[2], Micros(5));
-            t.mark_suspected(nb[3]);
-            assert!(Arc::ptr_eq(&t.second, &arena), "flags and slots only");
-            assert!(t.set_neighbor_list(nb[0], [NodeId(99), NodeId(7)]));
-            // The writer moved to a private arena of exactly its live
-            // runs: three neighbors' lists of 4 ids and the new one.
-            assert!(!Arc::ptr_eq(&t.second, &arena));
-            assert_eq!(t.second.len(), 3 * 4 + 2);
-            assert_eq!(
-                t.neighbor_list_of(nb[0]),
-                Some(&[NodeId(7), NodeId(99)][..])
-            );
-            assert_eq!(t.neighbor_list_of(nb[1]), Some(&arena[run(nb[1].0)]));
-            assert_ne!(format!("{t:?}"), before[target]);
-            for (k, other) in ts.iter().enumerate() {
-                if k != target {
-                    assert_eq!(format!("{other:?}"), before[k], "table {k} changed");
-                }
-            }
-            assert_eq!(&arena[..], &pristine[..]);
+        (ids, rows)
+    }
+
+    /// `t`'s state in a private arena of its own: its writes take the
+    /// in-place path.
+    fn private_twin(t: &NeighborTable) -> NeighborTable {
+        let mut twin = t.clone();
+        twin.block_mut();
+        assert!(Arc::get_mut(&mut twin.arena).is_some());
+        assert_eq!(format!("{twin:?}"), format!("{t:?}"));
+        twin
+    }
+
+    /// A write to a table, given its neighbors, and whether it writes
+    /// the table's block in place when the arena is its own.
+    type Write = (&'static str, fn(&mut NeighborTable, &[NodeId]), bool);
+
+    /// Every write path: the status byte, the last alert round, an
+    /// insert, and a stored list.
+    const WRITES: [Write; 7] = [
+        ("revoke", |t, nb| t.revoke(nb[1]), true),
+        ("mark_suspected", |t, nb| t.mark_suspected(nb[3]), true),
+        ("accuse", |t, nb| t.accuse(nb[2], Micros(5)), true),
+        (
+            "realert_due",
+            |t, nb| assert!(t.realert_due(nb[0], Micros(500), 100)),
+            true,
+        ),
+        ("revoke a stranger", |t, _| t.revoke(NodeId(50)), false),
+        ("add_neighbor", |t, _| t.add_neighbor(NodeId(40)), false),
+        (
+            "set_neighbor_list",
+            |t, nb| assert!(t.set_neighbor_list(nb[0], [NodeId(99), NodeId(7)])),
+            false,
+        ),
+    ];
+
+    #[test]
+    fn writes_to_one_table_leave_its_arena_siblings_alone() {
+        let (ids, rows) = ring(8);
+        let blocks = BlockArena::from_adjacency(&ids, &rows, |id| id);
+        let pristine = blocks.arena.to_vec();
+        let mut tables: Vec<NeighborTable> = (0..8).map(|i| blocks.table(NodeId(i))).collect();
+        for t in &mut tables {
+            // `realert_due` writes only for an accused neighbor: accuse
+            // one in a private arena, then share that arena with a clone.
+            let nb = t.ids()[0];
+            t.accuse(nb, Micros(0));
+            let accused = t.clone();
+            assert!(Arc::ptr_eq(&accused.arena, &t.arena));
         }
+        let shared: Vec<NeighborTable> = (0..8).map(|i| blocks.table(NodeId(i))).collect();
+        for (name, write, in_place) in WRITES {
+            let base = if name == "realert_due" {
+                &tables
+            } else {
+                &shared
+            };
+            let before: Vec<String> = base.iter().map(|t| format!("{t:?}")).collect();
+            for target in 0..base.len() {
+                // Clones share the arena too.
+                let mut ts = base.clone();
+                let nb = ts[target].ids().to_vec();
+                let mut twin = private_twin(&ts[target]);
+                let twin_arena = Arc::as_ptr(&twin.arena);
+                write(&mut twin, &nb);
+                let moved = !std::ptr::addr_eq(Arc::as_ptr(&twin.arena), twin_arena);
+                assert_eq!(moved, !in_place, "{name}");
+                let t = &mut ts[target];
+                let was = Arc::clone(&t.arena);
+                write(t, &nb);
+                // The writer moved to a private arena of exactly its block
+                // and live runs, and holds what the in-place write gave.
+                assert!(!Arc::ptr_eq(&t.arena, &was), "{name}");
+                assert_eq!(t.at, 0, "{name}");
+                assert_eq!(t.arena.len(), block_words(t.len()) + t.stored_ids());
+                assert_eq!(format!("{t:?}"), format!("{twin:?}"), "{name}");
+                assert_ne!(format!("{t:?}"), before[target], "{name}");
+                for (k, other) in ts.iter().enumerate() {
+                    if k != target {
+                        assert_eq!(format!("{other:?}"), before[k], "{name}: table {k}");
+                    }
+                }
+                assert_eq!(&blocks.arena[..], &pristine[..], "{name}");
+            }
+        }
+        // A private table writes in place; nothing else holds its arena.
+        let t = &mut tables[0];
+        let arena = Arc::as_ptr(&t.arena);
+        t.mark_suspected(t.ids()[1]);
+        assert!(std::ptr::addr_eq(Arc::as_ptr(&t.arena), arena));
+    }
+
+    #[test]
+    fn shared_tables_match_private_ones() {
+        let (ids, rows) = ring(8);
+        let blocks = BlockArena::from_adjacency(&ids, &rows, |id| id);
+        for i in 0..8u32 {
+            let t = blocks.table(NodeId(i));
+            assert_eq!(t.owner(), NodeId(i));
+            let (start, end) = rows[i as usize];
+            assert_eq!(t.ids(), &ids[start..end]);
+            for (k, &nb) in t.ids().iter().enumerate() {
+                let (s, e) = rows[nb.0 as usize];
+                assert_eq!(t.list_at(k), Some(&ids[s..e]), "R_{nb} is its row");
+            }
+            let lists = (0..t.len()).map(|k| t.list_at(k).unwrap_or_default().to_vec());
+            let built = NeighborTable::with_lists(t.me, t.ids().iter().copied(), lists);
+            assert_eq!(format!("{t:?}"), format!("{built:?}"));
+            assert_eq!(t.storage_bytes(), 4 * 5 + 4 * 4 * 4);
+        }
+        assert_eq!(
+            format!("{blocks:?}"),
+            format!("BlockArena {{ tables: 8, words: {} }}", 8 * block_words(4))
+        );
     }
 
     #[test]
     fn debug_prints_own_runs_only() {
-        // A wide arena the table uses two ids of.
-        let arena: Arc<[NodeId]> = (100..200).map(NodeId).collect();
-        let t = NeighborTable::with_lists(NodeId(0), vec![NodeId(1)], arena, std::iter::once(5..7));
+        // A path of 100 nodes: node 50's table lives among 99 others.
+        let mut ids = Vec::new();
+        let rows: Vec<(usize, usize)> = (0..100u32)
+            .map(|i| {
+                let start = ids.len();
+                ids.extend(
+                    [i.checked_sub(1), (i < 99).then_some(i + 1)]
+                        .into_iter()
+                        .flatten()
+                        .map(NodeId),
+                );
+                (start, ids.len())
+            })
+            .collect();
+        let t = BlockArena::from_adjacency(&ids, &rows, |id| id).table(NodeId(50));
         let text = format!("{t:?}");
-        assert!(text.contains("[NodeId(105), NodeId(106)]"), "{text}");
         assert!(
-            !text.contains("NodeId(104)") && !text.contains("NodeId(107)"),
+            text.contains("NodeId(49): (2, Micros(0), Some([NodeId(48), NodeId(50)]))"),
+            "{text}"
+        );
+        assert!(text.contains("[NodeId(50), NodeId(52)]"), "{text}");
+        assert!(
+            !text.contains("NodeId(47)") && !text.contains("NodeId(53)"),
             "{text}"
         );
     }

@@ -437,64 +437,149 @@ fn watch_buffer_matches_the_vec_model() {
     }
 }
 
+/// What a neighbor table should hold: first-hop ids (with whether each
+/// is revoked) and the stored second-hop lists.
+#[derive(Clone)]
+struct TableModel {
+    me: NodeId,
+    first: std::collections::BTreeMap<NodeId, bool>,
+    second: std::collections::BTreeMap<NodeId, std::collections::BTreeSet<NodeId>>,
+}
+
+impl TableModel {
+    /// Applies one random write to `t` and to the model.
+    fn step(&mut self, t: &mut NeighborTable, rng: &mut Pcg32) {
+        let node = |rng: &mut Pcg32| NodeId(rng.gen_range(0u32..12));
+        match rng.gen_range(0u32..4) {
+            0 => {
+                let n = node(rng);
+                if n != self.me {
+                    t.add_neighbor(n);
+                    self.first.entry(n).or_insert(false);
+                }
+            }
+            1 | 2 => {
+                // Unsorted, with repeats; often a re-announcement of a
+                // different length.
+                let b = node(rng);
+                let len = rng.gen_range(0usize..10);
+                let list: Vec<NodeId> = (0..len).map(|_| node(rng)).collect();
+                let stored = t.set_neighbor_list(b, list.iter().copied());
+                assert_eq!(stored, self.first.contains_key(&b));
+                if stored {
+                    self.second.insert(b, list.into_iter().collect());
+                }
+            }
+            _ => {
+                // Unknown ids (the owner included) are recorded too.
+                let n = node(rng);
+                t.revoke(n);
+                self.first.insert(n, true);
+            }
+        }
+    }
+
+    /// Asserts that every query on `t` answers as the model does.
+    fn check(&self, t: &NeighborTable, ctx: &str) {
+        let (me, first, second) = (self.me, &self.first, &self.second);
+        assert_eq!(t.owner(), me, "{ctx}");
+        for n in (0..12).map(NodeId) {
+            assert_eq!(t.is_neighbor(n), first.contains_key(&n), "{ctx}");
+            assert_eq!(t.is_revoked(n), first.get(&n) == Some(&true), "{ctx}");
+            assert_eq!(t.is_active_neighbor(n), first.get(&n) == Some(&false));
+            let list = t.neighbor_list_of(n).map(<[NodeId]>::to_vec);
+            let model_list = second.get(&n).map(|s| s.iter().copied().collect());
+            assert_eq!(list, model_list, "{ctx}");
+            for p in (0..12).map(NodeId) {
+                let plausible = first.get(&n) == Some(&false)
+                    && (p == me || second.get(&n).is_some_and(|s| s.contains(&p)));
+                assert_eq!(t.link_plausible(p, n), plausible, "{ctx}");
+                let guard = p != n
+                    && (p == me || first.contains_key(&p))
+                    && (n == me || first.contains_key(&n));
+                assert_eq!(t.is_guard_of(p, n), guard, "{ctx}");
+            }
+        }
+        let active: Vec<NodeId> = first.iter().filter(|(_, &r)| !r).map(|(&n, _)| n).collect();
+        assert_eq!(t.active_neighbors().collect::<Vec<_>>(), active, "{ctx}");
+        assert_eq!(t.len(), first.len(), "{ctx}");
+        let ids: usize = second.values().map(std::collections::BTreeSet::len).sum();
+        assert_eq!(t.storage_bytes(), first.len() * 5 + ids * 4, "{ctx}");
+    }
+}
+
+/// A random undirected graph on 12 nodes as an adjacency list (rows in
+/// id order, each ascending), with each node's model as if it had
+/// completed discovery on it.
+fn arb_deployment(rng: &mut Pcg32) -> (Vec<NodeId>, Vec<(usize, usize)>, Vec<TableModel>) {
+    let edges: Vec<(usize, usize)> = (0..12)
+        .flat_map(|a| (a + 1..12).map(move |b| (a, b)))
+        .filter(|_| rng.gen_bool(0.3))
+        .collect();
+    let linked = |a: usize, b: usize| edges.contains(&(a.min(b), a.max(b)));
+    let row = |a: usize| {
+        (0..12)
+            .filter(move |&b| linked(a, b))
+            .map(|b| NodeId(b as u32))
+    };
+    let mut ids = Vec::new();
+    let mut rows = Vec::new();
+    for a in 0..12 {
+        let start = ids.len();
+        ids.extend(row(a));
+        rows.push((start, ids.len()));
+    }
+    let models = (0..12)
+        .map(|a| TableModel {
+            me: NodeId(a as u32),
+            first: row(a).map(|b| (b, false)).collect(),
+            second: row(a).map(|b| (b, row(b.0 as usize).collect())).collect(),
+        })
+        .collect();
+    (ids, rows, models)
+}
+
 #[test]
 fn neighbor_table_matches_the_btree_model() {
-    use std::collections::{BTreeMap, BTreeSet};
+    use liteworp::neighbor::BlockArena;
     let mut rng = Pcg32::seed_from_u64(0x6e74_6d64);
-    let me = NodeId(0);
     for case in 0..CASES {
-        let mut t = NeighborTable::new(me);
-        let mut first: BTreeMap<NodeId, bool> = BTreeMap::new(); // id -> revoked
-        let mut second: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-        let node = |rng: &mut Pcg32| NodeId(rng.gen_range(0u32..12));
-        for _ in 0..120 {
-            match rng.gen_range(0u32..4) {
-                0 => {
-                    let n = NodeId(rng.gen_range(1u32..12));
-                    t.add_neighbor(n);
-                    first.entry(n).or_insert(false);
-                }
-                1 | 2 => {
-                    // Unsorted, with repeats; often a re-announcement of a
-                    // different length.
-                    let b = node(&mut rng);
-                    let len = rng.gen_range(0usize..10);
-                    let list: Vec<NodeId> = (0..len).map(|_| node(&mut rng)).collect();
-                    let stored = t.set_neighbor_list(b, list.iter().copied());
-                    assert_eq!(stored, first.contains_key(&b));
-                    if stored {
-                        second.insert(b, list.into_iter().collect());
-                    }
-                }
-                _ => {
-                    // Unknown ids (the owner included) are recorded too.
-                    let n = node(&mut rng);
-                    t.revoke(n);
-                    first.insert(n, true);
-                }
+        // Odd cases start from an empty table. Even ones start as the
+        // twelve sibling tables of one block arena, so every table's
+        // first write takes the copy-on-write path while its siblings
+        // still read the shared arena.
+        let (mut tables, mut models, arena) = if case % 2 == 1 {
+            let model = TableModel {
+                me: NodeId(0),
+                first: Default::default(),
+                second: Default::default(),
+            };
+            (vec![NeighborTable::new(NodeId(0))], vec![model], None)
+        } else {
+            let (ids, rows, models) = arb_deployment(&mut rng);
+            let blocks = BlockArena::from_adjacency(&ids, &rows, |id| id);
+            let tables: Vec<NeighborTable> = (0..12).map(|i| blocks.table(NodeId(i))).collect();
+            (tables, models.clone(), Some((blocks, models)))
+        };
+        for (t, model) in tables.iter().zip(&models) {
+            model.check(t, &format!("case {case}, fresh"));
+        }
+        for step in 0..120 {
+            let k = rng.gen_range(0..tables.len());
+            models[k].step(&mut tables[k], &mut rng);
+            models[k].check(&tables[k], &format!("case {case}, step {step}"));
+        }
+        for (t, model) in tables.iter().zip(&models) {
+            model.check(t, &format!("case {case}, end"));
+        }
+        // The writes left the shared arena as it was built.
+        if let Some((blocks, pristine)) = arena {
+            for (i, model) in pristine.iter().enumerate() {
+                model.check(
+                    &blocks.table(NodeId(i as u32)),
+                    &format!("case {case}, arena"),
+                );
             }
-            for n in (0..12).map(NodeId) {
-                assert_eq!(t.is_neighbor(n), first.contains_key(&n), "case {case}");
-                assert_eq!(t.is_revoked(n), first.get(&n) == Some(&true));
-                assert_eq!(t.is_active_neighbor(n), first.get(&n) == Some(&false));
-                let list = t.neighbor_list_of(n).map(<[NodeId]>::to_vec);
-                let model_list = second.get(&n).map(|s| s.iter().copied().collect());
-                assert_eq!(list, model_list);
-                for p in (0..12).map(NodeId) {
-                    let plausible = first.get(&n) == Some(&false)
-                        && (p == me || second.get(&n).is_some_and(|s| s.contains(&p)));
-                    assert_eq!(t.link_plausible(p, n), plausible);
-                    let guard = p != n
-                        && (p == me || first.contains_key(&p))
-                        && (n == me || first.contains_key(&n));
-                    assert_eq!(t.is_guard_of(p, n), guard);
-                }
-            }
-            let active: Vec<NodeId> = first.iter().filter(|(_, &r)| !r).map(|(&n, _)| n).collect();
-            assert_eq!(t.active_neighbors().collect::<Vec<_>>(), active);
-            assert_eq!(t.len(), first.len());
-            let ids: usize = second.values().map(BTreeSet::len).sum();
-            assert_eq!(t.storage_bytes(), first.len() * 5 + ids * 4);
         }
     }
 }

@@ -320,8 +320,18 @@ impl<P: Clone + 'static> Simulator<P> {
 
     /// Schedules an external timer for a node — the hook experiments use
     /// to trigger behavior (e.g. "start the attack at t = 50 s").
+    ///
+    /// # Panics
+    ///
+    /// Panics for an unknown node, or for a time earlier than
+    /// [`Simulator::now`]: the event loop would move the clock backwards.
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
         assert!(node.index() < self.logic.len(), "unknown node {node}");
+        assert!(
+            at >= self.now,
+            "timer scheduled in the past: {at} < now {}",
+            self.now
+        );
         self.push_event(at, EventKind::Timer { node, token });
     }
 

@@ -225,3 +225,24 @@ fn external_timers_reach_the_node() {
     assert_eq!(s.tokens, vec![7, 42]);
     assert!(!sim.has_pending_events());
 }
+
+#[test]
+#[should_panic(expected = "timer scheduled in the past")]
+fn external_timers_cannot_be_scheduled_in_the_past() {
+    struct Idle;
+    impl NodeLogic<P> for Idle {
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+    let field = Field::from_positions(10.0, 30.0, vec![Position::new(0.0, 0.0)]);
+    let mut sim = Simulator::new(field, RadioConfig::default(), 1);
+    sim.push_node(Box::new(Idle));
+    sim.run_until(SimTime::from_secs_f64(2.0));
+    // Now is 2 s: a timer at exactly now is fine, one before it is not.
+    sim.schedule_timer(SimTime::from_secs_f64(2.0), NodeId(0), 1);
+    sim.schedule_timer(SimTime::from_secs_f64(1.0), NodeId(0), 2);
+}

@@ -11,20 +11,19 @@
 //!
 //! A deployment's tables hold the same lists many times over: neighbor
 //! `B`'s list `R_B` sits in the table of every node within range of `B`.
-//! [`SharedAdjacency`] stores each list once, and every table it preloads
-//! points into it (copy-on-write, see [`NeighborTable::with_lists`]).
+//! [`SharedAdjacency`] lays every table out once, in one block arena
+//! where `R_B` is `B`'s own id column, and every table it preloads is a
+//! view of that arena (copy-on-write, see [`BlockArena`]).
 //! [`preload_liteworp`] preloads one node on its own, with a private copy.
 
 use crate::node::core_id;
-use liteworp::neighbor::NeighborTable;
-use liteworp::types::NodeId;
+use liteworp::neighbor::{BlockArena, NeighborTable};
 use liteworp::Liteworp;
 use liteworp_netsim::field::{Field, NodeId as SimNodeId};
-use std::ops::Range;
-use std::sync::Arc;
 
-/// A deployment's adjacency in core ids, built once per scenario: every
-/// node's in-range list in one shared arena.
+/// A deployment's preloaded tables, built once per scenario in one pass
+/// over [`Field::adjacency`]: every node's table block in one shared
+/// arena.
 ///
 /// # Example
 ///
@@ -46,62 +45,38 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug)]
 pub struct SharedAdjacency {
-    /// Every node's in-range set, concatenated in [`Field::adjacency`]'s
-    /// row order, each run ascending.
-    arena: Arc<[NodeId]>,
-    /// Node `i`'s run of `arena` at index `i`.
-    rows: Vec<(u32, u32)>,
+    blocks: BlockArena,
 }
 
 impl SharedAdjacency {
-    /// Copies `field`'s adjacency list into core ids.
+    /// Lays out every node's table from `field`'s adjacency list.
     ///
     /// # Panics
     ///
-    /// Panics if the adjacency holds more than `u32::MAX` ids.
+    /// Panics if the tables exceed `u32::MAX` words.
     pub fn from_field(field: &Field) -> Self {
         let (neighbors, rows) = field.adjacency();
-        assert!(
-            u32::try_from(neighbors.len()).is_ok(),
-            "second-hop arena exceeds u32 ranges"
-        );
         SharedAdjacency {
-            arena: neighbors.iter().copied().map(core_id).collect(),
-            rows: rows
-                .iter()
-                .map(|&(start, end)| (start as u32, end as u32))
-                .collect(),
+            blocks: BlockArena::from_adjacency(neighbors, rows, core_id),
         }
-    }
-
-    /// Node `n`'s in-range run of the arena.
-    fn row(&self, n: NodeId) -> Range<usize> {
-        let (start, end) = self.rows[n.0 as usize];
-        start as usize..end as usize
     }
 
     /// Preloads `lw`'s neighbor table as if node `me` had completed
     /// secure discovery: all nodes in range become first-hop neighbors,
     /// and each neighbor's own range set is its stored list, read in
-    /// place from the shared arena. Replaces whatever the table held.
+    /// place from the shared arena. Replaces whatever the table held;
+    /// allocates nothing.
     pub fn preload(&self, lw: &mut Liteworp, me: SimNodeId) {
-        let neighbors = &self.arena[self.row(core_id(me))];
-        let lists = neighbors.iter().map(|&nb| self.row(nb));
-        *lw.table_mut() = NeighborTable::with_lists(
-            core_id(me),
-            neighbors.to_vec(),
-            Arc::clone(&self.arena),
-            lists,
-        );
+        *lw.table_mut() = self.blocks.table(core_id(me));
     }
 }
 
 /// Preloads `lw`'s neighbor table as if node `me` had completed secure
 /// discovery on `field`: all nodes in range become first-hop neighbors,
 /// and each neighbor's own range set is stored as second-hop knowledge.
-/// Replaces whatever the table held. The lists go into one private arena
-/// built in one pass over `Field`'s rows; [`SharedAdjacency::preload`]
-/// installs the same table without the copy.
+/// Replaces whatever the table held. The table gets a private arena
+/// ([`NeighborTable::with_lists`]); [`SharedAdjacency::preload`] installs
+/// the same table without the copy.
 ///
 /// # Example
 ///
@@ -125,18 +100,11 @@ impl SharedAdjacency {
 /// ```
 pub fn preload_liteworp(lw: &mut Liteworp, me: SimNodeId, field: &Field) {
     let in_range = field.in_range_of(me);
-    let rows = || in_range.iter().map(|&nb| field.in_range_of(nb));
-    let mut arena = Vec::with_capacity(rows().map(<[_]>::len).sum());
-    for row in rows() {
-        arena.extend(row.iter().copied().map(core_id));
-    }
-    let lists = rows().scan(0, |start, row| {
-        let run = *start..*start + row.len();
-        *start = run.end;
-        Some(run)
-    });
-    let neighbors = in_range.iter().copied().map(core_id).collect();
-    *lw.table_mut() = NeighborTable::with_lists(core_id(me), neighbors, arena.into(), lists);
+    let lists = in_range
+        .iter()
+        .map(|&nb| field.in_range_of(nb).iter().copied().map(core_id));
+    *lw.table_mut() =
+        NeighborTable::with_lists(core_id(me), in_range.iter().copied().map(core_id), lists);
 }
 
 #[cfg(test)]
@@ -144,6 +112,7 @@ mod tests {
     use super::*;
     use liteworp::config::Config;
     use liteworp::keys::KeyStore;
+    use liteworp::types::NodeId;
     use liteworp_netsim::field::Position;
 
     fn chain() -> Field {

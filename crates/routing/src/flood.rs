@@ -163,11 +163,11 @@ mod tests {
     fn protocol_nodes_stay_small() {
         // One per deployed node: parameters (LITEWORP's config among them)
         // are shared and source-only state is boxed, so a node is mostly
-        // its LITEWORP instance, whose neighbor table is one block.
+        // its LITEWORP instance, whose neighbor table is an arena handle.
         let size = std::mem::size_of::<crate::node::ProtocolNode>();
-        assert!(size <= 520, "ProtocolNode grew to {size} bytes");
+        assert!(size <= 512, "ProtocolNode grew to {size} bytes");
         let guard = std::mem::size_of::<liteworp::Liteworp>();
-        assert!(guard <= 288, "Liteworp grew to {guard} bytes");
+        assert!(guard <= 280, "Liteworp grew to {guard} bytes");
     }
 
     #[test]

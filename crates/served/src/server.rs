@@ -374,11 +374,20 @@ fn drain_one(state: &Arc<DaemonState>, key: u64, kind: &str, params: &Json, trac
         cache_misses: m.cache_misses,
         failed: m.failed,
     };
-    let _ = state.wal.append(&WalRecord::Done {
+    match state.wal.append(&WalRecord::Done {
         key,
         info: info.clone(),
-    });
-    let _ = std::fs::remove_file(&journal);
+    }) {
+        Ok(()) => {
+            let _ = std::fs::remove_file(&journal);
+        }
+        // Unlogged, the request replays as queued after a restart; its
+        // journal then replays every job instead of recomputing it.
+        Err(e) => eprintln!(
+            "liteworp-served: cannot log request {} as done ({e}); keeping its journal",
+            format_key(key)
+        ),
+    }
     state.metrics.requests_done.inc();
     state.complete(key, Ok(info), trace_lines);
 }
@@ -611,18 +620,24 @@ fn submit(state: &DaemonState, kind: String, params: Json, trace: bool) -> Strin
     ok_response(pairs)
 }
 
-/// Handles one `cancel`: only a queued request parks; its subscribers'
-/// final frames are sent, and the WAL records it, after the registry
-/// lock is released.
+/// Handles one `cancel`: only a queued request parks. The WAL records
+/// it after the registry lock is released, and only then are its
+/// subscribers' final frames sent. A cancel the WAL could not log is
+/// taken back and refused, so a restart never revives a request that was
+/// answered cancelled.
 fn cancel(state: &DaemonState, req: u64) -> String {
     let Some((flush, phase)) = state.with_registry(|r| r.cancel(req)) else {
         return unknown_request(req);
     };
     let cancelled = flush.is_some();
     if let Some(flush) = flush {
+        if let Err(e) = state.wal.append(&WalRecord::Cancelled { key: req }) {
+            state.with_registry(|r| r.uncancel(req, flush)).send();
+            state.work.notify_one();
+            return err_response(&format!("cannot log the cancel: {e}"));
+        }
         flush.send();
         state.metrics.requests_cancelled.inc();
-        let _ = state.wal.append(&WalRecord::Cancelled { key: req });
     }
     ok_response([
         ("req", Json::from(format_key(req))),
@@ -687,6 +702,83 @@ mod tests {
         let phases: Vec<&ReqPhase> = registry.requests().map(|r| r.phase()).collect();
         assert_eq!(phases, vec![&ReqPhase::Cancelled]);
         assert_eq!(registry.queue_len(), 0);
+    }
+
+    /// A daemon's state in a fresh state dir whose WAL file is opened
+    /// read-only, so every append fails.
+    fn read_only_daemon(tag: &str) -> DaemonState {
+        let dir = std::env::temp_dir().join(format!(
+            "liteworp-served-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("state dir");
+        let wal = dir.join("requests.jsonl");
+        std::fs::write(&wal, "").expect("empty WAL");
+        DaemonState {
+            state_dir: dir,
+            ..daemon_state(RequestWal::read_only(wal).expect("open read-only"))
+        }
+    }
+
+    fn scenario_params() -> Json {
+        Json::parse(r#"{"nodes":12,"seeds":1,"duration":30.0}"#).unwrap()
+    }
+
+    /// A cancel is acknowledged only once its record is in the WAL: when
+    /// the append fails the cancel is refused, the request stays queued,
+    /// and its subscribers keep their open stream.
+    #[test]
+    fn a_cancel_the_wal_cannot_log_is_refused_and_undone() {
+        let state = read_only_daemon("cancel");
+        let params = scenario_params();
+        let key = request_key("scenario", &params);
+        let stream = state.with_registry(|r| {
+            r.submit(key, "scenario".into(), params, false);
+            assert!(r.enqueue(key));
+            let (stream, flush) = r.subscribe(key).expect("registered");
+            flush.send();
+            stream
+        });
+
+        let response = cancel(&state, key);
+        assert!(refused(&response), "acknowledged unlogged: {response}");
+        let registry = lock(&state.registry);
+        let phases: Vec<&ReqPhase> = registry.requests().map(|r| r.phase()).collect();
+        assert_eq!(phases, vec![&ReqPhase::Queued]);
+        assert_eq!(registry.queue_len(), 1);
+        drop(registry);
+        assert_eq!(
+            stream.try_recv(),
+            Err(std::sync::mpsc::TryRecvError::Empty),
+            "the subscriber got no final frame and is still attached"
+        );
+        let _ = std::fs::remove_dir_all(&state.state_dir);
+    }
+
+    /// A finished request whose `done` record the WAL cannot log keeps
+    /// its journal, so a restart replays its jobs instead of recomputing
+    /// them.
+    #[test]
+    fn a_done_the_wal_cannot_log_keeps_the_journal() {
+        let state = Arc::new(read_only_daemon("done"));
+        let params = scenario_params();
+        let key = request_key("scenario", &params);
+        state.with_registry(|r| {
+            r.submit(key, "scenario".into(), params.clone(), false);
+            assert!(r.enqueue(key));
+            assert!(r.start_next().is_some());
+        });
+
+        drain_one(&state, key, "scenario", &params, false);
+        let registry = lock(&state.registry);
+        let phases: Vec<&ReqPhase> = registry.requests().map(|r| r.phase()).collect();
+        assert!(matches!(phases[..], [ReqPhase::Done(_)]), "{phases:?}");
+        drop(registry);
+        let journal = std::fs::read_to_string(state.journal_path(key)).expect("journal kept");
+        assert!(!journal.is_empty());
+        let _ = std::fs::remove_dir_all(&state.state_dir);
     }
 
     #[test]

@@ -343,6 +343,27 @@ impl Registry {
         }
     }
 
+    /// Takes back a cancel whose record could not be logged: a request
+    /// the cancel left `Cancelled` goes back to `Queued`, at the back of
+    /// the queue, and the subscribers the cancel took out (`flush`, not
+    /// sent) are attached again. Should a concurrent submit and drain
+    /// have finished the request meanwhile, the returned flush owes them
+    /// its final frame.
+    pub fn uncancel(&mut self, key: u64, flush: Flush) -> Flush {
+        let Some(req) = self.requests.get_mut(&key) else {
+            return flush;
+        };
+        if req.phase == ReqPhase::Cancelled {
+            req.phase = ReqPhase::Queued;
+        }
+        req.subs.extend(flush.subs);
+        if req.phase.is_terminal() {
+            return req.flush();
+        }
+        self.enqueue(key);
+        Flush::default()
+    }
+
     /// Finishes a running request (see [`Request::complete`]). Returns
     /// `None`, changing nothing, for any other phase.
     pub fn complete(
@@ -572,6 +593,17 @@ impl RequestWal {
             .create(true)
             .append(true)
             .open(&path)?;
+        Ok(RequestWal {
+            file: Mutex::new(file),
+            path,
+        })
+    }
+
+    /// A WAL on `path` opened read-only, so every append fails.
+    #[cfg(test)]
+    pub(crate) fn read_only(path: impl Into<PathBuf>) -> std::io::Result<RequestWal> {
+        let path = path.into();
+        let file = std::fs::File::open(&path)?;
         Ok(RequestWal {
             file: Mutex::new(file),
             path,
