@@ -6,8 +6,9 @@
 //! Flags: --nodes N[,N...] (default 1000,10000,100000), --seeds N (6),
 //!        --duration S (150), --traffic-sources N (64),
 //!        --guard-links N (2000), --smoke (one 10 000-node seed; also
-//!        prints the process's peak resident set, `VmHWM`, to stderr
-//!        where `/proc/self/status` exists),
+//!        prints to stderr how many nodes the run built and the
+//!        process's peak resident set, `VmHWM`, where
+//!        `/proc/self/status` exists),
 //!        --jobs N, --no-cache, --cache-dir DIR, --observe DIR
 //!
 //! Supervision (see EXPERIMENTS.md): --max-retries N, --job-deadline
@@ -54,6 +55,12 @@ fn main() {
     if let Some(kb) = smoke.then(peak_rss_kb).flatten() {
         // scripts/scale_smoke.sh gates this line.
         eprintln!("scale smoke: VmHWM {kb} kB");
+    }
+    if smoke {
+        // scripts/scale_smoke.sh pins this count: a reader that builds
+        // every lazy node (a sweep of `Simulator::logic`) raises it.
+        let built = liteworp_obs::counter("scenario.nodes_built").get();
+        eprintln!("scale smoke: nodes built {built}");
     }
     println!(
         "Scale sweep: closed forms vs simulation, N_B = {}, {} traffic sources, attack at 50 s\n",

@@ -12,7 +12,7 @@
 //! ([`crate::chaos_exec`]) all go through one routine that flattens cells
 //! into jobs, runs them, and groups the results back per cell.
 
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioRun};
 use liteworp_chaos::EngineFaultPlan;
 use liteworp_obs as obs;
 use liteworp_runner::supervisor::{JobContext, JobFailure, JobFaultHook, Supervision};
@@ -404,6 +404,20 @@ fn execute(cell: &SimCell, derived_seed: u64, ctx: &JobContext) -> Result<SeedOu
         let _span = obs::span("neighbor_discovery");
         scenario.build()
     };
+    let outcome = run_cell(cell, &mut run, ctx)?;
+    // Counted after the outcome is read, so a reader that builds lazy
+    // nodes shows in the count `scale_sweep --smoke` prints.
+    obs::counter("scenario.nodes_built").add(run.sim().built_nodes() as u64);
+    Ok(outcome)
+}
+
+/// Steps a built run through the cell's sample times and duration, then
+/// reads its outcome.
+fn run_cell(
+    cell: &SimCell,
+    run: &mut ScenarioRun,
+    ctx: &JobContext,
+) -> Result<SeedOutcome, JobFailure> {
     let mut drops_at = Vec::with_capacity(cell.sample_times.len());
     for &t in &cell.sample_times {
         ctx.charge_sim_to_secs(t)?;
@@ -426,7 +440,12 @@ fn execute(cell: &SimCell, derived_seed: u64, ctx: &JobContext) -> Result<SeedOu
         let _span = obs::span("event_loop");
         run.run_until_secs(t);
     }
+    Ok(outcome(run, drops_at))
+}
 
+/// Reads a finished run's outcome. Builds no lazy node: every reader
+/// looks at built nodes, the trace or the metrics only.
+fn outcome(run: &ScenarioRun, drops_at: Vec<f64>) -> SeedOutcome {
     let (routes_total, routes_malicious) = run.route_counts();
     let first_detection_latency = run
         .sim()
@@ -441,8 +460,7 @@ fn execute(cell: &SimCell, derived_seed: u64, ctx: &JobContext) -> Result<SeedOu
         .filter(|i| !malicious.contains(&i.suspect.0))
         .map(|i| i.suspect.0)
         .collect();
-
-    Ok(SeedOutcome {
+    SeedOutcome {
         drops_at,
         drops: run.wormhole_dropped() as f64,
         data_sent: run.data_sent() as f64,
@@ -453,7 +471,7 @@ fn execute(cell: &SimCell, derived_seed: u64, ctx: &JobContext) -> Result<SeedOu
         isolation_latency: run.isolation_latency_secs(),
         false_isolations: falsely_isolated.len() as f64,
         collision_fraction: run.sim().metrics().collision_fraction(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -534,6 +552,90 @@ mod tests {
         for o in run.outcomes.iter().flatten() {
             assert_eq!(o.drops, 0.0, "no attackers, no wormhole drops");
             assert!(o.data_sent > 0.0, "traffic should flow");
+        }
+    }
+
+    /// Scale-sweep-style runs (2 000 nodes, 16 capped sources, TTL-scoped
+    /// discovery) with their idle relays lazy give exactly the run of the
+    /// same scenario with every node built before start: the same
+    /// metrics, trace and outcome, clean and under a fault plan that
+    /// drops, corrupts, duplicates and delays receptions, crashes nodes
+    /// (some of them lazy relays) and skews clocks. The outcome readers
+    /// build no node.
+    #[test]
+    fn lazy_relays_give_the_run_of_nodes_built_up_front() {
+        use crate::experiments::scale_sweep::{scenario_for, ScaleSweepConfig};
+        use liteworp_chaos::{ClockDrift, CrashWindow, FaultPlan, Injector};
+        use liteworp_netsim::field::NodeId as SimId;
+
+        const NODES: usize = 2_000;
+        let cfg = ScaleSweepConfig {
+            traffic_sources: 16,
+            ..ScaleSweepConfig::default()
+        };
+        let cell = SimCell::snapshot("lazy", scenario_for(&cfg, NODES), 1, 0, 120.0);
+        let crash = |node, from_s: u64, until_s: u64| CrashWindow {
+            node,
+            from_us: from_s * 1_000_000,
+            until_us: until_s * 1_000_000,
+        };
+        let chaos = FaultPlan {
+            seed: 5,
+            drop: 0.02,
+            corrupt: 0.02,
+            duplicate: 0.02,
+            delay: 0.02,
+            max_jitter_us: 50_000,
+            crashes: vec![crash(3, 20, 60), crash(700, 0, 80), crash(1_500, 55, 90)],
+            drifts: vec![
+                ClockDrift { node: 1, ppm: 150 },
+                ClockDrift {
+                    node: 900,
+                    ppm: -150,
+                },
+            ],
+        };
+        chaos.validate().expect("plan within documented bounds");
+        for seed in [3, 4, 5] {
+            for plan in [None, Some(&chaos)] {
+                let build = || {
+                    let mut scenario = cell.scenario.clone();
+                    scenario.seed = seed;
+                    let mut run = scenario.build();
+                    if let Some(plan) = plan {
+                        run.sim_mut()
+                            .set_fault_hook(Box::new(Injector::new(plan.clone())));
+                    }
+                    run
+                };
+                let mut eager = build();
+                for i in 0..NODES {
+                    eager.sim().logic(SimId(i as u32));
+                }
+                assert_eq!(eager.sim().built_nodes(), NODES);
+                let eager_outcome = run_cell(&cell, &mut eager, &JobContext::unsupervised())
+                    .expect("unsupervised runs have no deadline");
+
+                let mut lazy = build();
+                assert!(lazy.sim().built_nodes() < NODES / 10);
+                lazy.run_until_secs(cell.duration);
+                let built = lazy.sim().built_nodes();
+                let lazy_outcome = outcome(&lazy, Vec::new());
+                assert_eq!(
+                    lazy.sim().built_nodes(),
+                    built,
+                    "an outcome reader built a node"
+                );
+                assert!(built < NODES, "seed {seed}: every relay was needed");
+
+                let case = format!("seed {seed}, fault plan {}", plan.is_some());
+                assert_eq!(eager.sim().metrics(), lazy.sim().metrics(), "{case}");
+                assert!(
+                    eager.sim().trace().events().eq(lazy.sim().trace().events()),
+                    "{case}"
+                );
+                assert_eq!(eager_outcome, lazy_outcome, "{case}");
+            }
         }
     }
 }

@@ -12,7 +12,7 @@ use liteworp::types::NodeId as CoreId;
 use liteworp_attacks::solo::{HighPowerNode, RelayNode, RushingNode};
 use liteworp_attacks::wormhole::{ForgeStrategy, WormholeConfig, WormholeNode};
 use liteworp_netsim::field::{Field, NodeId as SimId};
-use liteworp_netsim::prelude::{RadioConfig, SimDuration, SimTime, Simulator};
+use liteworp_netsim::prelude::{NodeLogic, RadioConfig, SimDuration, SimTime, Simulator};
 use liteworp_routing::bootstrap::SharedAdjacency;
 use liteworp_routing::node::{core_id, ProtocolNode};
 use liteworp_routing::packet::Packet;
@@ -20,6 +20,7 @@ use liteworp_routing::params::{DiscoveryMode, NodeParams, RouteSelection};
 use liteworp_routing::stats::RouteRecord;
 use liteworp_runner::rng::{Pcg32, Rng};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Which attack the malicious nodes mount.
@@ -206,6 +207,12 @@ impl Scenario {
     /// Deploys the field, picks colluders (pairwise more than two hops
     /// apart, per Section 6), builds and bootstraps all nodes.
     ///
+    /// A relay that is neither a traffic source nor a colluder starts
+    /// idle ([`ProtocolNode::start_is_idle`]), so it is installed lazily:
+    /// the simulator builds it at its first event, from the same shared
+    /// parameters and arena. With a source cap most of a large
+    /// deployment never hears a frame and is never built.
+    ///
     /// # Panics
     ///
     /// Panics if no connected deployment or valid colluder placement can
@@ -280,11 +287,30 @@ impl Scenario {
         let attack_start = SimTime::from_secs_f64(self.attack_start);
         // One second-hop arena for every table (built only when tables
         // are preloaded).
-        let adjacency = self.protected.then(|| SharedAdjacency::from_field(&field));
+        let adjacency = self
+            .protected
+            .then(|| Rc::new(SharedAdjacency::from_field(&field)));
         let mut sim = Simulator::new(field, self.radio.clone(), self.seed.wrapping_mul(31) + 7);
+        let lazy_relays = ProtocolNode::start_is_idle(&relay_params);
+        if lazy_relays {
+            let params = Arc::clone(&relay_params);
+            let adjacency = adjacency.clone();
+            sim.set_node_factory(move |i| {
+                Box::new(honest_node(
+                    core_id(i),
+                    Arc::clone(&params),
+                    adjacency.as_deref(),
+                ))
+            });
+        }
         for i in 0..self.nodes {
             let id = CoreId(i as u32);
             let is_source = sources.as_ref().is_none_or(|s| s.contains(&i));
+            let is_malicious = malicious.contains(&id);
+            if lazy_relays && !is_source && !is_malicious {
+                sim.push_lazy_node();
+                continue;
+            }
             let node_params = if !is_source {
                 Arc::clone(&relay_params)
             } else if let Some(h) = self.local_traffic_hops {
@@ -306,13 +332,8 @@ impl Scenario {
             } else {
                 Arc::clone(&source_params)
             };
-            let mut inner = ProtocolNode::new(id, node_params);
-            if let Some(adjacency) = &adjacency {
-                // lint: allow(P002) invariant: the adjacency exists only when protected
-                let lw = inner.liteworp_mut().expect("protection enabled");
-                adjacency.preload(lw, SimId(i as u32));
-            }
-            if malicious.contains(&id) {
+            let inner = honest_node(id, node_params, adjacency.as_deref());
+            if is_malicious {
                 match self.attack {
                     ScenarioAttack::Wormhole => {
                         let attack = WormholeConfig {
@@ -346,6 +367,46 @@ impl Scenario {
     }
 }
 
+/// Builds node `id`'s honest core, its table preloaded from `adjacency`
+/// when the scenario is protected.
+fn honest_node(
+    id: CoreId,
+    params: Arc<NodeParams>,
+    adjacency: Option<&SharedAdjacency>,
+) -> ProtocolNode {
+    let mut node = ProtocolNode::new(id, params);
+    if let Some(adjacency) = adjacency {
+        // lint: allow(P002) invariant: the adjacency exists only when protected
+        let lw = node.liteworp_mut().expect("protection enabled");
+        adjacency.preload(lw, SimId(id.0));
+    }
+    node
+}
+
+/// The honest core of a node's logic, seen through any wrapper the
+/// scenario builder installs.
+fn honest_core(id: CoreId, logic: &dyn NodeLogic<Packet>) -> &ProtocolNode {
+    let any = logic.as_any();
+    if let Some(p) = any.downcast_ref::<ProtocolNode>() {
+        return p;
+    }
+    if let Some(w) = any.downcast_ref::<WormholeNode>() {
+        return w.inner();
+    }
+    if let Some(a) = any.downcast_ref::<HighPowerNode>() {
+        return a.inner();
+    }
+    if let Some(a) = any.downcast_ref::<RelayNode>() {
+        return a.inner();
+    }
+    if let Some(a) = any.downcast_ref::<RushingNode>() {
+        return a.inner();
+    }
+    // lint: allow(P003) exhaustive downcast over every node type the
+    // scenario builder installs; a miss is a builder bug
+    panic!("node {id} has an unknown logic type");
+}
+
 /// Picks `m` colluders uniformly at random such that every pair is more
 /// than two hops apart (Section 6). Returns `None` when impossible.
 fn choose_colluders(field: &Field, m: usize, rng: &mut Pcg32) -> Option<Vec<CoreId>> {
@@ -361,11 +422,9 @@ fn choose_colluders(field: &Field, m: usize, rng: &mut Pcg32) -> Option<Vec<Core
             if field.in_range_of(SimId(cand)).is_empty() {
                 continue;
             }
-            let far_enough = chosen.iter().all(|&c| {
-                field
-                    .hop_distance(SimId(c), SimId(cand))
-                    .is_none_or(|h| h > 2)
-            });
+            let far_enough = chosen
+                .iter()
+                .all(|&c| !field.within_hops(SimId(c), SimId(cand), 2));
             if far_enough {
                 chosen.push(cand);
                 if chosen.len() == m {
@@ -421,36 +480,21 @@ impl ScenarioRun {
     }
 
     /// Access a node's honest core, whether it is honest or a wormhole
-    /// wrapper.
+    /// wrapper. Builds the node if it is lazy and not built yet.
     pub fn protocol_node(&self, id: CoreId) -> &ProtocolNode {
-        let logic = self.sim.logic(SimId(id.0));
-        if let Some(p) = logic.as_any().downcast_ref::<ProtocolNode>() {
-            return p;
-        }
-        if let Some(w) = logic.as_any().downcast_ref::<WormholeNode>() {
-            return w.inner();
-        }
-        if let Some(a) = logic.as_any().downcast_ref::<HighPowerNode>() {
-            return a.inner();
-        }
-        if let Some(a) = logic.as_any().downcast_ref::<RelayNode>() {
-            return a.inner();
-        }
-        if let Some(a) = logic.as_any().downcast_ref::<RushingNode>() {
-            return a.inner();
-        }
-        // lint: allow(P003) exhaustive downcast over every node type the
-        // scenario builder installs; a miss is a builder bug
-        panic!("node {id} has an unknown logic type");
+        honest_core(id, self.sim.logic(SimId(id.0)))
     }
 
-    /// All route records established at sources, flattened.
+    /// All route records established at sources, flattened. An unbuilt
+    /// node has logged no route, so only built nodes are read.
     pub fn all_routes(&self) -> Vec<(CoreId, RouteRecord)> {
         let mut out = Vec::new();
         for i in 0..self.sim.node_count() {
             let id = CoreId(i as u32);
-            for rec in self.protocol_node(id).route_log() {
-                out.push((id, rec.clone()));
+            if let Some(logic) = self.sim.built_logic(SimId(id.0)) {
+                for rec in honest_core(id, logic).route_log() {
+                    out.push((id, rec.clone()));
+                }
             }
         }
         out
@@ -688,6 +732,54 @@ mod tests {
         run.run_until_secs(120.0);
         assert_eq!(run.sim().node_count(), 40);
         assert!(run.data_sent() > 0, "traffic flows in the giant component");
+    }
+
+    #[test]
+    fn a_lazy_relay_is_the_node_the_eager_path_builds() {
+        let run = Scenario {
+            nodes: 300,
+            traffic_sources: Some(8),
+            require_connected: false,
+            seed: 4,
+            ..Scenario::default()
+        }
+        .build();
+        let sim = run.sim();
+        for i in 0..8 {
+            assert!(sim.built_logic(SimId(i)).is_some(), "source {i} is lazy");
+        }
+        for m in run.malicious() {
+            assert!(
+                sim.built_logic(SimId(m.0)).is_some(),
+                "colluder {m} is lazy"
+            );
+        }
+        let relay = (8..300)
+            .map(SimId)
+            .find(|&i| sim.built_logic(i).is_none() && !sim.field().in_range_of(i).is_empty())
+            .expect("a lazy relay with neighbors");
+        // What the eager path builds: a source's parameters without its
+        // traffic, and the table preloaded from the scenario's arena.
+        let params = NodeParams {
+            data_interval_mean: None,
+            ..run.protocol_node(CoreId(0)).params().clone()
+        };
+        let mut want = ProtocolNode::new(core_id(relay), params);
+        let want_lw = want.liteworp_mut().expect("protected");
+        SharedAdjacency::from_field(sim.field()).preload(want_lw, relay);
+
+        let got = run.protocol_node(core_id(relay));
+        assert!(sim.built_logic(relay).is_some(), "reading builds the relay");
+        assert_eq!(
+            format!("{:?}", got.params()),
+            format!("{:?}", want.params())
+        );
+        let table = |n: &ProtocolNode| format!("{:?}", n.liteworp().expect("protected").table());
+        assert_eq!(table(got), table(&want));
+        assert_eq!(
+            got.liteworp().expect("protected").table().len(),
+            sim.field().in_range_of(relay).len()
+        );
     }
 
     #[test]

@@ -293,9 +293,22 @@ impl Field {
     /// disc graph, or `None` if disconnected.
     ///
     /// Reuses a preallocated generation-stamped visited bitmap across
-    /// calls — this sits on the [`Field::connected_with_average_neighbors`]
-    /// retry loop and colluder placement, so per-call allocation matters.
+    /// calls, shared with the field's other traversals.
     pub fn hop_distance(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        self.hops_up_to(a, b, u32::MAX)
+    }
+
+    /// Whether `b` is at most `max_hops` hops from `a`: the answer
+    /// [`Field::hop_distance`] gives, from a search that stops at that
+    /// depth instead of walking the whole connected component. Colluder
+    /// placement asks this of far-apart candidates.
+    pub fn within_hops(&self, a: NodeId, b: NodeId, max_hops: u32) -> bool {
+        self.hops_up_to(a, b, max_hops).is_some()
+    }
+
+    /// Breadth-first hop count from `a` to `b`, searching no deeper than
+    /// `max_hops`.
+    fn hops_up_to(&self, a: NodeId, b: NodeId, max_hops: u32) -> Option<usize> {
         if a == b {
             return Some(0);
         }
@@ -305,6 +318,10 @@ impl Field {
         s.visit(a.0);
         s.queue.push_back((a.0, 0));
         while let Some((u, depth)) = s.queue.pop_front() {
+            // The queue holds depths in ascending order.
+            if depth >= max_hops {
+                break;
+            }
             for &vid in self.in_range_of(NodeId(u)) {
                 if s.visited(vid.0) {
                     continue;
@@ -478,6 +495,28 @@ mod tests {
                 })
                 .collect();
             assert_eq!(got, want, "h = {h}");
+        }
+    }
+
+    #[test]
+    fn within_hops_matches_hop_distance() {
+        // Seeded random pairs on sparse fields (several components, so
+        // some pairs are disconnected), at every bound from 0 to 4.
+        let mut rng = Pcg32::seed_from_u64(0x686f_7073);
+        for _ in 0..8 {
+            let f = Field::with_average_neighbors(150, 4.0, 30.0, &mut rng);
+            for _ in 0..200 {
+                let a = NodeId(rng.gen_range(0u32..150));
+                let b = NodeId(rng.gen_range(0u32..150));
+                let d = f.hop_distance(a, b);
+                for h in 0..=4u32 {
+                    assert_eq!(
+                        f.within_hops(a, b, h),
+                        d.is_some_and(|d| d <= h as usize),
+                        "{a} to {b} within {h} (distance {d:?})"
+                    );
+                }
+            }
         }
     }
 

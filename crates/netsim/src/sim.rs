@@ -5,6 +5,22 @@
 //! `(time, sequence)` order, so runs are fully deterministic for a given
 //! seed and node set.
 //!
+//! # Lazy nodes
+//!
+//! A node slot is either built, holding the logic [`Simulator::push_node`]
+//! was given, or lazy ([`Simulator::push_lazy_node`]): the simulator's
+//! one factory ([`Simulator::set_node_factory`]) builds its logic at the
+//! node's first dispatched event (a frame, timer, tunnel delivery or
+//! collision) or at the first [`Simulator::logic`] read. A lazy node gets
+//! no start event, so only a node whose `on_start` does nothing may be
+//! lazy. Then a lazy run is the run of the same nodes built up front:
+//! building is a pure function of the node id, the start hooks it skips
+//! draw no randomness and act on nothing, and dropping their events
+//! leaves the `(time, sequence)` order of all others unchanged. A large
+//! deployment whose idle relays never hear a frame never builds them,
+//! and a node held down by a [`FaultHook`] loses what reaches it before
+//! it would be built.
+//!
 //! # Example
 //!
 //! A two-node network where node 0 broadcasts once and node 1 counts what
@@ -56,12 +72,14 @@ use crate::node::{Action, Context, NodeLogic};
 use crate::radio::RadioConfig;
 use crate::time::{SimDuration, SimTime};
 use liteworp_runner::rng::{Pcg32, Rng};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 
 /// A scheduled event. Kept to 16 bytes: the queue's slab holds one slot
-/// per pending event, and 10⁵ `NodeStart`s at time zero size it for the
-/// whole run. What a frame carries waits elsewhere: in [`InFlight`] for a
-/// transmission's end, boxed on the rare tunnel and fault paths.
+/// per pending event, and one `NodeStart` per built node at time zero
+/// sizes it for the whole run. What a frame carries waits elsewhere: in
+/// [`InFlight`] for a transmission's end, boxed on the rare tunnel and
+/// fault paths.
 pub(crate) enum EventKind<P> {
     NodeStart(NodeId),
     Timer {
@@ -155,13 +173,30 @@ impl<P> MacArena<P> {
 /// `Simulator::rank` when no event's rank is free to re-arm with.
 const NO_RANK: u64 = u64::MAX;
 
+/// Builds a lazy node's logic from its id (see [`Simulator::set_node_factory`]).
+type NodeFactory<P> = Box<dyn Fn(NodeId) -> Box<dyn NodeLogic<P>>>;
+
+/// Builds lazy node `node` with the simulator's factory.
+fn build_lazy<P>(factory: &Option<NodeFactory<P>>, node: NodeId) -> Box<dyn NodeLogic<P>> {
+    match factory {
+        Some(build) => build(node),
+        // `push_lazy_node` refuses to add a lazy slot while no factory is
+        // installed, and a factory is never removed.
+        None => unreachable!("lazy node {node} has no factory"),
+    }
+}
+
 /// The discrete-event wireless network simulator.
 ///
+/// Each node is pushed built ([`Simulator::push_node`]) or lazy
+/// ([`Simulator::push_lazy_node`], see [lazy nodes](self#lazy-nodes)).
 /// See the [module documentation](self) for a usage example.
 pub struct Simulator<P> {
     field: Field,
     radio: RadioConfig,
-    logic: Vec<Box<dyn NodeLogic<P>>>,
+    /// One slot per node: empty while the node is lazy and unbuilt.
+    logic: Vec<OnceCell<Box<dyn NodeLogic<P>>>>,
+    factory: Option<NodeFactory<P>>,
     mac: MacArena<P>,
     queue: EventQueue<EventKind<P>>,
     in_flight: InFlight<P>,
@@ -175,7 +210,8 @@ pub struct Simulator<P> {
     metrics: Metrics,
     trace: Trace,
     started: bool,
-    start_times: Vec<SimTime>,
+    /// When each node's `on_start` runs; `None` for a lazy node.
+    start_times: Vec<Option<SimTime>>,
     fault: Option<Box<dyn FaultHook>>,
     /// Reusable buffer for node-hook actions (drained after every hook).
     actions_scratch: Vec<Action<P>>,
@@ -206,6 +242,7 @@ impl<P: Clone + 'static> Simulator<P> {
             field,
             radio,
             logic: Vec::new(),
+            factory: None,
             mac: MacArena::default(),
             queue: EventQueue::new(),
             in_flight: InFlight {
@@ -236,35 +273,80 @@ impl<P: Clone + 'static> Simulator<P> {
     /// Panics if more nodes are pushed than the field has positions, or
     /// after the simulation has started.
     pub fn push_node(&mut self, logic: Box<dyn NodeLogic<P>>) -> NodeId {
+        self.push_slot(OnceCell::from(logic), Some(SimTime::ZERO))
+    }
+
+    /// Adds the next node as a lazy slot: the factory installed by
+    /// [`Simulator::set_node_factory`] builds its logic when the node is
+    /// first needed, and its `on_start` never runs (see the
+    /// [module documentation](self#lazy-nodes)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when no factory is installed, and where
+    /// [`Simulator::push_node`] does.
+    pub fn push_lazy_node(&mut self) -> NodeId {
+        assert!(self.factory.is_some(), "lazy node without a node factory");
+        self.push_slot(OnceCell::new(), None)
+    }
+
+    fn push_slot(
+        &mut self,
+        slot: OnceCell<Box<dyn NodeLogic<P>>>,
+        start: Option<SimTime>,
+    ) -> NodeId {
         assert!(!self.started, "cannot add nodes after the run started");
         assert!(
             self.logic.len() < self.field.len(),
             "more nodes than field positions"
         );
         let id = NodeId(self.logic.len() as u32);
-        self.logic.push(logic);
+        self.logic.push(slot);
         self.mac.push_node();
-        self.start_times.push(SimTime::ZERO);
+        self.start_times.push(start);
         id
+    }
+
+    /// Installs the factory that builds every lazy node's logic from its
+    /// id. It must build the same logic for an id whenever it is called,
+    /// with a no-op `on_start`: a lazy node is then indistinguishable from
+    /// the same node pushed built.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the run has started.
+    pub fn set_node_factory(
+        &mut self,
+        factory: impl Fn(NodeId) -> Box<dyn NodeLogic<P>> + 'static,
+    ) {
+        assert!(!self.started, "cannot install a node factory after start");
+        self.factory = Some(Box::new(factory));
     }
 
     /// Overrides when a node's `on_start` runs (default: time zero).
     ///
     /// # Panics
     ///
-    /// Panics after the run has started or for an unknown id.
+    /// Panics after the run has started, for an unknown id, or for a lazy
+    /// node (it never starts).
     pub fn set_start_time(&mut self, node: NodeId, at: SimTime) {
         assert!(!self.started, "cannot change start times after start");
-        self.start_times[node.index()] = at;
+        let start = &mut self.start_times[node.index()];
+        assert!(start.is_some(), "lazy node {node} has no start time");
+        *start = Some(at);
     }
 
     /// Staggers all node start times uniformly over `[0, window]` — useful
-    /// so deployment-time HELLO floods do not all collide.
+    /// so deployment-time HELLO floods do not all collide. A lazy node's
+    /// draw is made and discarded, so the random stream does not depend on
+    /// which nodes are lazy.
     pub fn stagger_starts(&mut self, window: SimDuration) {
         assert!(!self.started, "cannot change start times after start");
-        for t in &mut self.start_times {
+        for start in &mut self.start_times {
             let us = self.rng.gen_range(0..=window.as_micros());
-            *t = SimTime::from_micros(us);
+            if let Some(t) = start {
+                *t = SimTime::from_micros(us);
+            }
         }
     }
 
@@ -294,9 +376,28 @@ impl<P: Clone + 'static> Simulator<P> {
     }
 
     /// Immutable access to a node's logic (downcast via
-    /// [`NodeLogic::as_any`]).
+    /// [`NodeLogic::as_any`]). Builds a lazy node that is not built yet;
+    /// later events reach the instance this returns.
     pub fn logic(&self, node: NodeId) -> &dyn NodeLogic<P> {
-        self.logic[node.index()].as_ref()
+        self.logic[node.index()]
+            .get_or_init(|| build_lazy(&self.factory, node))
+            .as_ref()
+    }
+
+    /// A node's logic if it is built, without building a lazy one. An
+    /// unbuilt node has handled no event, so it is in the state its
+    /// factory builds.
+    pub fn built_logic(&self, node: NodeId) -> Option<&dyn NodeLogic<P>> {
+        self.logic[node.index()].get().map(|logic| logic.as_ref())
+    }
+
+    /// Number of nodes whose logic is built: every node pushed built, and
+    /// every lazy node that has been needed so far.
+    pub fn built_nodes(&self) -> usize {
+        self.logic
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 
     /// Number of nodes added so far.
@@ -349,7 +450,9 @@ impl<P: Clone + 'static> Simulator<P> {
             );
             self.started = true;
             for i in 0..self.logic.len() {
-                self.push_event(self.start_times[i], EventKind::NodeStart(NodeId(i as u32)));
+                if let Some(at) = self.start_times[i] {
+                    self.push_event(at, EventKind::NodeStart(NodeId(i as u32)));
+                }
             }
         }
         while let Some(head_time) = self.queue.next_time() {
@@ -436,11 +539,18 @@ impl<P: Clone + 'static> Simulator<P> {
     }
 
     /// Invokes a node hook with a fresh context, then applies its actions.
-    /// The action buffer is recycled across hooks (hooks never nest).
+    /// The action buffer is recycled across hooks (hooks never nest). A
+    /// lazy node is built first if it is not built yet. The logic leaves
+    /// its slot for the hook and returns to it after, so the hook can
+    /// borrow the rest of the simulator.
     fn with_logic<F>(&mut self, node: NodeId, f: F)
     where
         F: FnOnce(&mut dyn NodeLogic<P>, &mut Context<'_, P>),
     {
+        let slot = &mut self.logic[node.index()];
+        let mut logic = slot
+            .take()
+            .unwrap_or_else(|| build_lazy(&self.factory, node));
         let mut actions = std::mem::take(&mut self.actions_scratch);
         {
             let mut ctx = Context::new(
@@ -451,8 +561,9 @@ impl<P: Clone + 'static> Simulator<P> {
                 &mut self.trace,
                 &mut actions,
             );
-            f(self.logic[node.index()].as_mut(), &mut ctx);
+            f(logic.as_mut(), &mut ctx);
         }
+        self.logic[node.index()] = OnceCell::from(logic);
         self.apply_actions(node, &mut actions);
         self.actions_scratch = actions;
     }

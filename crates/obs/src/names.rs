@@ -36,6 +36,7 @@ pub const METRIC_NAMES: &[&str] = &[
     "front.shards_up",
     "front.submits",
     "front.submits_local",
+    "scenario.nodes_built",
     "served.active_drains",
     "served.cache_hits",
     "served.cache_misses",

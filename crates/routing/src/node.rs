@@ -220,6 +220,15 @@ impl ProtocolNode {
     // NodeLogic plumbing (public so wrappers can delegate).
     // ------------------------------------------------------------------
 
+    /// Whether [`ProtocolNode::handle_start`] does nothing for a node with
+    /// `params`: its tables are preloaded and it originates no traffic, so
+    /// its start sends nothing, sets no timer and draws no randomness. Such
+    /// a node may be left unbuilt until its first event (a lazy node, see
+    /// `Simulator::push_lazy_node`).
+    pub fn start_is_idle(params: &NodeParams) -> bool {
+        params.discovery == DiscoveryMode::Preloaded && params.data_interval_mean.is_none()
+    }
+
     /// Start-of-life behavior: discovery, expiry tick, traffic timers.
     pub fn handle_start(&mut self, ctx: &mut Context<'_, Packet>) {
         if let (

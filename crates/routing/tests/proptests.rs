@@ -6,13 +6,16 @@ use liteworp::keys::KeyStore;
 use liteworp::types::NodeId as CoreId;
 use liteworp::Liteworp;
 use liteworp_netsim::field::{Field, NodeId as SimId, Position};
-use liteworp_netsim::prelude::{RadioConfig, SimDuration, SimTime, Simulator};
+use liteworp_netsim::prelude::{
+    Context, Metrics, NodeLogic, RadioConfig, SimDuration, SimTime, Simulator,
+};
 use liteworp_netsim::rng::{Pcg32, Rng};
 use liteworp_routing::bootstrap::{preload_liteworp, SharedAdjacency};
 use liteworp_routing::flood::FloodTable;
 use liteworp_routing::node::ProtocolNode;
-use liteworp_routing::params::NodeParams;
+use liteworp_routing::params::{DiscoveryMode, NodeParams};
 use liteworp_routing::Packet;
+use std::any::Any;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 const CASES: u64 = 12;
@@ -229,4 +232,102 @@ fn shared_private_and_discovered_tables_agree() {
             }
         }
     }
+}
+
+/// Draws one random number at start, so it reads the simulator's stream
+/// right after every node started before it.
+#[derive(Default)]
+struct Dice(Option<u64>);
+
+impl NodeLogic<Packet> for Dice {
+    fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
+        self.0 = Some(ctx.rng().gen_range(0u64..u64::MAX));
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A start hook that does nothing, for the reference run.
+struct Idle;
+
+impl NodeLogic<Packet> for Idle {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+fn arb_params(rng: &mut Pcg32) -> NodeParams {
+    let collect = SimDuration::from_millis(rng.gen_range(1u64..2000));
+    NodeParams {
+        total_nodes: rng.gen_range(2u32..500),
+        liteworp: (rng.gen_range(0u32..4) > 0).then(Config::default),
+        key_seed: rng.gen_range(0u64..u64::MAX),
+        route_timeout: SimDuration::from_secs(rng.gen_range(1u64..100)),
+        data_interval_mean: (rng.gen_range(0u32..2) == 0)
+            .then(|| SimDuration::from_millis(rng.gen_range(1u64..20_000))),
+        discovery: match rng.gen_range(0u32..4) {
+            0 => DiscoveryMode::Messages { collect },
+            1 => DiscoveryMode::LateJoin { collect },
+            _ => DiscoveryMode::Preloaded,
+        },
+        relay_alerts: rng.gen_range(0u32..2) == 0,
+        rreq_ttl: (rng.gen_range(0u32..2) == 0).then(|| rng.gen_range(1u32..16) as u8),
+        dest_pool: (rng.gen_range(0u32..2) == 0).then(|| vec![CoreId(1)]),
+        traffic_warmup: SimDuration::from_millis(rng.gen_range(0u64..60_000)),
+        ..NodeParams::default()
+    }
+}
+
+/// The idle-start rule: for every seeded parameter set it accepts, a
+/// preloaded node's `handle_start` sends nothing, sets no timer, records
+/// nothing and leaves the random stream where it was. A node started
+/// after it draws what it would draw after a node with no start hook.
+#[test]
+fn an_idle_start_acts_on_nothing_and_draws_nothing() {
+    let mut rng = Pcg32::seed_from_u64(0x6964_6c65);
+    let field = Field::from_positions(
+        100.0,
+        30.0,
+        vec![Position::new(0.0, 0.0), Position::new(20.0, 0.0)],
+    );
+    let (mut accepted, mut rejected) = (0, 0);
+    for _ in 0..64 {
+        let params = arb_params(&mut rng);
+        if !ProtocolNode::start_is_idle(&params) {
+            rejected += 1;
+            continue;
+        }
+        accepted += 1;
+        let seed = rng.gen_range(0u64..1000);
+        let start = |first: Box<dyn NodeLogic<Packet>>| {
+            let mut sim = Simulator::new(field.clone(), RadioConfig::default(), seed);
+            sim.push_node(first);
+            sim.push_node(Box::new(Dice::default()));
+            sim.run_until(SimTime::ZERO);
+            let dice: &Dice = sim.logic(SimId(1)).as_any().downcast_ref().expect("dice");
+            let drawn = dice.0;
+            (sim, drawn)
+        };
+        let mut node = ProtocolNode::new(CoreId(0), params.clone());
+        if let Some(lw) = node.liteworp_mut() {
+            preload_liteworp(lw, SimId(0), &field);
+        }
+        let (sim, drawn) = start(Box::new(node));
+        let (_, reference) = start(Box::new(Idle));
+        assert_eq!(drawn, reference, "start drew randomness: {params:?}");
+        assert!(!sim.has_pending_events(), "start acted: {params:?}");
+        assert_eq!(sim.metrics(), &Metrics::default(), "{params:?}");
+        assert_eq!(sim.trace().events().count(), 0, "{params:?}");
+    }
+    assert!(
+        accepted > 8 && rejected > 8,
+        "{accepted} accepted, {rejected} rejected"
+    );
 }

@@ -2,7 +2,7 @@
 # Scale smoke: one 10 000-node wormhole run (scale_sweep --smoke) under a
 # wall-clock budget, digest-checked.
 #
-# Four failure modes are gated here:
+# Five failure modes are gated here:
 #
 #   * Correctness at scale — scale_sweep itself exits nonzero when the
 #     simulated detection rate or the measured guard coverage violates
@@ -22,17 +22,24 @@
 #     The smoke is a fresh process that drops no earlier build, so its
 #     peak moves with what a deployment stores, not with allocator
 #     history. Skipped where no VmHWM line is printed.
+#   * Lazy nodes — the number of nodes the run built (the
+#     "scale smoke: nodes built N" line) must equal PINNED_NODES_BUILT.
+#     Idle relays are built only at their first event; a new reader
+#     that builds every node (a sweep of `Simulator::logic`) raises the
+#     count and fails here instead of silently building all 10 000.
 #
 # When a simulator behavior change is intentional, re-pin: run
 # `./target/release/scale_sweep --smoke --no-cache`, copy the digest from
-# the "runner:" line into PINNED_DIGEST, and the kB figure from the
-# "scale smoke: VmHWM" line into PINNED_VMHWM_KB.
+# the "runner:" line into PINNED_DIGEST, the kB figure from the
+# "scale smoke: VmHWM" line into PINNED_VMHWM_KB, and the count from the
+# "scale smoke: nodes built" line into PINNED_NODES_BUILT.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET="${SCALE_SMOKE_BUDGET_SECS:-30}"
 PINNED_DIGEST="31bb22e637c95e38"
-PINNED_VMHWM_KB="26824"
+PINNED_VMHWM_KB="25568"
+PINNED_NODES_BUILT="8318"
 
 cargo build --release --offline -q -p liteworp-bench --bin scale_sweep
 
@@ -56,6 +63,13 @@ if [ "$digest" != "$PINNED_DIGEST" ]; then
     exit 1
 fi
 
+built="$(printf '%s\n' "$out" | sed -n 's/^scale smoke: nodes built \([0-9]*\)$/\1/p' | head -n 1)"
+if [ "$built" != "$PINNED_NODES_BUILT" ]; then
+    echo "scale smoke: FAIL — ${built:-no} nodes built != pinned $PINNED_NODES_BUILT"
+    echo "  (lazy relays were built by a reader, or the run changed; if intentional, re-pin per the header comment)"
+    exit 1
+fi
+
 vmhwm_kb="$(printf '%s\n' "$out" | sed -n 's/^scale smoke: VmHWM \([0-9]*\) kB$/\1/p' | head -n 1)"
 if [ -n "$vmhwm_kb" ]; then
     limit_kb=$(( PINNED_VMHWM_KB * 13 / 10 ))
@@ -71,4 +85,4 @@ if [ "$elapsed" -gt "$BUDGET" ]; then
     exit 1
 fi
 
-echo "scale smoke: OK (digest $digest, ${elapsed}s within ${BUDGET}s budget, peak RSS ${vmhwm_kb:-unmeasured} kB)"
+echo "scale smoke: OK (digest $digest, $built nodes built, ${elapsed}s within ${BUDGET}s budget, peak RSS ${vmhwm_kb:-unmeasured} kB)"
